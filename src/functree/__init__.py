@@ -25,7 +25,6 @@ from .interactions import (
     EffectReport,
     bootstrap_compare,
     conditional_interaction,
-    model_diff,
     pin,
     pure_interaction,
     pure_interaction_brute,
@@ -36,10 +35,7 @@ from .interactions import (
 )
 from .pdengine import (
     EffectGrid,
-    TreeDecomposition,
-    decompose,
     default_axis,
-    eval_cost,
     pa,
     pd_brute,
     pd_fast,

@@ -13,6 +13,7 @@ import argparse
 import csv
 import math
 import sys
+from dataclasses import replace
 
 from .data import (
     DataError,
@@ -87,16 +88,7 @@ def _resolve_forbidden(config: FitConfig, args, variables) -> FitConfig:
     if not args.forbid:
         return config
     subsets = tuple(frozenset(_var_indices(spec, variables)) for spec in args.forbid)
-    return FitConfig(
-        max_nodes=config.max_nodes,
-        max_order=config.max_order,
-        forbidden_subsets=subsets,
-        numeric_smoother=config.numeric_smoother,
-        categorical_smoother=config.categorical_smoother,
-        split=config.split,
-        backfit_passes=config.backfit_passes,
-        patience=config.patience,
-    )
+    return replace(config, forbidden_subsets=subsets)
 
 
 def _print_fit_summary(tree: FunctionTree, data: Dataset) -> None:
@@ -234,21 +226,8 @@ def cmd_bootstrap(args) -> int:
     data = _load_data(args)
     orders = [int(tok) for tok in args.max_orders.split(",")]
     base = _resolve_forbidden(_fit_config(args), args, data.variables)
-    configs = []
-    labels = []
-    for order in orders:
-        configs.append(
-            FitConfig(
-                max_nodes=base.max_nodes,
-                max_order=order,
-                forbidden_subsets=base.forbidden_subsets,
-                numeric_smoother=base.numeric_smoother,
-                split=base.split,
-                backfit_passes=base.backfit_passes,
-                patience=base.patience,
-            )
-        )
-        labels.append("unconstrained" if order == 0 else f"max_order={order}")
+    configs = [replace(base, max_order=order) for order in orders]
+    labels = ["unconstrained" if order == 0 else f"max_order={order}" for order in orders]
     _progress(f"bootstrap: {args.reps} replicates x {len(configs)} configs")
     result = bootstrap_compare(data, configs, reps=args.reps, seed=args.seed, labels=labels)
     result.to_csv(args.out)
@@ -307,8 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="seed for every random choice")
-    common.add_argument("--threads", type=int, default=1,
-                        help="worker-count cap (this build computes serially)")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=argparse.ArgumentParser)
 
     def add_parser(name, **kw):

@@ -4,8 +4,8 @@ comparison of constrained refits.
 The pure interaction of a variable subset is its partial dependence with all
 lower-order sub-effects recursively removed; its strength is the standard
 deviation of that component over the data relative to the standard deviation
-of the model predictions. An EffectEngine memoizes the subset lattice so a
-search over many subsets shares every sub-computation.
+of the model predictions. The EffectEngine of ``pdengine`` memoizes the
+subset lattice so a search over many subsets shares every sub-computation.
 """
 
 from __future__ import annotations
@@ -21,13 +21,15 @@ from .data import Dataset, rmse, take_rows
 from .pdengine import (
     CONDITIONAL,
     PURE_INTERACTION,
+    EffectEngine,
     EffectGrid,
-    coefficient_curve,
+    _proper_subsets,
+    check_subset,
     pd_brute,
     resolve_points,
 )
 from .smoothers import Curve, LevelTable
-from .tree import FitConfig, FunctionTree, TreeFitter, difference
+from .tree import FitConfig, FunctionTree, TreeFitter
 
 __all__ = [
     "EffectEngine",
@@ -37,7 +39,6 @@ __all__ = [
     "ScreenR",
     "bootstrap_compare",
     "conditional_interaction",
-    "model_diff",
     "pin",
     "pure_interaction",
     "pure_interaction_brute",
@@ -48,256 +49,26 @@ __all__ = [
 ]
 
 
-def _proper_subsets(s: tuple) -> list[tuple]:
-    out: list[tuple] = []
-    for size in range(1, len(s)):
-        out.extend(combinations(s, size))
-    return out
-
-
-class _Term:
-    """One basis function split against a subset: path nodes inside the
-    subset, path nodes outside it, and the data mean of the outside product."""
-
-    __slots__ = ("node_id", "z_nodes", "comp_nodes", "gbar", "inside")
-
-    def __init__(self, node_id, z_nodes, comp_nodes, gbar, inside):
-        self.node_id = node_id
-        self.z_nodes = z_nodes
-        self.comp_nodes = comp_nodes
-        self.gbar = gbar
-        self.inside = inside
-
-
-class _Split:
-    __slots__ = ("abar", "terms", "alpha", "n_mixed")
-
-    def __init__(self, abar, terms, alpha, n_mixed):
-        self.abar = abar
-        self.terms = terms
-        self.alpha = alpha
-        self.n_mixed = n_mixed
-
-
-class EffectEngine:
-    """Shared caches for subset-effect computation on one (tree, data) pair.
-
-    Strengths are evaluated at the data rows' own subset values (optionally a
-    seeded row subsample via ``rows``); grids reuse the same centering
-    constants. ``use_pa`` swaps the fixed complement means for partial
-    association coefficient functions. ``fast_evals`` accumulates the
-    decomposition-path evaluation cost per computed effect; ``brute_equiv``
-    the matching brute-force cost.
-    """
-
-    def __init__(self, tree: FunctionTree, data: Dataset, *, rows: np.ndarray | None = None,
-                 use_pa: bool = False):
-        self.tree = tree
-        self.data = data
-        self.use_pa = use_pa
-        n = data.n
-        k = len(tree.nodes)
-        self.node_values = np.ones((n, k))
-        self.basis = np.ones((n, k))
-        for node in tree.nodes[1:]:
-            self.node_values[:, node.id] = node.func(data.X[:, node.var])
-            self.basis[:, node.id] = self.basis[:, node.parent] * self.node_values[:, node.id]
-        wsum = float(data.weight.sum())
-        self.basis_mean = (data.weight @ self.basis) / wsum
-        self.paths = [tree.path(m) for m in range(1, k)]
-        self.pathvars = [frozenset(tree.nodes[i].var for i in p) for p in self.paths]
-        self.pred_full = tree.b0 + self.basis[:, 1:].sum(axis=1)
-
-        self.rows = np.arange(n) if rows is None else np.asarray(rows)
-        self.w = data.weight[self.rows]
-        self.pred = self.pred_full[self.rows]
-        self._splits: dict[frozenset, _Split] = {}
-        self._centers: dict[frozenset, float] = {}
-        self._rows_centered: dict[frozenset, np.ndarray] = {}
-        self._i_rows: dict[frozenset, np.ndarray] = {}
-        self._pa_coeffs: dict[frozenset, list] = {}
-        self.fast_evals = 0.0
-        self.brute_equiv = 0.0
-
-    # -- decomposition against a subset -------------------------------------
-
-    def split(self, key: frozenset) -> _Split:
-        cached = self._splits.get(key)
-        if cached is not None:
-            return cached
-        abar = self.tree.b0
-        terms = []
-        n_mixed = 0
-        for idx, pv in enumerate(self.pathvars):
-            node_id = idx + 1
-            if not (pv & key):
-                abar += float(self.basis_mean[node_id])
-                continue
-            path = self.paths[idx]
-            z_nodes = [m for m in path if self.tree.nodes[m].var in key]
-            comp_nodes = [m for m in path if self.tree.nodes[m].var not in key]
-            inside = not comp_nodes
-            if inside:
-                gbar = 1.0
-            else:
-                n_mixed += 1
-                comp = self.node_values[:, comp_nodes[0]].copy()
-                for m in comp_nodes[1:]:
-                    comp *= self.node_values[:, m]
-                gbar = float(np.average(comp, weights=self.data.weight))
-            terms.append(_Term(node_id, z_nodes, comp_nodes, gbar, inside))
-        total = len(self.pathvars)
-        out = _Split(abar, terms, n_mixed / total if total else 0.0, n_mixed)
-        self._splits[key] = out
-        return out
-
-    def _term_f_rows(self, term: _Term) -> np.ndarray:
-        if term.inside:
-            return self.basis[self.rows, term.node_id]
-        out = self.node_values[self.rows, term.z_nodes[0]].copy()
-        for m in term.z_nodes[1:]:
-            out *= self.node_values[self.rows, m]
-        return out
-
-    def _term_f_at(self, term: _Term, subset: tuple, pts: np.ndarray) -> np.ndarray:
-        pos = {j: i for i, j in enumerate(subset)}
-        out = np.ones(len(pts))
-        for m in term.z_nodes:
-            node = self.tree.nodes[m]
-            out *= node.func(pts[:, pos[node.var]])
-        return out
-
-    def _coeffs(self, key: frozenset) -> list:
-        """Partial-association coefficient function per term (None for a
-        fixed mean); fitted on the full data rows."""
-        cached = self._pa_coeffs.get(key)
-        if cached is not None:
-            return cached
-        split = self.split(key)
-        coeffs = []
-        for term in split.terms:
-            if term.inside:
-                coeffs.append(None)
-            else:
-                fr = self.node_values[:, term.z_nodes[0]].copy()
-                for m in term.z_nodes[1:]:
-                    fr *= self.node_values[:, m]
-                if float(np.ptp(fr)) <= 1e-12 * max(1.0, float(np.abs(fr).max())) or self.data.n < 30:
-                    coeffs.append(Curve(np.array([0.0]), np.array([term.gbar])))
-                else:
-                    gr = np.ones(self.data.n)
-                    for m in term.comp_nodes:
-                        gr *= self.node_values[:, m]
-                    coeffs.append(coefficient_curve(fr, gr))
-        self._pa_coeffs[key] = coeffs
-        return coeffs
-
-    # -- effect values -------------------------------------------------------
-
-    def _account(self, n_points: int, split: _Split) -> None:
-        self.fast_evals += n_points + split.alpha * self.data.n
-        self.brute_equiv += float(n_points) * self.data.n
-
-    def effect_rows_raw(self, key: frozenset) -> np.ndarray:
-        split = self.split(key)
-        out = np.full(len(self.rows), split.abar)
-        coeffs = self._coeffs(key) if self.use_pa else None
-        for t, term in enumerate(split.terms):
-            fr = self._term_f_rows(term)
-            if coeffs is None or coeffs[t] is None:
-                out += term.gbar * fr
-            else:
-                out += fr * coeffs[t](fr)
-        return out
-
-    def center(self, key: frozenset) -> float:
-        if key not in self._centers:
-            self.rows_centered(key)
-        return self._centers[key]
-
-    def rows_centered(self, key: frozenset) -> np.ndarray:
-        cached = self._rows_centered.get(key)
-        if cached is None:
-            raw = self.effect_rows_raw(key)
-            c = float(np.average(raw, weights=self.w))
-            cached = raw - c
-            self._centers[key] = c
-            self._rows_centered[key] = cached
-            self._account(len(self.rows), self.split(key))
-        return cached
-
-    def effect_at(self, subset: tuple, pts: np.ndarray) -> np.ndarray:
-        """Centered effect (PD or PA) at explicit points; columns follow the
-        given subset order."""
-        key = frozenset(subset)
-        split = self.split(key)
-        out = np.full(len(pts), split.abar)
-        coeffs = self._coeffs(key) if self.use_pa else None
-        for t, term in enumerate(split.terms):
-            fv = self._term_f_at(term, subset, pts)
-            if coeffs is None or coeffs[t] is None:
-                out += term.gbar * fv
-            else:
-                out += fv * coeffs[t](fv)
-        self._account(len(pts), split)
-        return out - self.center(key)
-
-    def i_rows(self, key: frozenset) -> np.ndarray:
-        cached = self._i_rows.get(key)
-        if cached is None:
-            vals = self.rows_centered(key).copy()
-            for size in range(1, len(key)):
-                for u in combinations(sorted(key), size):
-                    vals -= self.i_rows(frozenset(u))
-            cached = vals
-            self._i_rows[key] = cached
-        return cached
-
-    def i_at(self, subset: tuple, pts: np.ndarray, _memo: dict | None = None) -> np.ndarray:
-        memo = {} if _memo is None else _memo
-        key = tuple(subset)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        vals = self.effect_at(subset, pts)
-        for u in _proper_subsets(subset):
-            cols = [subset.index(v) for v in u]
-            vals = vals - self.i_at(u, pts[:, cols], memo)
-        memo[key] = vals
-        return vals
-
-    def strength(self, subset) -> float:
-        key = frozenset(subset)
-        pv = float(np.average((self.pred - np.average(self.pred, weights=self.w)) ** 2, weights=self.w))
-        if pv <= 0.0:
-            raise ValueError("model predictions are constant; strength is undefined")
-        iv = self.i_rows(key)
-        return float(np.sqrt(np.average(iv**2, weights=self.w) / pv))
-
-
 # ---------------------------------------------------------------------------
 # Public effect operations
 # ---------------------------------------------------------------------------
 
 def _check_subset(tree: FunctionTree, s) -> tuple[int, ...]:
-    s = tuple(s)
-    if not 1 <= len(s) <= 4 or len(set(s)) != len(s):
+    s = check_subset(tree, s)
+    if len(s) > 4:
         raise ValueError("subset must hold 1 to 4 distinct variables")
-    if not all(0 <= j < len(tree.variables) for j in s):
-        raise ValueError("subset contains an invalid variable index")
     return s
 
 
 def pure_interaction(tree: FunctionTree, s, points=None, data: Dataset | None = None,
-                     resolution: int = 50, engine: EffectEngine | None = None,
-                     kind: str = PURE_INTERACTION) -> EffectGrid:
+                     resolution: int = 50, kind: str = PURE_INTERACTION) -> EffectGrid:
     """Partial dependence of the subset with all lower-order sub-effects
     recursively subtracted; identically zero when the model has no
     interaction among the subset's variables."""
     if data is None:
         raise ValueError("data is required")
     s = _check_subset(tree, s)
-    eng = engine or EffectEngine(tree, data)
+    eng = EffectEngine(tree, data)
     pts, axes = resolve_points(data, s, points, resolution)
     before = eng.fast_evals
     values = eng.i_at(s, pts)
@@ -314,12 +85,11 @@ def pure_interaction(tree: FunctionTree, s, points=None, data: Dataset | None = 
     )
 
 
-def strength(tree: FunctionTree, s, data: Dataset, engine: EffectEngine | None = None) -> float:
+def strength(tree: FunctionTree, s, data: Dataset) -> float:
     """Interaction strength: sd of the pure interaction over the data rows
     divided by the sd of the model predictions."""
     s = _check_subset(tree, s)
-    eng = engine or EffectEngine(tree, data)
-    return eng.strength(s)
+    return EffectEngine(tree, data).strength(s)
 
 
 def pin(tree: FunctionTree, cond: dict[int, float]) -> FunctionTree:
@@ -362,8 +132,7 @@ def conditional_interaction(tree: FunctionTree, s, cond, points=None,
                 "constant extrapolation applies", stacklevel=2,
             )
     if method == "fast":
-        grid = pure_interaction(pin(tree, cond_map), s, points, data, resolution, kind=CONDITIONAL)
-        return grid
+        return pure_interaction(pin(tree, cond_map), s, points, data, resolution, kind=CONDITIONAL)
     if method != "brute":
         raise ValueError("method must be 'fast' or 'brute'")
 
@@ -419,12 +188,6 @@ def pure_interaction_brute(predict_fn, s, points=None, data: Dataset | None = No
     )
 
 
-def model_diff(a: FunctionTree, b: FunctionTree) -> FunctionTree:
-    """Model computing a - b (a function tree itself, so every fast effect
-    tool applies to the difference)."""
-    return difference(a, b)
-
-
 # ---------------------------------------------------------------------------
 # Screening
 # ---------------------------------------------------------------------------
@@ -439,11 +202,10 @@ class ScreenH:
     flagged: tuple[int, ...]
 
 
-def screen_h(tree: FunctionTree, data: Dataset, threshold_factor: float = 0.05,
-             engine: EffectEngine | None = None) -> ScreenH:
+def screen_h(tree: FunctionTree, data: Dataset, threshold_factor: float = 0.05) -> ScreenH:
     """Score sqrt(E[(F - PD(x_j) - PD(rest))^2]) per variable; zero exactly
     when the variable appears in no mixed-path basis."""
-    eng = engine or EffectEngine(tree, data)
+    eng = EffectEngine(tree, data)
     p = data.p
     pred_c = eng.pred - np.average(eng.pred, weights=eng.w)
     all_vars = frozenset(range(p))

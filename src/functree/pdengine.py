@@ -4,13 +4,17 @@ A tree model restricted to a variable subset z splits every basis function
 into a product of its z-side factors and its complement-side factors. Partial
 dependence then needs only the data means of the complement products, turning
 an N x N_z brute-force average into a small linear combination of z-side
-functions.
+functions. ``EffectEngine`` builds that split once per subset; partial
+dependence, partial association and the pure-interaction search all read
+their values off it.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
 
@@ -127,165 +131,275 @@ def resolve_points(data: Dataset, subset, points, resolution: int = 50):
 
 
 # ---------------------------------------------------------------------------
-# Tree decomposition
+# Subset decomposition
 # ---------------------------------------------------------------------------
 
-class TreeDecomposition:
-    """Split of a tree's bases into z-side and complement-side factors.
+def _proper_subsets(s: tuple) -> list[tuple]:
+    out: list[tuple] = []
+    for size in range(1, len(s)):
+        out.extend(combinations(s, size))
+    return out
 
-    ``terms`` lists every basis touching z as (z_factors, comp_factors) with
-    the complement product's data mean precomputed; bases touching no
-    z-variable accumulate (with the root constant) into the constant ``abar``.
-    ``alpha`` is the fraction of bases involving both sides.
+
+class _Term(NamedTuple):
+    """One basis function split against a subset: path nodes inside the
+    subset, path nodes outside it, and the data mean of the outside product."""
+
+    node_id: int
+    z_nodes: list[int]
+    comp_nodes: list[int]
+    gbar: float
+    inside: bool
+
+
+class _Split(NamedTuple):
+    abar: float
+    terms: list[_Term]
+    alpha: float
+
+
+class EffectEngine:
+    """Shared caches for subset-effect computation on one (tree, data) pair.
+
+    ``split`` expresses the tree against a subset z as
+    A + sum_k f_k(z) * g_k(complement); partial dependence, partial
+    association and pure interactions are all read off that split.
+    Strengths are evaluated at the data rows' own subset values (optionally a
+    seeded row subsample via ``rows``); grids reuse the same centering
+    constants. ``use_pa`` swaps the fixed complement means for partial
+    association coefficient functions. ``fast_evals`` accumulates the
+    decomposition-path evaluation cost per computed effect; ``brute_equiv``
+    the matching brute-force cost.
     """
 
-    def __init__(self, tree: FunctionTree, subset, data: Dataset,
-                 node_values: list[np.ndarray] | None = None):
+    def __init__(self, tree: FunctionTree, data: Dataset, *, rows: np.ndarray | None = None,
+                 use_pa: bool = False):
         self.tree = tree
-        self.subset = tuple(subset)
-        if len(set(self.subset)) != len(self.subset) or not self.subset:
-            raise ValueError("subset must be a nonempty list of distinct variable indices")
-        zset = frozenset(self.subset)
-        if not all(0 <= j < len(tree.variables) for j in zset):
-            raise ValueError("subset contains an invalid variable index")
-
-        X, w = data.X, data.weight
-        if node_values is None:
-            node_values = [np.ones(data.n)]
-            for node in tree.nodes[1:]:
-                node_values.append(node.func(X[:, node.var]))
-
-        self.term_z: list[list[tuple[int, object]]] = []
-        self.term_ids: list[int] = []
-        self._term_comp: list[list[int]] = []
-        mixed = 0
-        a_mean = tree.b0
-        wsum = float(w.sum())
+        self.data = data
+        self.use_pa = use_pa
+        n = data.n
+        k = len(tree.nodes)
+        self.node_values = np.ones((n, k))
+        self.basis = np.ones((n, k))
         for node in tree.nodes[1:]:
-            path = tree.path(node.id)
-            zfac = [(tree.nodes[m].var, tree.nodes[m].func) for m in path if tree.nodes[m].var in zset]
-            comp = [m for m in path if tree.nodes[m].var not in zset]
-            if not zfac:
-                basis = np.ones(data.n)
-                for m in path:
-                    basis = basis * node_values[m]
-                a_mean += float(np.dot(w, basis)) / wsum
+            self.node_values[:, node.id] = node.func(data.X[:, node.var])
+            self.basis[:, node.id] = self.basis[:, node.parent] * self.node_values[:, node.id]
+        wsum = float(data.weight.sum())
+        self.basis_mean = (data.weight @ self.basis) / wsum
+        self.paths = [tree.path(m) for m in range(1, k)]
+        self.pathvars = [frozenset(tree.nodes[i].var for i in p) for p in self.paths]
+        self.pred_full = tree.b0 + self.basis[:, 1:].sum(axis=1)
+
+        self.rows = np.arange(n) if rows is None else np.asarray(rows)
+        self.w = data.weight[self.rows]
+        self.pred = self.pred_full[self.rows]
+        self._splits: dict[frozenset, _Split] = {}
+        self._centers: dict[frozenset, float] = {}
+        self._rows_centered: dict[frozenset, np.ndarray] = {}
+        self._i_rows: dict[frozenset, np.ndarray] = {}
+        self._pa_coeffs: dict[frozenset, list] = {}
+        self.fast_evals = 0.0
+        self.brute_equiv = 0.0
+
+    # -- decomposition against a subset -------------------------------------
+
+    def split(self, key: frozenset) -> _Split:
+        """The tree as A + sum_k f_k(z) * g_k(complement) for subset ``key``:
+        bases touching no subset variable fold into ``abar``, every other
+        basis becomes a term; ``alpha`` is the share of bases that mix both
+        sides."""
+        cached = self._splits.get(key)
+        if cached is not None:
+            return cached
+        abar = self.tree.b0
+        terms = []
+        n_mixed = 0
+        for idx, pv in enumerate(self.pathvars):
+            node_id = idx + 1
+            if not (pv & key):
+                abar += float(self.basis_mean[node_id])
                 continue
-            self.term_ids.append(node.id)
-            self.term_z.append(zfac)
-            self._term_comp.append(comp)
-            if comp:
-                mixed += 1
-        self.alpha = mixed / tree.n_nodes if tree.n_nodes else 0.0
-        self.abar = a_mean
-
-        # complement-side products at the data rows, and their means
-        self._g_rows = np.ones((data.n, len(self.term_ids)))
-        for t, comp in enumerate(self._term_comp):
-            for m in comp:
-                self._g_rows[:, t] *= node_values[m]
-        self.gbar = (
-            (w @ self._g_rows) / wsum if self.term_ids else np.empty(0)
-        )
-        self._node_values = node_values
-        self._data = data
-
-    @property
-    def n_terms(self) -> int:
-        return len(self.term_ids)
-
-    def has_mixed(self) -> bool:
-        return any(comp for comp in self._term_comp)
-
-    def f_at(self, points: np.ndarray) -> np.ndarray:
-        """z-side products evaluated at explicit points (columns in subset
-        order); shape (n_points, n_terms)."""
-        pos = {j: i for i, j in enumerate(self.subset)}
-        out = np.ones((len(points), self.n_terms))
-        for t, zfac in enumerate(self.term_z):
-            for var, func in zfac:
-                out[:, t] *= func(points[:, pos[var]])
+            path = self.paths[idx]
+            z_nodes = [m for m in path if self.tree.nodes[m].var in key]
+            comp_nodes = [m for m in path if self.tree.nodes[m].var not in key]
+            inside = not comp_nodes
+            if inside:
+                gbar = 1.0
+            else:
+                n_mixed += 1
+                gbar = float(np.average(self._rows_product(comp_nodes), weights=self.data.weight))
+            terms.append(_Term(node_id, z_nodes, comp_nodes, gbar, inside))
+        total = len(self.pathvars)
+        out = _Split(abar, terms, n_mixed / total if total else 0.0)
+        self._splits[key] = out
         return out
 
-    def f_rows(self, rows: np.ndarray | None = None) -> np.ndarray:
-        """z-side products at the data rows (optionally a row subset)."""
-        n = self._data.n if rows is None else len(rows)
-        out = np.ones((n, self.n_terms))
-        for t, (nid, comp) in enumerate(zip(self.term_ids, self._term_comp)):
-            compset = set(comp)
-            for m in self.tree.path(nid):
-                if m not in compset:
-                    col = self._node_values[m]
-                    out[:, t] *= col if rows is None else col[rows]
+    def _rows_product(self, nodes: list[int]) -> np.ndarray:
+        """Product of the given nodes' functions at every data row."""
+        out = self.node_values[:, nodes[0]].copy()
+        for m in nodes[1:]:
+            out *= self.node_values[:, m]
         return out
 
-    def g_rows(self, rows: np.ndarray | None = None) -> np.ndarray:
-        return self._g_rows if rows is None else self._g_rows[rows]
+    def _term_f_rows(self, term: _Term) -> np.ndarray:
+        if term.inside:
+            return self.basis[self.rows, term.node_id]
+        out = self.node_values[self.rows, term.z_nodes[0]].copy()
+        for m in term.z_nodes[1:]:
+            out *= self.node_values[self.rows, m]
+        return out
 
-    def pd_at(self, points: np.ndarray) -> np.ndarray:
-        """Uncentered partial dependence at explicit points."""
-        if self.n_terms == 0:
-            return np.full(len(points), self.abar)
-        return self.abar + self.f_at(points) @ self.gbar
+    def _term_f_at(self, term: _Term, subset: tuple, pts: np.ndarray) -> np.ndarray:
+        pos = {j: i for i, j in enumerate(subset)}
+        out = np.ones(len(pts))
+        for m in term.z_nodes:
+            node = self.tree.nodes[m]
+            out *= node.func(pts[:, pos[node.var]])
+        return out
 
-    def pd_rows(self, rows: np.ndarray | None = None) -> np.ndarray:
-        """Uncentered partial dependence at the data rows' own z-values."""
-        if self.n_terms == 0:
-            n = self._data.n if rows is None else len(rows)
-            return np.full(n, self.abar)
-        return self.abar + self.f_rows(rows) @ self.gbar
+    def _coeffs(self, key: frozenset) -> list:
+        """Partial-association coefficient function per term (None for a
+        fixed mean); fitted on the full data rows."""
+        cached = self._pa_coeffs.get(key)
+        if cached is not None:
+            return cached
+        split = self.split(key)
+        coeffs = []
+        for term in split.terms:
+            if term.inside:
+                coeffs.append(None)
+                continue
+            fr = self._rows_product(term.z_nodes)
+            if float(np.ptp(fr)) <= 1e-12 * max(1.0, float(np.abs(fr).max())) or self.data.n < 30:
+                coeffs.append(Curve(np.array([0.0]), np.array([term.gbar])))
+            else:
+                coeffs.append(coefficient_curve(fr, self._rows_product(term.comp_nodes)))
+        self._pa_coeffs[key] = coeffs
+        return coeffs
 
-    def reconstruct(self, rows: np.ndarray | None = None) -> np.ndarray:
-        """A + sum f_k * g_k at the data rows; equals the tree prediction."""
-        base = self.tree.b0
-        out = np.full(self._data.n if rows is None else len(rows), 0.0)
-        for node in self.tree.nodes[1:]:
-            if node.id not in set(self.term_ids):
-                basis = np.ones(self._data.n)
-                for m in self.tree.path(node.id):
-                    basis = basis * self._node_values[m]
-                out += basis if rows is None else basis[rows]
-        return base + out + (self.f_rows(rows) * self.g_rows(rows)).sum(axis=1)
+    # -- effect values -------------------------------------------------------
 
+    def _account(self, n_points: int, split: _Split) -> None:
+        self.fast_evals += n_points + split.alpha * self.data.n
+        self.brute_equiv += float(n_points) * self.data.n
 
-def decompose(tree: FunctionTree, subset, data: Dataset,
-              node_values: list[np.ndarray] | None = None) -> TreeDecomposition:
-    """Express the tree as A + sum_k f_k(z) * g_k(complement) for subset z."""
-    return TreeDecomposition(tree, subset, data, node_values)
+    def _effect(self, key: frozenset, n: int, f_of) -> np.ndarray:
+        """Uncentered effect A + sum_k f_k * g_k at n points, where
+        ``f_of(term)`` gives the term's z-side product there and g_k is the
+        complement mean (or, with ``use_pa``, its coefficient at f_k)."""
+        split = self.split(key)
+        out = np.full(n, split.abar)
+        coeffs = self._coeffs(key) if self.use_pa else None
+        for t, term in enumerate(split.terms):
+            f = f_of(term)
+            if coeffs is None or coeffs[t] is None:
+                out += term.gbar * f
+            else:
+                out += f * coeffs[t](f)
+        return out
+
+    def center(self, key: frozenset) -> float:
+        if key not in self._centers:
+            self.rows_centered(key)
+        return self._centers[key]
+
+    def rows_centered(self, key: frozenset) -> np.ndarray:
+        cached = self._rows_centered.get(key)
+        if cached is None:
+            raw = self._effect(key, len(self.rows), self._term_f_rows)
+            c = float(np.average(raw, weights=self.w))
+            cached = raw - c
+            self._centers[key] = c
+            self._rows_centered[key] = cached
+            self._account(len(self.rows), self.split(key))
+        return cached
+
+    def effect_at(self, subset: tuple, pts: np.ndarray) -> np.ndarray:
+        """Centered effect (PD or PA) at explicit points; columns follow the
+        given subset order."""
+        key = frozenset(subset)
+        out = self._effect(key, len(pts), lambda term: self._term_f_at(term, subset, pts))
+        self._account(len(pts), self.split(key))
+        return out - self.center(key)
+
+    def i_rows(self, key: frozenset) -> np.ndarray:
+        cached = self._i_rows.get(key)
+        if cached is None:
+            vals = self.rows_centered(key).copy()
+            for size in range(1, len(key)):
+                for u in combinations(sorted(key), size):
+                    vals -= self.i_rows(frozenset(u))
+            cached = vals
+            self._i_rows[key] = cached
+        return cached
+
+    def i_at(self, subset: tuple, pts: np.ndarray, _memo: dict | None = None) -> np.ndarray:
+        memo = {} if _memo is None else _memo
+        key = tuple(subset)
+        cached = memo.get(key)
+        if cached is not None:
+            return cached
+        vals = self.effect_at(subset, pts)
+        for u in _proper_subsets(subset):
+            cols = [subset.index(v) for v in u]
+            vals = vals - self.i_at(u, pts[:, cols], memo)
+        memo[key] = vals
+        return vals
+
+    def strength(self, subset) -> float:
+        key = frozenset(subset)
+        pv = float(np.average((self.pred - np.average(self.pred, weights=self.w)) ** 2, weights=self.w))
+        if pv <= 0.0:
+            raise ValueError("model predictions are constant; strength is undefined")
+        iv = self.i_rows(key)
+        return float(np.sqrt(np.average(iv**2, weights=self.w) / pv))
 
 
 # ---------------------------------------------------------------------------
 # Partial dependence
 # ---------------------------------------------------------------------------
 
-def eval_cost(decomp: TreeDecomposition, n: int, n_z: int) -> float:
-    """Model evaluations needed for one fast partial dependence: the grid
-    itself plus the mixed-basis share of one data pass."""
-    return n_z + decomp.alpha * n
+def check_subset(tree: FunctionTree, subset) -> tuple[int, ...]:
+    """A subset as a tuple of distinct, in-range variable indices."""
+    subset = tuple(subset)
+    if not subset or len(set(subset)) != len(subset):
+        raise ValueError("subset must be a nonempty list of distinct variable indices")
+    if not all(0 <= j < len(tree.variables) for j in subset):
+        raise ValueError("subset contains an invalid variable index")
+    return subset
+
+
+def _split_grid(tree: FunctionTree, subset, points, data: Dataset | None, resolution: int,
+                use_pa: bool) -> EffectGrid:
+    """A centred PD (or PA) grid read off one engine's split of the tree."""
+    if data is None:
+        raise ValueError("data is required (it defines the averaging distribution)")
+    subset = check_subset(tree, subset)
+    pts, axes = resolve_points(data, subset, points, resolution)
+    eng = EffectEngine(tree, data, use_pa=use_pa)
+    key = frozenset(subset)
+    split = eng.split(key)
+    values = eng.effect_at(subset, pts)
+    return EffectGrid(
+        subset=subset,
+        names=tuple(data.variables[j].name for j in subset),
+        points=pts,
+        values=values,
+        kind=PA if use_pa else PD,
+        center=eng.center(key),
+        alpha=split.alpha,
+        # the grid, the mixed-basis share of one data pass, and the data pass
+        # that centres the grid
+        eval_count=len(pts) + split.alpha * data.n + data.n,
+        axes=axes,
+    )
 
 
 def pd_fast(tree: FunctionTree, subset, points=None, data: Dataset | None = None,
             resolution: int = 50) -> EffectGrid:
     """Partial dependence via the tree decomposition, centered to zero
     weighted mean over the data's subset distribution."""
-    if data is None:
-        raise ValueError("data is required (it defines the averaging distribution)")
-    subset = tuple(subset)
-    pts, axes = resolve_points(data, subset, points, resolution)
-    dec = decompose(tree, subset, data)
-    raw = dec.pd_at(pts)
-    center = float(np.average(dec.pd_rows(), weights=data.weight))
-    return EffectGrid(
-        subset=subset,
-        names=tuple(data.variables[j].name for j in subset),
-        points=pts,
-        values=raw - center,
-        kind=PD,
-        center=center,
-        alpha=dec.alpha,
-        eval_count=eval_cost(dec, data.n, len(pts)) + data.n,
-        axes=axes,
-    )
+    return _split_grid(tree, subset, points, data, resolution, use_pa=False)
 
 
 def pd_brute(predict_fn, subset, points=None, data: Dataset | None = None,
@@ -374,45 +488,7 @@ def pa(tree: FunctionTree, subset, points=None, data: Dataset | None = None,
     is replaced by a varying coefficient estimated as a regression-spline fit
     of the complement product on the z-side product. Reduces to partial
     dependence exactly when no basis mixes z with its complement."""
-    if data is None:
-        raise ValueError("data is required")
     subset = tuple(subset)
     if len(subset) > 2:
         raise ValueError("partial association is limited to subsets of size <= 2")
-    pts, axes = resolve_points(data, subset, points, resolution)
-    dec = decompose(tree, subset, data)
-
-    f_rows = dec.f_rows()
-    g_rows = dec.g_rows()
-    coeffs: list[Curve | None] = []
-    for t in range(dec.n_terms):
-        fr = f_rows[:, t]
-        is_mixed = bool(dec._term_comp[t])
-        degenerate = float(np.ptp(fr)) <= 1e-12 * max(1.0, float(np.abs(fr).max()))
-        if not is_mixed:
-            coeffs.append(None)  # complement product is identically 1
-        elif degenerate or data.n < 30:
-            coeffs.append(Curve(np.array([0.0]), np.array([dec.gbar[t]])))
-        else:
-            coeffs.append(coefficient_curve(fr, g_rows[:, t]))
-
-    def pa_values(fvals: np.ndarray) -> np.ndarray:
-        out = np.full(fvals.shape[0], dec.abar)
-        for t, h in enumerate(coeffs):
-            ft = fvals[:, t]
-            out += ft if h is None else ft * h(ft)
-        return out
-
-    raw = pa_values(dec.f_at(pts))
-    center = float(np.average(pa_values(f_rows), weights=data.weight))
-    return EffectGrid(
-        subset=subset,
-        names=tuple(data.variables[j].name for j in subset),
-        points=pts,
-        values=raw - center,
-        kind=PA,
-        center=center,
-        alpha=dec.alpha,
-        eval_count=eval_cost(dec, data.n, len(pts)) + data.n,
-        axes=axes,
-    )
+    return _split_grid(tree, subset, points, data, resolution, use_pa=True)

@@ -107,12 +107,6 @@ class FunctionTree:
         variable along one path do not raise the order."""
         return len(self.path_vars(node_id))
 
-    def children_map(self) -> dict[int, list[int]]:
-        out: dict[int, list[int]] = {k: [] for k in range(len(self.nodes))}
-        for node in self.nodes[1:]:
-            out[node.parent].append(node.id)
-        return out
-
     def max_interaction_order(self) -> int:
         return max((self.interaction_order(k) for k in range(1, len(self.nodes))), default=0)
 
@@ -215,15 +209,23 @@ class FunctionTree:
                 )
         nodes = [TreeNode(ROOT, -1, None, None)]
         for entry in doc["nodes"]:
-            if entry["kind"] == "levels":
+            var, kind = entry["var"], entry["kind"]
+            if not isinstance(var, int) or not 0 <= var < len(variables):
+                raise ValueError(f"node {entry['id']}: variable index {var!r} is out of range")
+            if kind not in ("levels", "curve"):
+                raise ValueError(f"unknown node kind {kind!r}")
+            if (kind == "levels") != variables[var].is_categorical:
+                raise ValueError(
+                    f"node {entry['id']}: a {kind!r} node cannot hold "
+                    f"{variables[var].kind} variable {variables[var].name!r}"
+                )
+            if kind == "levels":
                 func: UnivariateFunction = LevelTable(np.array(entry["values"]), entry["default"])
-            elif entry["kind"] == "curve":
-                func = Curve(np.array(entry["knots"]), np.array(entry["values"]))
             else:
-                raise ValueError(f"unknown node kind {entry['kind']!r}")
+                func = Curve(np.array(entry["knots"]), np.array(entry["values"]))
             infl = entry.get("influence")
             nodes.append(
-                TreeNode(entry["id"], entry["parent"], entry["var"], func,
+                TreeNode(entry["id"], entry["parent"], var, func,
                          float("nan") if infl is None else float(infl))
             )
         return cls(tuple(variables), float(doc["b0"]), nodes, doc.get("train_stats"))
@@ -392,7 +394,7 @@ class TreeFitter:
         self.pathvars: list[frozenset[int]] = [frozenset()]
         for node in self.nodes[1:]:
             self._register(node)
-        self.resid = self.ytr - self._predict_train()
+        self.resid = self.ytr - self._predict(self.B_tr)
         # additions below this gain are float noise, not structure
         self.min_gain = 1e-12 * float(np.sum(self.rho * (self.ytr - np.average(self.ytr, weights=self.rho)) ** 2))
         self.history: list[dict] = []
@@ -410,15 +412,10 @@ class TreeFitter:
         self.children[node.parent].append(node.id)
         self.pathvars.append(self.pathvars[node.parent] | {j})
 
-    def _predict_train(self) -> np.ndarray:
-        out = np.full(self.n_tr, self.b0)
-        for col in self.B_tr[1:]:
-            out += col
-        return out
-
-    def _predict_test(self) -> np.ndarray:
-        out = np.full(len(self.yte), self.b0)
-        for col in self.B_te[1:]:
+    def _predict(self, bases: list[np.ndarray]) -> np.ndarray:
+        """b0 plus the basis columns (``B_tr`` or ``B_te``), summed in id order."""
+        out = np.full(len(bases[0]), self.b0)
+        for col in bases[1:]:
             out += col
         return out
 
@@ -611,7 +608,7 @@ class TreeFitter:
     def _test_rmse(self) -> float:
         if len(self.yte) < 2 or np.ptp(self.yte) == 0.0:
             return float("nan")
-        return rmse(self.yte, self._predict_test(), self.rho_te)
+        return rmse(self.yte, self._predict(self.B_te), self.rho_te)
 
     def run(self) -> FunctionTree:
         cfg = self.config
@@ -622,7 +619,7 @@ class TreeFitter:
             return tree
         best_rmse = self._test_rmse()
         best_snap = self._snapshot()
-        best_train = rmse(self.ytr, self._predict_train(), self.rho)
+        best_train = rmse(self.ytr, self._predict(self.B_tr), self.rho)
         bad = 0
         while len(self.nodes) - 1 < cfg.max_nodes:
             if not self.step():
@@ -630,7 +627,7 @@ class TreeFitter:
             for _ in range(cfg.backfit_passes):
                 self.backfit_pass()
             self.recenter()
-            self.resid = self.ytr - self._predict_train()
+            self.resid = self.ytr - self._predict(self.B_tr)
             te = self._test_rmse()
             self.history.append(
                 {"n_nodes": len(self.nodes) - 1, "train_sse": self.train_sse(), "test_rmse": te}
@@ -638,7 +635,7 @@ class TreeFitter:
             if np.isnan(te) or te < best_rmse:
                 best_rmse = te
                 best_snap = self._snapshot()
-                best_train = rmse(self.ytr, self._predict_train(), self.rho)
+                best_train = rmse(self.ytr, self._predict(self.B_tr), self.rho)
                 bad = 0
             else:
                 bad += 1

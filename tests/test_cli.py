@@ -201,6 +201,28 @@ def test_exit_code_3_on_data_errors(workdir, tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_predict_rejects_malformed_model_files(tmp_path, capsys):
+    data = tmp_path / "small.csv"
+    with open(data, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["n", "c", "y"])
+        for i in range(30):
+            writer.writerow([i / 10, "ab"[i % 2], i % 3])
+    variables = [{"name": "n", "kind": "numeric", "range": [0.0, 2.9]},
+                 {"name": "c", "kind": "categorical", "levels": ["a", "b"]}]
+    curve = {"kind": "curve", "knots": [0.0, 3.0], "values": [0.0, 1.0]}
+    levels = {"kind": "levels", "values": [1.0, -1.0], "default": 0.0}
+    model = tmp_path / "model.json"
+    # a well-formed control, then an out-of-range variable index, a level
+    # table on the numeric variable and a curve on the categorical one
+    for var, func, expect in ((1, levels, 0), (99, curve, 3), (0, levels, 3), (1, curve, 3)):
+        node = {"id": 1, "parent": 0, "var": var, "influence": None, **func}
+        doc = {"format_version": 1, "b0": 0.0, "variables": variables, "nodes": [node]}
+        model.write_text(json.dumps(doc), encoding="utf-8")
+        assert run("predict", "--model", model, "--data", data, "--out", tmp_path / "p.csv") == expect
+    assert capsys.readouterr().err.count("error: node 1:") == 3
+
+
 def test_end_to_end_determinism(tmp_path):
     outputs = []
     for trial in ("a", "b"):

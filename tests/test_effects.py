@@ -11,7 +11,6 @@ from functree.interactions import (
     EffectEngine,
     bootstrap_compare,
     conditional_interaction,
-    model_diff,
     pin,
     pure_interaction,
     screen_h,
@@ -292,7 +291,7 @@ def test_search_strength_subsample_reproducible(friedman_data, friedman_model):
 # ---------------------------------------------------------------------------
 
 def test_model_diff_identical_models_zero(friedman_model, friedman_data):
-    d = model_diff(friedman_model, friedman_model)
+    d = ft.difference(friedman_model, friedman_model)
     np.testing.assert_allclose(d.predict(friedman_data.X[:100]), 0.0, atol=1e-10)
 
 
@@ -301,7 +300,7 @@ def test_model_diff_localizes_removed_interaction(friedman_data):
     constrained = ft.fit(
         friedman_data, FitConfig(max_nodes=25, forbidden_subsets=(frozenset({3, 4, 5}),))
     )
-    diff = model_diff(free, constrained)
+    diff = ft.difference(free, constrained)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         g = conditional_interaction(diff, (3, 4), {5: 1.0}, None, friedman_data, resolution=9)

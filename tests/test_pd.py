@@ -5,10 +5,10 @@ import pytest
 
 import functree as ft
 from functree.data import Dataset, Variable
+from functree.interactions import pure_interaction
 from functree.pdengine import (
-    decompose,
+    EffectEngine,
     default_axis,
-    eval_cost,
     pa,
     pd_brute,
     pd_fast,
@@ -28,10 +28,11 @@ def test_decompose_full_subset_has_no_complement():
     rng = np.random.default_rng(0)
     tree = random_tree(rng, p=4, max_nodes=10)
     data = random_dataset(rng, tree, n=80)
-    dec = decompose(tree, tuple(range(4)), data)
-    assert dec.alpha == 0.0
-    assert dec.n_terms == tree.n_nodes
-    np.testing.assert_allclose(dec.gbar, 1.0)
+    split = EffectEngine(tree, data).split(frozenset(range(4)))
+    assert split.alpha == 0.0
+    assert len(split.terms) == tree.n_nodes
+    assert all(t.inside and not t.comp_nodes for t in split.terms)
+    np.testing.assert_allclose([t.gbar for t in split.terms], 1.0)
 
 
 def test_decompose_disjoint_subset_is_constant():
@@ -49,24 +50,33 @@ def test_decompose_disjoint_subset_is_constant():
 
 
 def test_reconstruction_identity():
+    # b0 + bases touching no subset variable + sum_k f_k * g_k == predict
     rng = np.random.default_rng(2)
     for _ in range(5):
         tree = random_tree(rng, p=5, max_nodes=12, categorical=(2,))
         data = random_dataset(rng, tree, n=100)
+        eng = EffectEngine(tree, data)
         for subset in [(0,), (1, 3), (0, 2, 4)]:
-            dec = decompose(tree, subset, data)
-            np.testing.assert_allclose(
-                dec.reconstruct(), tree.predict(data.X), atol=1e-10
-            )
+            split = eng.split(frozenset(subset))
+            touched = {t.node_id for t in split.terms}
+            total = np.full(data.n, tree.b0)
+            for m in range(1, len(tree.nodes)):
+                if m not in touched:
+                    total += eng.basis[:, m]
+            for t in split.terms:
+                f = eng._rows_product(t.z_nodes)
+                g = eng._rows_product(t.comp_nodes) if t.comp_nodes else 1.0
+                total += f * g
+            np.testing.assert_allclose(total, tree.predict(data.X), atol=1e-10)
 
 
 def test_decompose_alpha_counts_mixed_bases(friedman_data, friedman_model):
-    dec = decompose(friedman_model, (0,), friedman_data)
+    split = EffectEngine(friedman_model, friedman_data).split(frozenset({0}))
     mixed = sum(
         1 for k in range(1, len(friedman_model.nodes))
         if 0 in friedman_model.path_vars(k) and friedman_model.path_vars(k) != {0}
     )
-    assert dec.alpha == pytest.approx(mixed / friedman_model.n_nodes)
+    assert split.alpha == pytest.approx(mixed / friedman_model.n_nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -206,13 +216,29 @@ def test_pa_degenerate_constant_factor_falls_back():
 # ---------------------------------------------------------------------------
 
 def test_eval_cost_formula(friedman_data, friedman_model):
-    from types import SimpleNamespace
+    # each fast effect costs its points plus the mixed-basis share of one
+    # data pass; pd_fast adds the data pass that centres its grid
+    n = friedman_data.n
+    for subset, mixed in [((0,), True), (tuple(range(8)), False)]:
+        eng = EffectEngine(friedman_model, friedman_data)
+        alpha = eng.split(frozenset(subset)).alpha
+        assert (alpha > 0.0) == mixed
+        pts = friedman_data.X[:50, list(subset)]
+        eng.effect_at(subset, pts)
+        assert eng.fast_evals == (50 + alpha * n) + (n + alpha * n)
+        assert eng.brute_equiv == 50.0 * n + float(n) * n
+        grid = pd_fast(friedman_model, subset, pts, friedman_data)
+        assert grid.eval_count == 50 + alpha * n + n
 
-    dec = decompose(friedman_model, (0,), friedman_data)
-    assert eval_cost(dec, 1000, 50) == 50 + dec.alpha * 1000
-    dec_all = decompose(friedman_model, tuple(range(8)), friedman_data)
-    assert eval_cost(dec_all, 1000, 50) == 50  # alpha = 0: no mixed bases
-    assert eval_cost(SimpleNamespace(alpha=1.0), 1000, 1000) == 2000
+
+def test_pd_fast_equals_single_variable_pure_interaction(friedman_data, friedman_model):
+    # a main effect's pure interaction is its partial dependence: both are
+    # read off the same split, so they agree to the last bit
+    for j in range(friedman_data.p):
+        pts = default_axis(friedman_data, j, 11)[:, None]
+        pd_vals = pd_fast(friedman_model, (j,), pts, friedman_data).values
+        pure_vals = pure_interaction(friedman_model, (j,), pts, friedman_data).values
+        np.testing.assert_array_equal(pd_vals, pure_vals)
 
 
 def test_default_axis_quantiles_and_levels():

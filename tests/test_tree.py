@@ -302,6 +302,32 @@ def test_roundtrip_categorical_nodes(tmp_path):
     np.testing.assert_allclose(ft.load(path).predict(X), tree.predict(X), atol=1e-12)
 
 
+def mixed_kind_tree_doc():
+    variables = (
+        Variable("n", "numeric", observed_range=(-1.0, 1.0)),
+        Variable("c", "categorical", levels=("a", "b")),
+    )
+    nodes = [
+        TreeNode(0, -1, None, None),
+        TreeNode(1, 0, 0, identity_curve()),
+        TreeNode(2, 1, 1, LevelTable(np.array([1.0, -1.0]), 0.0)),
+    ]
+    return FunctionTree(variables, 0.5, nodes).to_dict()
+
+
+@pytest.mark.parametrize("node, change, message", [
+    (0, {"var": 99}, "out of range"),
+    (0, {"kind": "levels", "values": [1.0, 2.0], "default": 0.0}, "numeric variable"),
+    (1, {"kind": "curve", "knots": [0.0, 1.0], "values": [1.0, -1.0]}, "categorical variable"),
+])
+def test_from_dict_rejects_nodes_inconsistent_with_variables(node, change, message):
+    doc = mixed_kind_tree_doc()
+    FunctionTree.from_dict(doc)  # the unmodified document loads
+    doc["nodes"][node].update(change)
+    with pytest.raises(ValueError, match=message):
+        FunctionTree.from_dict(doc)
+
+
 # ---------------------------------------------------------------------------
 # Difference trees
 # ---------------------------------------------------------------------------
