@@ -202,10 +202,12 @@ class ScreenH:
     flagged: tuple[int, ...]
 
 
-def screen_h(tree: FunctionTree, data: Dataset, threshold_factor: float = 0.05) -> ScreenH:
+def screen_h(tree: FunctionTree, data: Dataset, threshold_factor: float = 0.05, *,
+             engine: EffectEngine | None = None) -> ScreenH:
     """Score sqrt(E[(F - PD(x_j) - PD(rest))^2]) per variable; zero exactly
-    when the variable appears in no mixed-path basis."""
-    eng = EffectEngine(tree, data)
+    when the variable appears in no mixed-path basis. ``engine``, built on
+    the same tree and data, lends its node evaluations."""
+    eng = EffectEngine(tree, data) if engine is None else engine.sibling()
     p = data.p
     pred_c = eng.pred - np.average(eng.pred, weights=eng.w)
     all_vars = frozenset(range(p))
@@ -346,11 +348,11 @@ def search_effects(tree: FunctionTree, data: Dataset, max_order: int = 3,
     if strength_rows is not None and strength_rows < data.n:
         rows = np.sort(np.random.default_rng(seed).choice(data.n, strength_rows, replace=False))
     eng = EffectEngine(tree, data, rows=rows)
-    eng_pa = EffectEngine(tree, data, rows=rows, use_pa=True) if with_pa else None
+    eng_pa = eng.sibling(rows=rows, use_pa=True) if with_pa else None
 
     screening = None
     if use_screens:
-        hres = screen_h(tree, data, h_factor)
+        hres = screen_h(tree, data, h_factor, engine=eng)
         rres = screen_r(tree, data, threshold_factor=r_factor)
         pools = {1: rres.included(1)}
         for order in range(2, max_order + 1):

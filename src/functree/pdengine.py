@@ -11,6 +11,7 @@ their values off it.
 
 from __future__ import annotations
 
+import copy
 import csv
 from dataclasses import dataclass, field
 from itertools import combinations
@@ -19,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .data import Dataset, Variable
-from .smoothers import Curve, spline_fit
+from .smoothers import Curve, spline_fit, spline_knots
 from .tree import FunctionTree
 
 PD = "pd"
@@ -176,22 +177,26 @@ class EffectEngine:
                  use_pa: bool = False):
         self.tree = tree
         self.data = data
-        self.use_pa = use_pa
-        n = data.n
-        k = len(tree.nodes)
-        self.node_values = np.ones((n, k))
-        self.basis = np.ones((n, k))
+        # each node's function and basis values at every data row, one
+        # contiguous vector per node id (the root's are ones)
+        ones = np.ones(data.n)
+        self.node_values = [ones]
+        self.basis = [ones]
         for node in tree.nodes[1:]:
-            self.node_values[:, node.id] = node.func(data.X[:, node.var])
-            self.basis[:, node.id] = self.basis[:, node.parent] * self.node_values[:, node.id]
-        wsum = float(data.weight.sum())
-        self.basis_mean = (data.weight @ self.basis) / wsum
-        self.paths = [tree.path(m) for m in range(1, k)]
+            v = node.func(data.X[:, node.var])
+            self.node_values.append(v)
+            self.basis.append(self.basis[node.parent] * v)
+        B = np.column_stack(self.basis)
+        self.basis_mean = (data.weight @ B) / float(data.weight.sum())
+        self.pred_full = tree.b0 + B[:, 1:].sum(axis=1)
+        self.paths = [tree.path(m) for m in range(1, len(tree.nodes))]
         self.pathvars = [frozenset(tree.nodes[i].var for i in p) for p in self.paths]
-        self.pred_full = tree.b0 + self.basis[:, 1:].sum(axis=1)
+        self._start(rows, use_pa)
 
-        self.rows = np.arange(n) if rows is None else np.asarray(rows)
-        self.w = data.weight[self.rows]
+    def _start(self, rows: np.ndarray | None, use_pa: bool) -> None:
+        self.use_pa = use_pa
+        self.rows = np.arange(self.data.n) if rows is None else np.asarray(rows)
+        self.w = self.data.weight[self.rows]
         self.pred = self.pred_full[self.rows]
         self._splits: dict[frozenset, _Split] = {}
         self._centers: dict[frozenset, float] = {}
@@ -200,6 +205,13 @@ class EffectEngine:
         self._pa_coeffs: dict[frozenset, list] = {}
         self.fast_evals = 0.0
         self.brute_equiv = 0.0
+
+    def sibling(self, *, rows: np.ndarray | None = None, use_pa: bool = False) -> "EffectEngine":
+        """A new engine on the same tree and data, with its own rows, caches
+        and counters, that reuses this engine's node evaluations."""
+        eng = copy.copy(self)
+        eng._start(rows, use_pa)
+        return eng
 
     # -- decomposition against a subset -------------------------------------
 
@@ -236,17 +248,17 @@ class EffectEngine:
 
     def _rows_product(self, nodes: list[int]) -> np.ndarray:
         """Product of the given nodes' functions at every data row."""
-        out = self.node_values[:, nodes[0]].copy()
+        out = self.node_values[nodes[0]].copy()
         for m in nodes[1:]:
-            out *= self.node_values[:, m]
+            out *= self.node_values[m]
         return out
 
     def _term_f_rows(self, term: _Term) -> np.ndarray:
         if term.inside:
-            return self.basis[self.rows, term.node_id]
-        out = self.node_values[self.rows, term.z_nodes[0]].copy()
+            return self.basis[term.node_id][self.rows]
+        out = self.node_values[term.z_nodes[0]][self.rows]
         for m in term.z_nodes[1:]:
-            out *= self.node_values[self.rows, m]
+            out *= self.node_values[m][self.rows]
         return out
 
     def _term_f_at(self, term: _Term, subset: tuple, pts: np.ndarray) -> np.ndarray:
@@ -464,9 +476,10 @@ def coefficient_curve(f_values: np.ndarray, g_values: np.ndarray) -> Curve:
     cubic tails supported by a handful of rows.
     """
     gbar = float(np.mean(g_values))
-    curve = spline_fit(f_values, g_values)
+    interior = spline_knots(f_values)
+    curve = spline_fit(f_values, g_values, interior)
     n = len(f_values)
-    dof = 4 + 19  # cubic polynomial plus interior knots
+    dof = 4 + len(interior)  # cubic polynomial plus interior knots
     if n > 2 * dof:
         sse_const = float(np.sum((g_values - gbar) ** 2))
         sse_spline = float(np.sum((g_values - curve(f_values)) ** 2))

@@ -153,11 +153,11 @@ def weight_floor(w: np.ndarray) -> float:
     return 1e-6 * float(np.sqrt(np.mean(np.square(w))))
 
 
-def _window_bounds(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
-    # symmetric rank windows, shrunk (not shifted) at the edges
-    i = np.arange(n)
-    lo = np.maximum(i - (m - 1) // 2, 0)
-    hi = np.minimum(i + m // 2, n - 1)
+def _window_bounds(rows: np.ndarray, n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    # symmetric rank windows of the given sorted rows, shrunk (not shifted)
+    # at the edges
+    lo = np.maximum(rows - (m - 1) // 2, 0)
+    hi = np.minimum(rows + m // 2, n - 1)
     return lo, hi
 
 
@@ -166,13 +166,13 @@ def _windowed_sums(v: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return c[hi + 1] - c[lo]
 
 
-def _near_neighbor_fit(xs, ts, omega, m):
-    lo, hi = _window_bounds(len(xs), m)
+def _near_neighbor_fit(xs, ts, omega, m, rows):
+    lo, hi = _window_bounds(rows, len(xs), m)
     return _windowed_sums(omega * ts, lo, hi) / _windowed_sums(omega, lo, hi)
 
 
-def _local_linear_fit(xs, ts, omega, m):
-    lo, hi = _window_bounds(len(xs), m)
+def _local_linear_fit(xs, ts, omega, m, rows):
+    lo, hi = _window_bounds(rows, len(xs), m)
     s0 = _windowed_sums(omega, lo, hi)
     xbar = _windowed_sums(omega * xs, lo, hi) / s0
     tbar = _windowed_sums(omega * ts, lo, hi) / s0
@@ -181,7 +181,26 @@ def _local_linear_fit(xs, ts, omega, m):
     span_x = float(xs[-1] - xs[0])
     good = varx > max(1e-12 * span_x * span_x, 1e-300)
     slope = np.where(good, covxt / np.where(good, varx, 1.0), 0.0)
-    return tbar + slope * (xs - xbar)
+    return tbar + slope * (xs[rows] - xbar)
+
+
+def _knot_rows(xs: np.ndarray, knots: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The rows of sorted ``xs`` that linear interpolation at ``knots``
+    reads, as whole distinct-x groups: the group equal to a knot, or the
+    groups on either side of a knot that ``xs`` lacks. Returns those rows
+    (the groups concatenated), where each group starts among them and where
+    it starts in ``xs``."""
+    n = len(xs)
+    at = np.searchsorted(xs, knots)
+    present = (at < n) & (xs[np.minimum(at, n - 1)] == knots)
+    absent = at[~present]
+    anchors = np.concatenate([at[present], absent[absent > 0] - 1, absent[absent < n]])
+    gx = np.unique(xs[anchors])
+    start = np.searchsorted(xs, gx)
+    size = np.searchsorted(xs, gx, side="right") - start
+    offset = np.cumsum(size) - size
+    rows = np.arange(int(size.sum())) + np.repeat(start - offset, size)
+    return rows, offset, start
 
 
 def _fit_level_table(x, t, omega, min_count):
@@ -212,10 +231,19 @@ def smooth(
     """Estimate the weighted conditional expectation E_{w^2}[ r/w | x ].
 
     Rows whose basis weight falls below the floor are excluded. For numeric
-    methods the result is a piecewise-linear curve with knots at the distinct
-    sorted x values (quantile-thinned past 500 knots), or resampled onto the
-    ``knots`` grid when one is supplied. ``order`` may carry a precomputed
-    stable argsort of the full x vector to skip the per-call sort.
+    methods the result is a piecewise-linear curve on the ``knots`` grid,
+    which defaults to the distinct sorted x values (quantile-thinned past 500
+    knots). ``order`` may carry a precomputed stable argsort of the full x
+    vector to skip the per-call sort.
+
+    The curve value at a knot interpolates the w^2-weighted means, per
+    distinct x, of a rank-window fit at each included row. Interpolation
+    reads only the x group equal to the knot, or the two groups around a
+    knot that no included row holds (rows below the weight floor can remove
+    one). So the windowed fit is computed only at the rows of those groups,
+    from cumulative sums over all included rows. Each value that reaches the
+    curve goes through the same floating-point operations as when every row
+    is fitted, so the result is exact, not an approximation.
 
     With ``center=True`` (the default) the returned function is shifted so
     its w^2-weighted mean over the included training rows is zero.
@@ -241,18 +269,17 @@ def smooth(
             gidx = order[mask[order]]
             ws = w[gidx]
             xs, ts, omega = x[gidx], r[gidx] / ws, np.square(ws)
+        if knots is None:
+            knots = thin_knots(np.unique(xs))
+        rows, offset, start = _knot_rows(xs, knots)
         m = max(2, int(round(spec.resolved_span() * len(xs))))
         if spec.method == NEAR_NEIGHBOR:
-            vals = _near_neighbor_fit(xs, ts, omega, m)
+            vals = _near_neighbor_fit(xs, ts, omega, m, rows)
         else:
-            vals = _local_linear_fit(xs, ts, omega, m)
-        uniq, start = np.unique(xs, return_index=True)
-        uvals = np.add.reduceat(omega * vals, start) / np.add.reduceat(omega, start)
-        if knots is not None:
-            fitted = Curve(knots, np.interp(knots, uniq, uvals))
-        else:
-            kn = thin_knots(uniq)
-            fitted = Curve(kn, np.interp(kn, uniq, uvals)) if len(kn) < len(uniq) else Curve(uniq, uvals)
+            vals = _local_linear_fit(xs, ts, omega, m, rows)
+        om = omega[rows]
+        gvals = np.add.reduceat(om * vals, offset) / np.add.reduceat(om, offset)
+        fitted = Curve(knots, np.interp(knots, xs[start], gvals))
 
     if center:
         wm = w[mask]
@@ -261,10 +288,19 @@ def smooth(
     return fitted
 
 
-def spline_fit(x: np.ndarray, t: np.ndarray) -> Curve:
-    """Least-squares cubic regression spline of t on x with interior knots at
-    the vigintiles (5th, 10th, ..., 95th percentiles), returned as a densely
-    sampled curve."""
+def spline_knots(x: np.ndarray) -> np.ndarray:
+    """Interior knots of ``spline_fit``: the distinct vigintiles (5th, 10th,
+    ..., 95th percentiles) of x strictly inside its range. Tied x values
+    make vigintiles coincide, so there can be fewer than 19."""
+    x = np.asarray(x, dtype=float)
+    interior = np.unique(np.quantile(x, np.arange(1, 20) / 20.0))
+    return interior[(interior > x.min()) & (interior < x.max())]
+
+
+def spline_fit(x: np.ndarray, t: np.ndarray, interior: np.ndarray | None = None) -> Curve:
+    """Least-squares cubic regression spline of t on x with the given
+    interior knots (``spline_knots(x)`` when omitted), returned as a densely
+    sampled curve. The design has 4 + len(interior) columns."""
     x = np.asarray(x, dtype=float)
     t = np.asarray(t, dtype=float)
     if len(x) != len(t):
@@ -272,8 +308,8 @@ def spline_fit(x: np.ndarray, t: np.ndarray) -> Curve:
     lo, hi = float(x.min()), float(x.max())
     if not hi > lo:
         raise ValueError("x must not be constant")
-    interior = np.unique(np.quantile(x, np.arange(1, 20) / 20.0))
-    interior = interior[(interior > lo) & (interior < hi)]
+    if interior is None:
+        interior = spline_knots(x)
     scale = hi - lo
 
     def design(v):

@@ -199,36 +199,52 @@ class FunctionTree:
         if version != FORMAT_VERSION:
             raise FormatVersionError(f"unsupported model format version {version!r}")
         variables = []
-        for entry in doc["variables"]:
-            if entry["kind"] == CATEGORICAL:
-                variables.append(Variable(entry["name"], CATEGORICAL, levels=tuple(entry["levels"])))
+        for i, entry in enumerate(_field(doc, "variables", "model file")):
+            name = _field(entry, "name", f"variable {i}")
+            if _field(entry, "kind", f"variable {name!r}") == CATEGORICAL:
+                levels = _field(entry, "levels", f"variable {name!r}")
+                variables.append(Variable(name, CATEGORICAL, levels=tuple(levels)))
             else:
                 rng = entry.get("range")
                 variables.append(
-                    Variable(entry["name"], NUMERIC, observed_range=None if rng is None else (rng[0], rng[1]))
+                    Variable(name, NUMERIC, observed_range=None if rng is None else (rng[0], rng[1]))
                 )
         nodes = [TreeNode(ROOT, -1, None, None)]
-        for entry in doc["nodes"]:
-            var, kind = entry["var"], entry["kind"]
+        for i, entry in enumerate(_field(doc, "nodes", "model file")):
+            node_id = _field(entry, "id", f"node entry {i}")
+            where = f"node {node_id}"
+            var, kind = _field(entry, "var", where), _field(entry, "kind", where)
             if not isinstance(var, int) or not 0 <= var < len(variables):
-                raise ValueError(f"node {entry['id']}: variable index {var!r} is out of range")
+                raise ValueError(f"{where}: variable index {var!r} is out of range")
             if kind not in ("levels", "curve"):
-                raise ValueError(f"unknown node kind {kind!r}")
+                raise ValueError(f"{where}: unknown node kind {kind!r}")
             if (kind == "levels") != variables[var].is_categorical:
                 raise ValueError(
-                    f"node {entry['id']}: a {kind!r} node cannot hold "
+                    f"{where}: a {kind!r} node cannot hold "
                     f"{variables[var].kind} variable {variables[var].name!r}"
                 )
+            values = np.array(_field(entry, "values", where))
             if kind == "levels":
-                func: UnivariateFunction = LevelTable(np.array(entry["values"]), entry["default"])
+                func: UnivariateFunction = LevelTable(values, _field(entry, "default", where))
             else:
-                func = Curve(np.array(entry["knots"]), np.array(entry["values"]))
+                func = Curve(np.array(_field(entry, "knots", where)), values)
             infl = entry.get("influence")
             nodes.append(
-                TreeNode(entry["id"], entry["parent"], var, func,
+                TreeNode(node_id, _field(entry, "parent", where), var, func,
                          float("nan") if infl is None else float(infl))
             )
-        return cls(tuple(variables), float(doc["b0"]), nodes, doc.get("train_stats"))
+        b0 = _field(doc, "b0", "model file")
+        if not isinstance(b0, (int, float)) or not np.isfinite(b0):
+            raise ValueError(f"model file: b0 must be a finite number, got {b0!r}")
+        return cls(tuple(variables), float(b0), nodes, doc.get("train_stats"))
+
+
+def _field(entry: dict, key: str, where: str):
+    """``entry[key]``, or a ValueError naming the key and where it is missing."""
+    try:
+        return entry[key]
+    except KeyError:
+        raise ValueError(f"{where}: missing key {key!r}") from None
 
 
 def save(tree: FunctionTree, path) -> None:
@@ -479,7 +495,8 @@ class TreeFitter:
 
     def score_candidate(self, k: int, j: int):
         """Fit the (parent=k, variable=j) candidate and line-search its
-        scale; returns (sse_reduction, scaled function) or None."""
+        scale; returns (sse_reduction, function, scale) or None. The caller
+        scales only the winning function."""
         if not self._allowed(k, j):
             return None
         w = self.B_tr[k] * self.sqrt_rho
@@ -493,7 +510,7 @@ class TreeFitter:
             return None
         num = float(np.sum(self.rho * self.resid * d))
         beta = num / den
-        return num * num / den, f.scale(beta)
+        return num * num / den, f, beta
 
     def score_all_candidates(self) -> list[tuple[float, int, int]]:
         out = []
@@ -514,11 +531,11 @@ class TreeFitter:
             for j in range(self.data.p):
                 res = self.score_candidate(k, j)
                 if res is not None and res[0] > best_red:
-                    best_red, best = res[0], (k, j, res[1])
+                    best_red, best = res[0], (k, j, *res[1:])
         if best is None:
             return False
-        k, j, func = best
-        node = TreeNode(len(self.nodes), k, j, func)
+        k, j, func, beta = best
+        node = TreeNode(len(self.nodes), k, j, func.scale(beta))
         self.nodes.append(node)
         self._register(node)
         self.resid = self.resid - self.B_tr[node.id]

@@ -1,5 +1,7 @@
 """Partial dependence and partial association contracts."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from functree.data import Dataset, Variable
 from functree.interactions import pure_interaction
 from functree.pdengine import (
     EffectEngine,
+    coefficient_curve,
     default_axis,
     pa,
     pd_brute,
@@ -15,6 +18,7 @@ from functree.pdengine import (
     resolve_points,
     write_effect_csv,
 )
+from functree.smoothers import spline_fit, spline_knots
 from functree.tree import FitConfig
 
 from conftest import random_dataset, random_tree
@@ -62,7 +66,7 @@ def test_reconstruction_identity():
             total = np.full(data.n, tree.b0)
             for m in range(1, len(tree.nodes)):
                 if m not in touched:
-                    total += eng.basis[:, m]
+                    total += eng.basis[m]
             for t in split.terms:
                 f = eng._rows_product(t.z_nodes)
                 g = eng._rows_product(t.comp_nodes) if t.comp_nodes else 1.0
@@ -190,6 +194,30 @@ def test_pa_equals_pd_exactly_when_no_mixing(friedman_data):
 def test_pa_subset_size_limited(friedman_data, friedman_model):
     with pytest.raises(ValueError, match="<= 2"):
         pa(friedman_model, (0, 1, 2), None, friedman_data)
+
+
+def test_pa_pretest_counts_only_distinct_spline_knots():
+    # a z-side product with five tied values: its vigintiles coincide, so
+    # the spline design has 4 + 3 columns, not 4 + 19
+    rng = np.random.default_rng(1)
+    f = rng.integers(1, 6, 500).astype(float)
+    g = 0.3 * np.array([0.0, 0.0, 1.0, 0.0, -1.0, 1.0])[f.astype(int)] + rng.normal(size=500)
+    assert len(spline_knots(f)) == 3
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        spline = spline_fit(f, g)
+    sse_const = np.sum((g - g.mean()) ** 2)
+    sse_spline = np.sum((g - spline(f)) ** 2)
+
+    def f_stat(dof):
+        return ((sse_const - sse_spline) / (dof - 1)) / (sse_spline / (len(f) - dof))
+
+    # the dependence is significant with the true dof and not with 4 + 19
+    assert f_stat(7) >= 3.0 > f_stat(23)
+    with pytest.warns(UserWarning, match="rank-deficient"):
+        curve = coefficient_curve(f, g)
+    assert len(curve.knots) > 1
+    np.testing.assert_array_equal(curve.values, spline(curve.knots))
 
 
 def test_pa_degenerate_constant_factor_falls_back():

@@ -1,10 +1,13 @@
 """Smoother and univariate-function contracts."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import functree as ft
 from functree.smoothers import (
     Curve,
     LevelTable,
@@ -222,6 +225,112 @@ def test_centered_output_has_zero_weighted_mean(seed):
     mask = np.abs(w) >= weight_floor(w)
     mean = np.average(f(x[mask]), weights=w[mask] ** 2)
     assert abs(mean) < 1e-10
+
+
+# ---------------------------------------------------------------------------
+# smooth(): the knot-row numeric path against the full-row reference
+# ---------------------------------------------------------------------------
+
+def reference_smooth(x, r, w, spec, *, order=None, knots=None, center=True):
+    """The full-row numeric smoother: the windowed fit at every included
+    row, one weighted mean per distinct x, then interpolation at the knots.
+    Categorical specs go to ``smooth``."""
+    if spec.method == "categorical_mean":
+        return smooth(x, r, w, spec, order=order, knots=knots, center=center)
+    x, r, w = (np.asarray(a, dtype=float) for a in (x, r, w))
+    mask = (np.abs(w) >= weight_floor(w)) & (w != 0.0)
+    if not mask.any():
+        raise ValueError("all rows excluded by the basis-weight floor")
+    if order is None:
+        sidx = np.argsort(x[mask], kind="stable")
+        xs, rs, ws = x[mask][sidx], r[mask][sidx], w[mask][sidx]
+    else:
+        gidx = order[mask[order]]
+        xs, rs, ws = x[gidx], r[gidx], w[gidx]
+    ts, omega = rs / ws, np.square(ws)
+    n = len(xs)
+    m = max(2, int(round(spec.resolved_span() * n)))
+    i = np.arange(n)
+    lo, hi = np.maximum(i - (m - 1) // 2, 0), np.minimum(i + m // 2, n - 1)
+
+    def wsum(v):
+        c = np.concatenate([[0.0], np.cumsum(v)])
+        return c[hi + 1] - c[lo]
+
+    if spec.method == "near_neighbor":
+        vals = wsum(omega * ts) / wsum(omega)
+    else:
+        s0 = wsum(omega)
+        xbar = wsum(omega * xs) / s0
+        tbar = wsum(omega * ts) / s0
+        varx = wsum(omega * xs * xs) / s0 - xbar**2
+        covxt = wsum(omega * xs * ts) / s0 - xbar * tbar
+        span_x = float(xs[-1] - xs[0])
+        good = varx > max(1e-12 * span_x * span_x, 1e-300)
+        slope = np.where(good, covxt / np.where(good, varx, 1.0), 0.0)
+        vals = tbar + slope * (xs - xbar)
+    uniq, start = np.unique(xs, return_index=True)
+    uvals = np.add.reduceat(omega * vals, start) / np.add.reduceat(omega, start)
+    if knots is None:
+        knots = thin_knots(uniq)
+    fitted = Curve(knots, np.interp(knots, uniq, uvals))
+    if center:
+        wm = w[mask]
+        fitted = fitted.shift(-float(np.average(fitted(x[mask]), weights=wm * wm)))
+    return fitted
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 1200),
+    xkind=st.sampled_from(["distinct", "tied", "rounded"]),
+    weights=st.sampled_from(["ones", "positive", "zeros", "sub_floor"]),
+    method=st.sampled_from(["near_neighbor", "local_linear"]),
+    span=st.one_of(st.none(), st.floats(0.01, 1.0)),
+    with_order=st.booleans(),
+    grid=st.sampled_from(["none", "full", "thinned", "off_data"]),
+    center=st.booleans(),
+)
+def test_smooth_equals_full_row_reference(seed, n, xkind, weights, method, span, with_order,
+                                          grid, center):
+    rng = np.random.default_rng(seed)
+    if xkind == "distinct":
+        x = rng.normal(size=n)
+    elif xkind == "tied":
+        x = rng.integers(0, int(rng.integers(1, 30)), n).astype(float)
+    else:
+        x = np.round(rng.normal(size=n), 1)
+    r = rng.normal(size=n)
+    w = np.ones(n) if weights == "ones" else rng.uniform(0.1, 2.0, n)
+    if weights == "zeros":
+        w[rng.random(n) < 0.3] = 0.0
+    elif weights == "sub_floor":
+        w[rng.random(n) < 0.1] = 1e-9
+    if not (w != 0.0).any():
+        w[0] = 1.0
+    kw = {"center": center}
+    if with_order:
+        kw["order"] = np.argsort(x, kind="stable")
+    if grid == "full":
+        kw["knots"] = np.unique(x)
+    elif grid == "thinned":
+        kw["knots"] = thin_knots(np.unique(x), int(rng.integers(2, 600)))
+    elif grid == "off_data":
+        kw["knots"] = np.unique(rng.normal(scale=2.0, size=int(rng.integers(1, 50))))
+    sp = spec(method, span=span)
+    got = smooth(x, r, w, sp, **kw)
+    want = reference_smooth(x, r, w, sp, **kw)
+    assert np.array_equal(got.knots, want.knots)
+    assert np.array_equal(got.values, want.values)
+
+
+def test_fit_with_reference_smoother_gives_same_model(monkeypatch):
+    data = ft.gen_friedman(600, seed=5)
+    config = ft.FitConfig(max_nodes=6, patience=6)
+    fast = json.dumps(ft.fit(data, config).to_dict())
+    monkeypatch.setattr("functree.tree.smooth", reference_smooth)
+    assert json.dumps(ft.fit(data, config).to_dict()) == fast
 
 
 # ---------------------------------------------------------------------------
