@@ -202,13 +202,16 @@ class ScreenH:
     flagged: tuple[int, ...]
 
 
-def screen_h(tree: FunctionTree, data: Dataset, threshold_factor: float = 0.05, *,
-             engine: EffectEngine | None = None) -> ScreenH:
+def screen_h(tree: FunctionTree, data: Dataset, threshold_factor: float = 0.05) -> ScreenH:
     """Score sqrt(E[(F - PD(x_j) - PD(rest))^2]) per variable; zero exactly
-    when the variable appears in no mixed-path basis. ``engine``, built on
-    the same tree and data, lends its node evaluations."""
-    eng = EffectEngine(tree, data) if engine is None else engine.sibling()
-    p = data.p
+    when the variable appears in no mixed-path basis."""
+    return _screen_h(EffectEngine(tree, data), threshold_factor)
+
+
+def _screen_h(eng: EffectEngine, threshold_factor: float) -> ScreenH:
+    """``screen_h`` on an engine, so a caller holding one reuses its node
+    evaluations."""
+    p = eng.data.p
     pred_c = eng.pred - np.average(eng.pred, weights=eng.w)
     all_vars = frozenset(range(p))
     scores = np.zeros(p)
@@ -352,7 +355,7 @@ def search_effects(tree: FunctionTree, data: Dataset, max_order: int = 3,
 
     screening = None
     if use_screens:
-        hres = screen_h(tree, data, h_factor, engine=eng)
+        hres = _screen_h(eng.sibling(), h_factor)
         rres = screen_r(tree, data, threshold_factor=r_factor)
         pools = {1: rres.included(1)}
         for order in range(2, max_order + 1):

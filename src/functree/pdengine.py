@@ -476,10 +476,9 @@ def coefficient_curve(f_values: np.ndarray, g_values: np.ndarray) -> Curve:
     cubic tails supported by a handful of rows.
     """
     gbar = float(np.mean(g_values))
-    interior = spline_knots(f_values)
-    curve = spline_fit(f_values, g_values, interior)
+    curve = spline_fit(f_values, g_values)
     n = len(f_values)
-    dof = 4 + len(interior)  # cubic polynomial plus interior knots
+    dof = 4 + len(spline_knots(f_values))  # cubic polynomial plus interior knots
     if n > 2 * dof:
         sse_const = float(np.sum((g_values - gbar) ** 2))
         sse_spline = float(np.sum((g_values - curve(f_values)) ** 2))

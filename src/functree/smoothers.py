@@ -297,10 +297,10 @@ def spline_knots(x: np.ndarray) -> np.ndarray:
     return interior[(interior > x.min()) & (interior < x.max())]
 
 
-def spline_fit(x: np.ndarray, t: np.ndarray, interior: np.ndarray | None = None) -> Curve:
-    """Least-squares cubic regression spline of t on x with the given
-    interior knots (``spline_knots(x)`` when omitted), returned as a densely
-    sampled curve. The design has 4 + len(interior) columns."""
+def spline_fit(x: np.ndarray, t: np.ndarray) -> Curve:
+    """Least-squares cubic regression spline of t on x with interior knots
+    ``spline_knots(x)``, returned as a densely sampled curve. The design has
+    4 + len(spline_knots(x)) columns."""
     x = np.asarray(x, dtype=float)
     t = np.asarray(t, dtype=float)
     if len(x) != len(t):
@@ -308,8 +308,7 @@ def spline_fit(x: np.ndarray, t: np.ndarray, interior: np.ndarray | None = None)
     lo, hi = float(x.min()), float(x.max())
     if not hi > lo:
         raise ValueError("x must not be constant")
-    if interior is None:
-        interior = spline_knots(x)
+    interior = spline_knots(x)
     scale = hi - lo
 
     def design(v):

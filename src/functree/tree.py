@@ -234,9 +234,20 @@ class FunctionTree:
                          float("nan") if infl is None else float(infl))
             )
         b0 = _field(doc, "b0", "model file")
-        if not isinstance(b0, (int, float)) or not np.isfinite(b0):
+        if not _finite_number(b0):
             raise ValueError(f"model file: b0 must be a finite number, got {b0!r}")
         return cls(tuple(variables), float(b0), nodes, doc.get("train_stats"))
+
+
+def _finite_number(value) -> bool:
+    """True for a number (not a bool) whose float is finite; an integer
+    beyond the float range is not."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return bool(np.isfinite(float(value)))
+    except OverflowError:
+        return False
 
 
 def _field(entry: dict, key: str, where: str):

@@ -221,13 +221,15 @@ def test_predict_rejects_malformed_model_files(tmp_path, capsys):
         model.write_text(json.dumps(doc), encoding="utf-8")
         assert run("predict", "--model", model, "--data", data, "--out", tmp_path / "p.csv") == expect
     assert capsys.readouterr().err.count("error: node 1:") == 3
-    # a non-finite and a null root constant, then a missing key at the top
-    # level and in a node
+    # a non-finite, a null, a boolean and an oversized integer root
+    # constant, then a missing key at the top level and in a node
     node = {"id": 1, "parent": 0, "var": 1, "influence": None, **levels}
     no_default = {key: val for key, val in node.items() if key != "default"}
     for doc, message in (
         ({"b0": float("nan"), "nodes": [node]}, "error: model file: b0 must be a finite number"),
         ({"b0": None, "nodes": [node]}, "error: model file: b0 must be a finite number"),
+        ({"b0": True, "nodes": [node]}, "error: model file: b0 must be a finite number"),
+        ({"b0": 10**400, "nodes": [node]}, "error: model file: b0 must be a finite number"),
         ({"nodes": [node]}, "error: model file: missing key 'b0'"),
         ({"b0": 0.0, "nodes": [no_default]}, "error: node 1: missing key 'default'"),
     ):
