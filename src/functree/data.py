@@ -117,15 +117,6 @@ class Dataset:
     def names(self) -> tuple[str, ...]:
         return tuple(v.name for v in self.variables)
 
-    def index(self, name: str) -> int:
-        for j, v in enumerate(self.variables):
-            if v.name == name:
-                return j
-        raise KeyError(f"no variable named {name!r}")
-
-    def column(self, j: int) -> np.ndarray:
-        return self.X[:, j]
-
 
 @dataclass(frozen=True)
 class SplitSpec:

@@ -23,7 +23,7 @@ from .pdengine import (
     PURE_INTERACTION,
     EffectEngine,
     EffectGrid,
-    _proper_subsets,
+    _pure_effect,
     check_subset,
     pd_brute,
     resolve_points,
@@ -157,24 +157,14 @@ def pure_interaction_brute(predict_fn, s, points=None, data: Dataset | None = No
     pts, axes = resolve_points(data, s, points, resolution)
     evals = 0.0
 
-    memo: dict[tuple, np.ndarray] = {}
-
-    def i_values(subset: tuple, p: np.ndarray) -> np.ndarray:
+    def centred_pd(u: tuple) -> np.ndarray:
         nonlocal evals
-        key = tuple(subset)
-        if key in memo:
-            return memo[key]
-        uniq, inverse = np.unique(p, axis=0, return_inverse=True)
-        grid = pd_brute(predict_fn, subset, uniq, data, center="rows")
+        uniq, inverse = np.unique(pts[:, [s.index(v) for v in u]], axis=0, return_inverse=True)
+        grid = pd_brute(predict_fn, u, uniq, data)
         evals += grid.eval_count
-        vals = grid.values[inverse]
-        for u in _proper_subsets(subset):
-            cols = [subset.index(v) for v in u]
-            vals = vals - i_values(u, p[:, cols])
-        memo[key] = vals
-        return vals
+        return grid.values[inverse]
 
-    values = i_values(s, pts)
+    values = _pure_effect(s, centred_pd, {})
     return EffectGrid(
         subset=s,
         names=tuple(data.variables[j].name for j in s),
@@ -192,6 +182,9 @@ def pure_interaction_brute(predict_fn, s, points=None, data: Dataset | None = No
 # Screening
 # ---------------------------------------------------------------------------
 
+# both screens keep what reaches this fraction of their scale
+SCREEN_FRACTION = 0.05
+
 @dataclass
 class ScreenH:
     """Per-variable interaction scores from the two-sided partial-dependence
@@ -202,13 +195,14 @@ class ScreenH:
     flagged: tuple[int, ...]
 
 
-def screen_h(tree: FunctionTree, data: Dataset, threshold_factor: float = 0.05) -> ScreenH:
+def screen_h(tree: FunctionTree, data: Dataset) -> ScreenH:
     """Score sqrt(E[(F - PD(x_j) - PD(rest))^2]) per variable; zero exactly
-    when the variable appears in no mixed-path basis."""
-    return _screen_h(EffectEngine(tree, data), threshold_factor)
+    when the variable appears in no mixed-path basis. Variables scoring at
+    least ``SCREEN_FRACTION`` of the prediction sd are flagged."""
+    return _screen_h(EffectEngine(tree, data))
 
 
-def _screen_h(eng: EffectEngine, threshold_factor: float) -> ScreenH:
+def _screen_h(eng: EffectEngine) -> ScreenH:
     """``screen_h`` on an engine, so a caller holding one reuses its node
     evaluations."""
     p = eng.data.p
@@ -222,7 +216,7 @@ def _screen_h(eng: EffectEngine, threshold_factor: float) -> ScreenH:
         resid = pred_c - pd_j - pd_c
         scores[j] = float(np.sqrt(np.average(resid**2, weights=eng.w)))
     sd_pred = float(np.sqrt(np.average(pred_c**2, weights=eng.w)))
-    threshold = threshold_factor * sd_pred
+    threshold = SCREEN_FRACTION * sd_pred
     flagged = tuple(int(j) for j in range(p) if scores[j] >= threshold)
     return ScreenH(scores, threshold, flagged)
 
@@ -244,11 +238,11 @@ class ScreenR:
         return tuple(int(j) for j in range(len(tail)) if tail[j] > 0 and tail[j] >= self.threshold)
 
 
-def screen_r(tree: FunctionTree, data: Dataset | None = None,
-             threshold_factor: float = 0.05) -> ScreenR:
+def screen_r(tree: FunctionTree, data: Dataset | None = None) -> ScreenR:
     """Per-(variable, level) influence mass from the stored node influences,
     recomputed from ``data`` when any influence is missing. The inclusion
-    threshold is relative to the largest entry over all variables and levels."""
+    threshold is ``SCREEN_FRACTION`` of the largest entry over all variables
+    and levels."""
     if any(np.isnan(n.influence) for n in tree.nodes[1:]):
         if data is None:
             raise ValueError("tree has no stored influences; pass data to recompute")
@@ -260,7 +254,7 @@ def screen_r(tree: FunctionTree, data: Dataset | None = None,
         order = tree.interaction_order(node.id)
         for j in tree.path_vars(node.id):
             R[j, order] += node.influence
-    return ScreenR(R, threshold_factor * float(R.max(initial=0.0)))
+    return ScreenR(R, SCREEN_FRACTION * float(R.max(initial=0.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +328,6 @@ class EffectReport:
 
 def search_effects(tree: FunctionTree, data: Dataset, max_order: int = 3,
                    use_screens: bool = True, with_pa: bool = False,
-                   h_factor: float = 0.05, r_factor: float = 0.05,
                    strength_rows: int | None = None, seed: int = 0) -> EffectReport:
     """Enumerate variable subsets up to ``max_order`` (at most 4), rank them
     by interaction strength, and report the screening path.
@@ -355,8 +348,8 @@ def search_effects(tree: FunctionTree, data: Dataset, max_order: int = 3,
 
     screening = None
     if use_screens:
-        hres = _screen_h(eng.sibling(), h_factor)
-        rres = screen_r(tree, data, threshold_factor=r_factor)
+        hres = _screen_h(eng.sibling())
+        rres = screen_r(tree, data)
         pools = {1: rres.included(1)}
         for order in range(2, max_order + 1):
             pools[order] = tuple(sorted(set(hres.flagged) & set(rres.included(order))))

@@ -142,6 +142,19 @@ def _proper_subsets(s: tuple) -> list[tuple]:
     return out
 
 
+def _pure_effect(subset: tuple, total, memo: dict) -> np.ndarray:
+    """Inclusion-exclusion over the subset lattice: ``total(subset)`` minus
+    the pure effects of every proper subset, smallest first and in the
+    subset's own order. Each result is memoized in ``memo`` by subset."""
+    cached = memo.get(subset)
+    if cached is None:
+        cached = total(subset)
+        for u in _proper_subsets(subset):
+            cached = cached - _pure_effect(u, total, memo)
+        memo[subset] = cached
+    return cached
+
+
 class _Term(NamedTuple):
     """One basis function split against a subset: path nodes inside the
     subset, path nodes outside it, and the data mean of the outside product."""
@@ -177,15 +190,7 @@ class EffectEngine:
                  use_pa: bool = False):
         self.tree = tree
         self.data = data
-        # each node's function and basis values at every data row, one
-        # contiguous vector per node id (the root's are ones)
-        ones = np.ones(data.n)
-        self.node_values = [ones]
-        self.basis = [ones]
-        for node in tree.nodes[1:]:
-            v = node.func(data.X[:, node.var])
-            self.node_values.append(v)
-            self.basis.append(self.basis[node.parent] * v)
+        self.node_values, self.basis = tree.node_columns(data.X)
         B = np.column_stack(self.basis)
         self.basis_mean = (data.weight @ B) / float(data.weight.sum())
         self.pred_full = tree.b0 + B[:, 1:].sum(axis=1)
@@ -201,7 +206,7 @@ class EffectEngine:
         self._splits: dict[frozenset, _Split] = {}
         self._centers: dict[frozenset, float] = {}
         self._rows_centered: dict[frozenset, np.ndarray] = {}
-        self._i_rows: dict[frozenset, np.ndarray] = {}
+        self._i_rows: dict[tuple, np.ndarray] = {}
         self._pa_coeffs: dict[frozenset, list] = {}
         self.fast_evals = 0.0
         self.brute_equiv = 0.0
@@ -335,28 +340,19 @@ class EffectEngine:
         return out - self.center(key)
 
     def i_rows(self, key: frozenset) -> np.ndarray:
-        cached = self._i_rows.get(key)
-        if cached is None:
-            vals = self.rows_centered(key).copy()
-            for size in range(1, len(key)):
-                for u in combinations(sorted(key), size):
-                    vals -= self.i_rows(frozenset(u))
-            cached = vals
-            self._i_rows[key] = cached
-        return cached
+        """Pure interaction of the subset at the engine's rows."""
+        return _pure_effect(tuple(sorted(key)), lambda u: self.rows_centered(frozenset(u)),
+                           self._i_rows)
 
     def i_at(self, subset: tuple, pts: np.ndarray, _memo: dict | None = None) -> np.ndarray:
-        memo = {} if _memo is None else _memo
-        key = tuple(subset)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        vals = self.effect_at(subset, pts)
-        for u in _proper_subsets(subset):
-            cols = [subset.index(v) for v in u]
-            vals = vals - self.i_at(u, pts[:, cols], memo)
-        memo[key] = vals
-        return vals
+        """Pure interaction at explicit points whose columns follow
+        ``subset``; ``_memo`` may carry results across calls on the same
+        points."""
+        subset = tuple(subset)
+        return _pure_effect(
+            subset, lambda u: self.effect_at(u, pts[:, [subset.index(v) for v in u]]),
+            {} if _memo is None else _memo,
+        )
 
     def strength(self, subset) -> float:
         key = frozenset(subset)
@@ -415,14 +411,13 @@ def pd_fast(tree: FunctionTree, subset, points=None, data: Dataset | None = None
 
 
 def pd_brute(predict_fn, subset, points=None, data: Dataset | None = None,
-             resolution: int = 50, center: str = "rows") -> EffectGrid:
+             resolution: int = 50) -> EffectGrid:
     """Brute-force partial dependence of a black-box row function.
 
     Every evaluation point is averaged over all data rows with the subset
     columns overwritten (N * N_z function evaluations, tracked in
-    ``eval_count``). ``center="rows"`` additionally averages the estimate at
-    each row's own subset values to center exactly like the fast path;
-    ``center="none"`` skips that (cheaper, uncentered).
+    ``eval_count``). The estimate is also averaged at each distinct row's
+    own subset values, which centres it exactly like the fast path.
     """
     if data is None:
         raise ValueError("data is required")
@@ -439,15 +434,9 @@ def pd_brute(predict_fn, subset, points=None, data: Dataset | None = None,
         return out
 
     values = averaged(pts)
-    evals = float(len(pts)) * data.n
-    c = 0.0
-    if center == "rows":
-        row_pts = data.X[:, cols]
-        uniq, inverse = np.unique(row_pts, axis=0, return_inverse=True)
-        c = float(np.average(averaged(uniq)[inverse], weights=data.weight))
-        evals += float(len(uniq)) * data.n
-    elif center != "none":
-        raise ValueError("center must be 'rows' or 'none'")
+    uniq, inverse = np.unique(data.X[:, cols], axis=0, return_inverse=True)
+    c = float(np.average(averaged(uniq)[inverse], weights=data.weight))
+    evals = float(len(pts)) * data.n + float(len(uniq)) * data.n
     return EffectGrid(
         subset=subset,
         names=tuple(data.variables[j].name for j in subset),

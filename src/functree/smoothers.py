@@ -125,21 +125,17 @@ class SmootherSpec:
 
     ``span`` is the fraction of observations per neighborhood; when omitted
     it defaults to 0.1 for near-neighbor averaging and 0.2 for local linear
-    fits. ``min_count`` is the minimum rows per categorical level before the
-    level falls back to the global mean.
+    fits.
     """
 
     method: str = NEAR_NEIGHBOR
     span: float | None = None
-    min_count: int = 1
 
     def __post_init__(self):
         if self.method not in (CATEGORICAL_MEAN, NEAR_NEIGHBOR, LOCAL_LINEAR):
             raise ValueError(f"unknown smoother method {self.method!r}")
         if self.span is not None and not 0.0 < self.span <= 1.0:
             raise ValueError("span must lie in (0, 1]")
-        if self.min_count < 1:
-            raise ValueError("min_count must be >= 1")
 
     def resolved_span(self) -> float:
         if self.span is not None:
@@ -203,17 +199,17 @@ def _knot_rows(xs: np.ndarray, knots: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return rows, offset, start
 
 
-def _fit_level_table(x, t, omega, min_count):
+def _fit_level_table(x, t, omega):
+    # levels without weight take the global mean
     idx = np.rint(x).astype(int)
     if np.any(idx < 0):
         raise ValueError("categorical values must be nonnegative level indices")
     size = int(idx.max()) + 1
-    count = np.bincount(idx, minlength=size)
     sw = np.bincount(idx, weights=omega, minlength=size)
     swt = np.bincount(idx, weights=omega * t, minlength=size)
     gmean = float(swt.sum() / sw.sum())
     values = np.full(size, gmean)
-    ok = (count >= min_count) & (sw > 0)
+    ok = sw > 0
     values[ok] = swt[ok] / sw[ok]
     return LevelTable(values, gmean)
 
@@ -226,7 +222,6 @@ def smooth(
     *,
     order: np.ndarray | None = None,
     knots: np.ndarray | None = None,
-    center: bool = True,
 ) -> UnivariateFunction:
     """Estimate the weighted conditional expectation E_{w^2}[ r/w | x ].
 
@@ -245,8 +240,8 @@ def smooth(
     curve goes through the same floating-point operations as when every row
     is fitted, so the result is exact, not an approximation.
 
-    With ``center=True`` (the default) the returned function is shifted so
-    its w^2-weighted mean over the included training rows is zero.
+    The returned function is not centred; the fitter recentres its nodes
+    itself.
     """
     x = np.asarray(x, dtype=float)
     r = np.asarray(r, dtype=float)
@@ -258,34 +253,26 @@ def smooth(
         raise ValueError("all rows excluded by the basis-weight floor")
 
     if spec.method == CATEGORICAL_MEAN:
-        xm, wm = x[mask], w[mask]
-        fitted = _fit_level_table(xm, r[mask] / wm, wm * wm, spec.min_count)
-    else:
-        if order is None:
-            xm, rm, wm = x[mask], r[mask], w[mask]
-            sidx = np.argsort(xm, kind="stable")
-            xs, ts, omega = xm[sidx], rm[sidx] / wm[sidx], np.square(wm[sidx])
-        else:
-            gidx = order[mask[order]]
-            ws = w[gidx]
-            xs, ts, omega = x[gidx], r[gidx] / ws, np.square(ws)
-        if knots is None:
-            knots = thin_knots(np.unique(xs))
-        rows, offset, start = _knot_rows(xs, knots)
-        m = max(2, int(round(spec.resolved_span() * len(xs))))
-        if spec.method == NEAR_NEIGHBOR:
-            vals = _near_neighbor_fit(xs, ts, omega, m, rows)
-        else:
-            vals = _local_linear_fit(xs, ts, omega, m, rows)
-        om = omega[rows]
-        gvals = np.add.reduceat(om * vals, offset) / np.add.reduceat(om, offset)
-        fitted = Curve(knots, np.interp(knots, xs[start], gvals))
-
-    if center:
         wm = w[mask]
-        c = float(np.average(fitted(x[mask]), weights=wm * wm))
-        fitted = fitted.shift(-c)
-    return fitted
+        return _fit_level_table(x[mask], r[mask] / wm, wm * wm)
+    if order is None:
+        order = np.argsort(x, kind="stable")
+    # a stable sort of all rows restricted to the included ones is the
+    # stable sort of the included rows
+    gidx = order[mask[order]]
+    ws = w[gidx]
+    xs, ts, omega = x[gidx], r[gidx] / ws, np.square(ws)
+    if knots is None:
+        knots = thin_knots(np.unique(xs))
+    rows, offset, start = _knot_rows(xs, knots)
+    m = max(2, int(round(spec.resolved_span() * len(xs))))
+    if spec.method == NEAR_NEIGHBOR:
+        vals = _near_neighbor_fit(xs, ts, omega, m, rows)
+    else:
+        vals = _local_linear_fit(xs, ts, omega, m, rows)
+    om = omega[rows]
+    gvals = np.add.reduceat(om * vals, offset) / np.add.reduceat(om, offset)
+    return Curve(knots, np.interp(knots, xs[start], gvals))
 
 
 def spline_knots(x: np.ndarray) -> np.ndarray:

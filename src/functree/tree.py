@@ -41,6 +41,8 @@ FORMAT_VERSION = 1
 
 ROOT = 0
 
+_LEVEL_MEANS = SmootherSpec(CATEGORICAL_MEAN)
+
 
 class SchemaMismatchError(ValueError):
     """Model and data disagree on the variable schema."""
@@ -122,22 +124,25 @@ class FunctionTree:
             )
         return X
 
-    def basis_values(self, X: np.ndarray) -> np.ndarray:
-        """N x K matrix of basis-function values, one column per non-root
-        node in id order. Row sums plus b0 equal predict()."""
+    def node_columns(self, X: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """Each node's function values and basis-function values at the rows
+        of X: two lists with one vector per node id, the root's being ones.
+        b0 plus the non-root basis vectors equals predict()."""
         X = self._check_matrix(X)
-        cols = np.empty((X.shape[0], len(self.nodes)))
-        cols[:, 0] = 1.0
+        ones = np.ones(X.shape[0])
+        values, basis = [ones], [ones]
         for node in self.nodes[1:]:
-            cols[:, node.id] = cols[:, node.parent] * node.func(X[:, node.var])
-        return cols[:, 1:]
+            v = node.func(X[:, node.var])
+            values.append(v)
+            basis.append(basis[node.parent] * v)
+        return values, basis
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         """Model value b0 + sum of path products, vectorized over rows."""
-        X = self._check_matrix(X)
-        if len(self.nodes) == 1:
-            return np.full(X.shape[0], self.b0)
-        return self.b0 + self.basis_values(X).sum(axis=1)
+        basis = self.node_columns(X)[1]
+        if len(basis) == 1:
+            return np.full(len(basis[0]), self.b0)
+        return self.b0 + np.column_stack(basis[1:]).sum(axis=1)
 
     def __call__(self, X: np.ndarray) -> np.ndarray:
         return self.predict(X)
@@ -157,12 +162,9 @@ class FunctionTree:
         )
 
     def recompute_influence(self, X: np.ndarray, weight: np.ndarray | None = None) -> None:
-        B = self.basis_values(X)
-        w = np.ones(B.shape[0]) if weight is None else np.asarray(weight, dtype=float)
-        mean = np.average(B, axis=0, weights=w)
-        var = np.average((B - mean) ** 2, axis=0, weights=w)
-        for node in self.nodes[1:]:
-            node.influence = float(np.sqrt(var[node.id - 1]))
+        basis = self.node_columns(X)[1]
+        w = np.ones(len(basis[0])) if weight is None else np.asarray(weight, dtype=float)
+        _set_influence(self.nodes, basis, w)
 
     # -- serialization -----------------------------------------------------
 
@@ -195,23 +197,32 @@ class FunctionTree:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "FunctionTree":
+        _check_object(doc, "model file")
         version = doc.get("format_version")
         if version != FORMAT_VERSION:
             raise FormatVersionError(f"unsupported model format version {version!r}")
         variables = []
-        for i, entry in enumerate(_field(doc, "variables", "model file")):
-            name = _field(entry, "name", f"variable {i}")
-            if _field(entry, "kind", f"variable {name!r}") == CATEGORICAL:
-                levels = _field(entry, "levels", f"variable {name!r}")
+        for i, entry in enumerate(_field(doc, "variables", "model file", list)):
+            _check_object(entry, f"variable {i}")
+            name = _field(entry, "name", f"variable {i}", str)
+            where = f"variable {name!r}"
+            kind = _field(entry, "kind", where)
+            if kind == CATEGORICAL:
+                levels = _field(entry, "levels", where, list)
+                if not all(isinstance(level, str) for level in levels):
+                    raise ValueError(f"{where}: 'levels' must be a list of strings")
                 variables.append(Variable(name, CATEGORICAL, levels=tuple(levels)))
             else:
                 rng = entry.get("range")
-                variables.append(
-                    Variable(name, NUMERIC, observed_range=None if rng is None else (rng[0], rng[1]))
-                )
+                if rng is not None and not (
+                    isinstance(rng, list) and len(rng) == 2 and all(map(_finite_number, rng))
+                ):
+                    raise ValueError(f"{where}: 'range' must be a list of two finite numbers")
+                variables.append(Variable(name, kind, observed_range=None if rng is None else tuple(rng)))
         nodes = [TreeNode(ROOT, -1, None, None)]
-        for i, entry in enumerate(_field(doc, "nodes", "model file")):
-            node_id = _field(entry, "id", f"node entry {i}")
+        for i, entry in enumerate(_field(doc, "nodes", "model file", list)):
+            _check_object(entry, f"node entry {i}")
+            node_id = _field(entry, "id", f"node entry {i}", int)
             where = f"node {node_id}"
             var, kind = _field(entry, "var", where), _field(entry, "kind", where)
             if not isinstance(var, int) or not 0 <= var < len(variables):
@@ -223,20 +234,37 @@ class FunctionTree:
                     f"{where}: a {kind!r} node cannot hold "
                     f"{variables[var].kind} variable {variables[var].name!r}"
                 )
-            values = np.array(_field(entry, "values", where))
+            values = _numbers(entry, "values", where)
             if kind == "levels":
-                func: UnivariateFunction = LevelTable(values, _field(entry, "default", where))
+                default = _field(entry, "default", where)
+                if not _finite_number(default):
+                    raise ValueError(f"{where}: 'default' must be a finite number")
+                func: UnivariateFunction = LevelTable(values, default)
             else:
-                func = Curve(np.array(_field(entry, "knots", where)), values)
+                func = Curve(_numbers(entry, "knots", where), values)
             infl = entry.get("influence")
+            if infl is not None and not _finite_number(infl):
+                raise ValueError(f"{where}: 'influence' must be null or a finite number")
             nodes.append(
-                TreeNode(node_id, _field(entry, "parent", where), var, func,
+                TreeNode(node_id, _field(entry, "parent", where, int), var, func,
                          float("nan") if infl is None else float(infl))
             )
         b0 = _field(doc, "b0", "model file")
         if not _finite_number(b0):
             raise ValueError(f"model file: b0 must be a finite number, got {b0!r}")
         return cls(tuple(variables), float(b0), nodes, doc.get("train_stats"))
+
+
+def _set_influence(nodes: list[TreeNode], basis: list[np.ndarray], weight: np.ndarray) -> None:
+    """Set each non-root node's influence to the weighted standard deviation
+    of its basis vector (``basis`` holds one vector per node id)."""
+    if len(nodes) == 1:
+        return
+    B = np.column_stack(basis[1:])
+    mean = np.average(B, axis=0, weights=weight)
+    var = np.average((B - mean) ** 2, axis=0, weights=weight)
+    for node in nodes[1:]:
+        node.influence = float(np.sqrt(var[node.id - 1]))
 
 
 def _finite_number(value) -> bool:
@@ -250,12 +278,33 @@ def _finite_number(value) -> bool:
         return False
 
 
-def _field(entry: dict, key: str, where: str):
-    """``entry[key]``, or a ValueError naming the key and where it is missing."""
+_JSON_TYPES = {list: "a list", str: "a string", int: "an integer"}
+
+
+def _check_object(entry, where: str) -> None:
+    if not isinstance(entry, dict):
+        raise ValueError(f"{where}: expected a JSON object, got {type(entry).__name__}")
+
+
+def _field(entry: dict, key: str, where: str, kind: type | None = None):
+    """``entry[key]``, or a ValueError naming the key and where it is missing
+    or, given ``kind``, where it has another JSON type."""
     try:
-        return entry[key]
+        value = entry[key]
     except KeyError:
         raise ValueError(f"{where}: missing key {key!r}") from None
+    if kind is not None and not isinstance(value, kind):
+        raise ValueError(f"{where}: {key!r} must be {_JSON_TYPES[kind]}")
+    return value
+
+
+def _numbers(entry: dict, key: str, where: str) -> np.ndarray:
+    """``entry[key]`` as a float array, or a ValueError unless it is a list
+    of numbers; the function it builds checks shape and finiteness."""
+    value = np.array(_field(entry, key, where, list))
+    if value.dtype.kind not in "iuf":
+        raise ValueError(f"{where}: {key!r} must be a list of numbers")
+    return value.astype(float)
 
 
 def save(tree: FunctionTree, path) -> None:
@@ -307,7 +356,6 @@ class FitConfig:
     max_order: int = 0
     forbidden_subsets: tuple[frozenset[int], ...] = ()
     numeric_smoother: SmootherSpec = SmootherSpec(LOCAL_LINEAR, span=0.15)
-    categorical_smoother: SmootherSpec = SmootherSpec(CATEGORICAL_MEAN)
     split: SplitSpec = SplitSpec()
     backfit_passes: int = 2
     patience: int = 5
@@ -319,8 +367,6 @@ class FitConfig:
             raise ValueError("max_order, backfit_passes, patience must be >= 0")
         if self.numeric_smoother.method == CATEGORICAL_MEAN:
             raise ValueError("numeric smoother must be near_neighbor or local_linear")
-        if self.categorical_smoother.method != CATEGORICAL_MEAN:
-            raise ValueError("categorical smoother must be categorical_mean")
         object.__setattr__(
             self, "forbidden_subsets", tuple(frozenset(s) for s in self.forbidden_subsets)
         )
@@ -425,7 +471,6 @@ class TreeFitter:
         # additions below this gain are float noise, not structure
         self.min_gain = 1e-12 * float(np.sum(self.rho * (self.ytr - np.average(self.ytr, weights=self.rho)) ** 2))
         self.history: list[dict] = []
-        self.last_choice: tuple[int, int] | None = None
 
     # -- plumbing ----------------------------------------------------------
 
@@ -449,16 +494,9 @@ class TreeFitter:
     def train_sse(self) -> float:
         return float(np.sum(self.rho * self.resid**2))
 
-    def _spec_for(self, j: int) -> SmootherSpec:
-        if self.data.variables[j].is_categorical:
-            return self.config.categorical_smoother
-        return self.config.numeric_smoother
-
     def _smooth(self, j: int, r: np.ndarray, w: np.ndarray) -> UnivariateFunction:
-        return smooth(
-            self.Xtr[:, j], r, w, self._spec_for(j),
-            order=self.orders[j], knots=self.knot_grids[j], center=False,
-        )
+        spec = _LEVEL_MEANS if self.data.variables[j].is_categorical else self.config.numeric_smoother
+        return smooth(self.Xtr[:, j], r, w, spec, order=self.orders[j], knots=self.knot_grids[j])
 
     def _subtree(self, k: int) -> list[int]:
         out = [k]
@@ -523,35 +561,28 @@ class TreeFitter:
         beta = num / den
         return num * num / den, f, beta
 
-    def score_all_candidates(self) -> list[tuple[float, int, int]]:
-        out = []
+    def score_all_candidates(self):
+        """Yield (sse_reduction, parent, variable, function, scale) for every
+        admissible candidate, parents then variables in index order."""
         for k in range(len(self.nodes)):
             for j in range(self.data.p):
                 res = self.score_candidate(k, j)
                 if res is not None:
-                    out.append((res[0], k, j))
-        return out
+                    yield (res[0], k, j, *res[1:])
 
-    def step(self) -> bool:
-        """Attach the best-scoring candidate; ties break toward lower node
-        id then lower variable index. Returns False when no candidate is
-        admissible."""
-        best_red = self.min_gain
-        best = None
-        for k in range(len(self.nodes)):
-            for j in range(self.data.p):
-                res = self.score_candidate(k, j)
-                if res is not None and res[0] > best_red:
-                    best_red, best = res[0], (k, j, *res[1:])
-        if best is None:
-            return False
-        k, j, func, beta = best
+    def step(self) -> tuple[int, int] | None:
+        """Attach the best-scoring candidate and return its (parent,
+        variable); ties break toward lower node id then lower variable
+        index. Returns None when no candidate gains more than float noise."""
+        best = max(self.score_all_candidates(), key=lambda cand: cand[0], default=None)
+        if best is None or not best[0] > self.min_gain:
+            return None
+        _, k, j, func, beta = best
         node = TreeNode(len(self.nodes), k, j, func.scale(beta))
         self.nodes.append(node)
         self._register(node)
         self.resid = self.resid - self.B_tr[node.id]
-        self.last_choice = (k, j)
-        return True
+        return k, j
 
     # -- backfitting and centering ------------------------------------------
 
@@ -626,11 +657,7 @@ class TreeFitter:
 
     def _snapshot(self) -> FunctionTree:
         tree = FunctionTree(self.data.variables, self.b0, [replace(n) for n in self.nodes])
-        B = np.column_stack(self.B_tr[1:]) if len(self.nodes) > 1 else np.empty((self.n_tr, 0))
-        mean = np.average(B, axis=0, weights=self.rho) if B.size else np.empty(0)
-        var = np.average((B - mean) ** 2, axis=0, weights=self.rho) if B.size else np.empty(0)
-        for node in tree.nodes[1:]:
-            node.influence = float(np.sqrt(var[node.id - 1]))
+        _set_influence(tree.nodes, self.B_tr, self.rho)
         return tree
 
     def _test_rmse(self) -> float:

@@ -268,8 +268,8 @@ def test_criterion_9_property_suite(friedman_bench, tmp_path):
     x = rng.normal(size=300) + 1e-4 * np.arange(300)
     r = rng.normal(size=300)
     w = rng.uniform(0.5, 1.5, 300)
-    base = smooth(x, r, w, SmootherSpec("near_neighbor", span=0.2), center=False)
-    trans = smooth(x**3, r, w, SmootherSpec("near_neighbor", span=0.2), center=False)
+    base = smooth(x, r, w, SmootherSpec("near_neighbor", span=0.2))
+    trans = smooth(x**3, r, w, SmootherSpec("near_neighbor", span=0.2))
     equiv = float(np.max(np.abs(np.sort(base.values) - np.sort(trans.values))))
     details.append(f"equivariance {equiv:.1e}")
 

@@ -1,10 +1,13 @@
 """End-to-end command-line workflows."""
 
+import copy
 import csv
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import functree as ft
 from functree.cli import main
@@ -201,13 +204,20 @@ def test_exit_code_3_on_data_errors(workdir, tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_predict_rejects_malformed_model_files(tmp_path, capsys):
-    data = tmp_path / "small.csv"
+def _small_csv(root):
+    """A 30-row CSV with a numeric predictor n and a categorical c of levels
+    a and b."""
+    data = root / "small.csv"
     with open(data, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["n", "c", "y"])
         for i in range(30):
             writer.writerow([i / 10, "ab"[i % 2], i % 3])
+    return data
+
+
+def test_predict_rejects_malformed_model_files(tmp_path, capsys):
+    data = _small_csv(tmp_path)
     variables = [{"name": "n", "kind": "numeric", "range": [0.0, 2.9]},
                  {"name": "c", "kind": "categorical", "levels": ["a", "b"]}]
     curve = {"kind": "curve", "knots": [0.0, 3.0], "values": [0.0, 1.0]}
@@ -237,6 +247,82 @@ def test_predict_rejects_malformed_model_files(tmp_path, capsys):
                          encoding="utf-8")
         assert run("predict", "--model", model, "--data", data, "--out", tmp_path / "p.csv") == 3
         assert message in capsys.readouterr().err
+    # a JSON value of the wrong type where an object, a list, a number pair
+    # or an integer is expected
+    valid = {"format_version": 1, "b0": 0.0, "variables": variables, "nodes": [node]}
+    numeric = {"name": "n", "kind": "numeric"}
+    for doc, message in (
+        ({**valid, "nodes": [[1, 0]]}, "error: node entry 0: expected a JSON object"),
+        ({**valid, "variables": [["n", "numeric"], variables[1]]},
+         "error: variable 0: expected a JSON object"),
+        ({**valid, "variables": [{**numeric, "range": 5}, variables[1]]},
+         "error: variable 'n': 'range' must be a list of two finite numbers"),
+        ({**valid, "variables": [{**numeric, "range": [1.0]}, variables[1]]},
+         "error: variable 'n': 'range' must be a list of two finite numbers"),
+        ({**valid, "nodes": {}}, "error: model file: 'nodes' must be a list"),
+        ({**valid, "nodes": [{**node, "id": 1.0}]}, "error: node entry 0: 'id' must be an integer"),
+        ([valid], "error: model file: expected a JSON object"),
+    ):
+        model.write_text(json.dumps(doc), encoding="utf-8")
+        assert run("predict", "--model", model, "--data", data, "--out", tmp_path / "p.csv") == 3
+        assert message in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def model_files(tmp_path_factory):
+    """A small CSV and a valid model document for it with a curve node and
+    a level-table child."""
+    root = tmp_path_factory.mktemp("model_files")
+    data = _small_csv(root)
+    doc = {
+        "format_version": 1,
+        "b0": 0.5,
+        "variables": [{"name": "n", "kind": "numeric", "range": [0.0, 2.9]},
+                      {"name": "c", "kind": "categorical", "levels": ["a", "b"]}],
+        "nodes": [
+            {"id": 1, "parent": 0, "var": 0, "kind": "curve", "knots": [0.0, 3.0],
+             "values": [0.0, 1.0], "influence": 0.5},
+            {"id": 2, "parent": 1, "var": 1, "kind": "levels", "values": [1.0, -1.0],
+             "default": 0.0, "influence": None},
+        ],
+        "train_stats": {"train_rmse": 0.5, "test_rmse": 0.6, "n_nodes": 2},
+    }
+    assert ft.FunctionTree.from_dict(doc).n_nodes == 2
+    return {"root": root, "data": data, "doc": doc}
+
+
+def _json_slots(value, out):
+    """Every (container, key) pair inside a JSON value, depth first."""
+    keys = list(value) if isinstance(value, dict) else range(len(value))
+    for key in keys:
+        out.append((value, key))
+        if isinstance(value[key], (dict, list)):
+            _json_slots(value[key], out)
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    slot=st.integers(0, 10**6),
+    action=st.sampled_from(["drop", "replace"]),
+    value=st.sampled_from([None, True, "x", [], {}, [1, 0], [1.0], -1, 2.5,
+                           float("nan"), 10**400, -(10**400)]),
+)
+def test_predict_never_raises_on_mutated_model_files(model_files, slot, action, value):
+    # drop any key or list entry of a valid model, or put a value of another
+    # JSON type, a NaN or an integer beyond the float range in its place:
+    # predict and effects either work or exit 3, and never raise
+    holder = {"doc": copy.deepcopy(model_files["doc"])}
+    container, key = (slots := _json_slots(holder, []))[slot % len(slots)]
+    if action == "drop":
+        del container[key]
+    else:
+        container[key] = value
+    model = model_files["root"] / "mutated.json"
+    model.write_text(json.dumps(holder.get("doc")), encoding="utf-8")
+    out = model_files["root"] / "out.csv"
+    for command in ("predict", "effects"):
+        assert run(command, "--model", model, "--data", model_files["data"], "--out", out) in (0, 3)
 
 
 def test_end_to_end_determinism(tmp_path):

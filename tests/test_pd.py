@@ -131,8 +131,9 @@ def test_brute_eval_counter_is_n_times_points():
     X = rng.normal(size=(50, 2))
     data = Dataset((Variable("a", "numeric"), Variable("b", "numeric")), X, X[:, 0])
     pts = np.array([[0.0], [1.0], [2.0]])
-    grid = pd_brute(lambda M: M[:, 0], (0,), pts, data, center="none")
-    assert grid.eval_count == 50 * 3
+    grid = pd_brute(lambda M: M[:, 0], (0,), pts, data)
+    # the grid, then the 50 distinct row values that centre it
+    assert grid.eval_count == 50 * (3 + 50)
 
 
 # ---------------------------------------------------------------------------

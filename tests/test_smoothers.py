@@ -20,8 +20,8 @@ from functree.smoothers import (
 )
 
 
-def spec(method, span=None, min_count=1):
-    return SmootherSpec(method, span=span, min_count=min_count)
+def spec(method, span=None):
+    return SmootherSpec(method, span=span)
 
 
 # ---------------------------------------------------------------------------
@@ -82,7 +82,7 @@ def test_thin_knots_keeps_endpoints():
 def test_categorical_unweighted_means():
     x = np.array([0.0, 0.0, 1.0])
     r = np.array([1.0, 3.0, 5.0])
-    f = smooth(x, r, np.ones(3), spec("categorical_mean"), center=False)
+    f = smooth(x, r, np.ones(3), spec("categorical_mean"))
     np.testing.assert_allclose(f.values, [2.0, 5.0])
 
 
@@ -91,25 +91,15 @@ def test_categorical_weighted_mean_hand_value():
     x = np.array([0.0, 0.0])
     r = np.array([2.0, 6.0])
     w = np.array([1.0, 2.0])
-    f = smooth(x, r, w, spec("categorical_mean"), center=False)
+    f = smooth(x, r, w, spec("categorical_mean"))
     assert f.values[0] == pytest.approx(2.8)
-
-
-def test_categorical_min_count_fallback():
-    x = np.array([0.0, 0.0, 1.0])
-    r = np.array([2.0, 4.0, 10.0])
-    f = smooth(x, r, np.ones(3), spec("categorical_mean", min_count=2), center=False)
-    global_mean = (2.0 + 4.0 + 10.0) / 3.0
-    assert f.values[0] == pytest.approx(3.0)
-    assert f.values[1] == pytest.approx(global_mean)
-    assert f.default == pytest.approx(global_mean)
 
 
 def test_weight_one_reduces_to_plain_level_means():
     rng = np.random.default_rng(0)
     x = rng.integers(0, 4, 60).astype(float)
     r = rng.normal(size=60)
-    f = smooth(x, r, np.ones(60), spec("categorical_mean"), center=False)
+    f = smooth(x, r, np.ones(60), spec("categorical_mean"))
     for lev in range(4):
         assert f.values[lev] == pytest.approx(r[x == lev].mean())
 
@@ -124,10 +114,8 @@ def test_constant_ratio_gives_constant_then_zero(method):
     x = rng.normal(size=80)
     w = rng.uniform(0.5, 2.0, size=80)
     r = 3.25 * w
-    raw = smooth(x, r, w, spec(method), center=False)
+    raw = smooth(x, r, w, spec(method))
     np.testing.assert_allclose(raw.values, 3.25, atol=1e-12)
-    centered = smooth(x, r, w, spec(method))
-    np.testing.assert_allclose(centered.values, 0.0, atol=1e-12)
 
 
 def test_local_linear_reproduces_exact_line():
@@ -136,14 +124,14 @@ def test_local_linear_reproduces_exact_line():
     w = np.ones(200)
     r = 2.0 * x + 1.0
     for span in (0.1, 0.3, 1.0):
-        f = smooth(x, r, w, spec("local_linear", span=span), center=False)
+        f = smooth(x, r, w, spec("local_linear", span=span))
         np.testing.assert_allclose(f.values, 2.0 * f.knots + 1.0, atol=1e-10)
 
 
 def test_near_neighbor_smooths_means():
     x = np.linspace(0.0, 1.0, 101)
     r = np.sin(2.0 * np.pi * x)
-    f = smooth(x, r, np.ones(101), spec("near_neighbor", span=0.05), center=False)
+    f = smooth(x, r, np.ones(101), spec("near_neighbor", span=0.05))
     interior = (x > 0.05) & (x < 0.95)
     assert np.max(np.abs(f(x)[interior] - r[interior])) < 0.05
     # edge windows shrink on one side, so edge bias is larger but bounded
@@ -154,7 +142,7 @@ def test_weight_floor_excludes_rows():
     x = np.array([0.0, 1.0, 2.0, 3.0])
     r = np.array([1.0, 1.0, 500.0, 1.0])
     w = np.array([1.0, 1.0, 1e-12, 1.0])  # third row would blow up r/w
-    f = smooth(x, r, w, spec("near_neighbor", span=1.0), center=False)
+    f = smooth(x, r, w, spec("near_neighbor", span=1.0))
     np.testing.assert_allclose(f.values, 1.0, atol=1e-9)
 
 
@@ -194,9 +182,10 @@ def test_precomputed_order_matches_fresh_sort():
     r = rng.normal(size=120)
     w = rng.uniform(0.1, 1.0, 120)
     order = np.argsort(x, kind="stable")
-    a = smooth(x, r, w, spec("local_linear"), order=order, center=False)
-    b = smooth(x, r, w, spec("local_linear"), center=False)
-    np.testing.assert_allclose(a.values, b.values, atol=1e-14)
+    a = smooth(x, r, w, spec("local_linear"), order=order)
+    b = smooth(x, r, w, spec("local_linear"))
+    np.testing.assert_array_equal(a.knots, b.knots)
+    np.testing.assert_array_equal(a.values, b.values)
 
 
 @settings(max_examples=25, deadline=None)
@@ -209,34 +198,21 @@ def test_near_neighbor_rank_equivariance(seed):
     x += 0.001 * np.arange(60)  # ensure distinctness
     r = rng.normal(size=60)
     w = rng.uniform(0.5, 1.5, size=60)
-    base = smooth(x, r, w, spec("near_neighbor", span=0.2), center=False)
-    trans = smooth(np.exp(x), r, w, spec("near_neighbor", span=0.2), center=False)
+    base = smooth(x, r, w, spec("near_neighbor", span=0.2))
+    trans = smooth(np.exp(x), r, w, spec("near_neighbor", span=0.2))
     np.testing.assert_allclose(np.sort(base.values), np.sort(trans.values), atol=1e-10)
-
-
-@settings(max_examples=25, deadline=None)
-@given(st.integers(0, 2**32 - 1))
-def test_centered_output_has_zero_weighted_mean(seed):
-    rng = np.random.default_rng(seed)
-    x = rng.normal(size=50)
-    r = rng.normal(size=50)
-    w = rng.uniform(0.1, 2.0, size=50)
-    f = smooth(x, r, w, spec("near_neighbor", span=0.3))
-    mask = np.abs(w) >= weight_floor(w)
-    mean = np.average(f(x[mask]), weights=w[mask] ** 2)
-    assert abs(mean) < 1e-10
 
 
 # ---------------------------------------------------------------------------
 # smooth(): the knot-row numeric path against the full-row reference
 # ---------------------------------------------------------------------------
 
-def reference_smooth(x, r, w, spec, *, order=None, knots=None, center=True):
+def reference_smooth(x, r, w, spec, *, order=None, knots=None):
     """The full-row numeric smoother: the windowed fit at every included
     row, one weighted mean per distinct x, then interpolation at the knots.
     Categorical specs go to ``smooth``."""
     if spec.method == "categorical_mean":
-        return smooth(x, r, w, spec, order=order, knots=knots, center=center)
+        return smooth(x, r, w, spec, order=order, knots=knots)
     x, r, w = (np.asarray(a, dtype=float) for a in (x, r, w))
     mask = (np.abs(w) >= weight_floor(w)) & (w != 0.0)
     if not mask.any():
@@ -273,11 +249,7 @@ def reference_smooth(x, r, w, spec, *, order=None, knots=None, center=True):
     uvals = np.add.reduceat(omega * vals, start) / np.add.reduceat(omega, start)
     if knots is None:
         knots = thin_knots(uniq)
-    fitted = Curve(knots, np.interp(knots, uniq, uvals))
-    if center:
-        wm = w[mask]
-        fitted = fitted.shift(-float(np.average(fitted(x[mask]), weights=wm * wm)))
-    return fitted
+    return Curve(knots, np.interp(knots, uniq, uvals))
 
 
 @settings(max_examples=300, deadline=None)
@@ -290,10 +262,8 @@ def reference_smooth(x, r, w, spec, *, order=None, knots=None, center=True):
     span=st.one_of(st.none(), st.floats(0.01, 1.0)),
     with_order=st.booleans(),
     grid=st.sampled_from(["none", "full", "thinned", "off_data"]),
-    center=st.booleans(),
 )
-def test_smooth_equals_full_row_reference(seed, n, xkind, weights, method, span, with_order,
-                                          grid, center):
+def test_smooth_equals_full_row_reference(seed, n, xkind, weights, method, span, with_order, grid):
     rng = np.random.default_rng(seed)
     if xkind == "distinct":
         x = rng.normal(size=n)
@@ -309,7 +279,7 @@ def test_smooth_equals_full_row_reference(seed, n, xkind, weights, method, span,
         w[rng.random(n) < 0.1] = 1e-9
     if not (w != 0.0).any():
         w[0] = 1.0
-    kw = {"center": center}
+    kw = {}
     if with_order:
         kw["order"] = np.argsort(x, kind="stable")
     if grid == "full":

@@ -64,16 +64,20 @@ def test_basis_values_consistency():
     rng = np.random.default_rng(1)
     tree = random_tree(rng, p=5, max_nodes=12)
     X = random_dataset(rng, tree, n=100).X
-    B = tree.basis_values(X)
+    values, basis = tree.node_columns(X)
+    B = np.column_stack(basis[1:])
     np.testing.assert_allclose(tree.b0 + B.sum(axis=1), tree.predict(X), atol=1e-12)
     assert B.shape == (100, tree.n_nodes)
+    assert len(values) == len(basis) == len(tree.nodes)
 
 
 def test_single_node_basis_is_function_column():
     nodes = [TreeNode(0, -1, None, None), TreeNode(1, 0, 0, identity_curve())]
     tree = FunctionTree(two_numeric_vars(), 0.0, nodes)
     X = np.array([[1.0, 9.0], [2.0, 9.0]])
-    np.testing.assert_allclose(tree.basis_values(X)[:, 0], [1.0, 2.0])
+    values, basis = tree.node_columns(X)
+    np.testing.assert_allclose(basis[1], [1.0, 2.0])
+    np.testing.assert_allclose(values[1], [1.0, 2.0])
 
 
 def test_interaction_order_counts_distinct_path_variables():
@@ -171,11 +175,10 @@ def test_fit_best_first_choice_matches_exhaustive_rescoring():
     data = ft.gen_friedman(300, seed=13)
     fitter = TreeFitter(data, FitConfig())
     for _ in range(3):
-        scores = fitter.score_all_candidates()
+        scores = list(fitter.score_all_candidates())
         best_red = max(s[0] for s in scores)
-        winners = [(k, j) for red, k, j in scores if red >= best_red - 1e-12 * max(1.0, best_red)]
-        assert fitter.step()
-        assert fitter.last_choice == winners[0]
+        winners = [(k, j) for red, k, j, *_ in scores if red >= best_red - 1e-12 * max(1.0, best_red)]
+        assert fitter.step() == winners[0]
 
 
 def test_fit_constant_outcome_gives_root_only():
@@ -205,7 +208,7 @@ def test_stored_test_rmse_matches_recomputation(friedman_data, friedman_model):
 
 def test_node_influences_are_basis_sds(friedman_data, friedman_model):
     tr, te = split_indices(friedman_data.n, FitConfig().split)
-    B = friedman_model.basis_values(friedman_data.X[tr])
+    B = np.column_stack(friedman_model.node_columns(friedman_data.X[tr])[1][1:])
     sds = B.std(axis=0)
     stored = np.array([n.influence for n in friedman_model.nodes[1:]])
     np.testing.assert_allclose(stored, sds, atol=1e-9)
