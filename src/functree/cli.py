@@ -331,7 +331,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", type=int, default=50, help="points per numeric variable")
     p.add_argument("--out", required=True)
     p.add_argument("--pa", action="store_true", help="partial association instead of dependence")
-    p.add_argument("--brute", action="store_true", help="brute-force averaging instead of the fast path")
+    p.add_argument("--brute", action="store_true",
+                   help="brute-force averaging instead of the fast path: N x (grid points + "
+                        "distinct data values) model evaluations, about N^2 on a numeric column")
     p.set_defaults(func=cmd_pd)
 
     p = add_parser("interact", help="export a pure-interaction grid")

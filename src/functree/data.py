@@ -192,7 +192,9 @@ def load_csv(
     cells are rejected; predictor columns with a single distinct value are
     dropped with a warning.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    # utf-8-sig drops a byte-order mark, which would otherwise join the first
+    # column name
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

@@ -415,9 +415,11 @@ def pd_brute(predict_fn, subset, points=None, data: Dataset | None = None,
     """Brute-force partial dependence of a black-box row function.
 
     Every evaluation point is averaged over all data rows with the subset
-    columns overwritten (N * N_z function evaluations, tracked in
-    ``eval_count``). The estimate is also averaged at each distinct row's
-    own subset values, which centres it exactly like the fast path.
+    columns overwritten (N * N_z function evaluations). The estimate is also
+    averaged at each of the U distinct subset values of the data rows, which
+    centres it exactly like the fast path and costs N * U more: about N^2
+    on a numeric column, whatever the grid size. ``eval_count`` carries the
+    total N * (N_z + U).
     """
     if data is None:
         raise ValueError("data is required")

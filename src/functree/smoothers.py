@@ -157,29 +157,6 @@ def _window_bounds(rows: np.ndarray, n: int, m: int) -> tuple[np.ndarray, np.nda
     return lo, hi
 
 
-def _windowed_sums(v: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    c = np.concatenate([[0.0], np.cumsum(v)])
-    return c[hi + 1] - c[lo]
-
-
-def _near_neighbor_fit(xs, ts, omega, m, rows):
-    lo, hi = _window_bounds(rows, len(xs), m)
-    return _windowed_sums(omega * ts, lo, hi) / _windowed_sums(omega, lo, hi)
-
-
-def _local_linear_fit(xs, ts, omega, m, rows):
-    lo, hi = _window_bounds(rows, len(xs), m)
-    s0 = _windowed_sums(omega, lo, hi)
-    xbar = _windowed_sums(omega * xs, lo, hi) / s0
-    tbar = _windowed_sums(omega * ts, lo, hi) / s0
-    varx = _windowed_sums(omega * xs * xs, lo, hi) / s0 - xbar**2
-    covxt = _windowed_sums(omega * xs * ts, lo, hi) / s0 - xbar * tbar
-    span_x = float(xs[-1] - xs[0])
-    good = varx > max(1e-12 * span_x * span_x, 1e-300)
-    slope = np.where(good, covxt / np.where(good, varx, 1.0), 0.0)
-    return tbar + slope * (xs[rows] - xbar)
-
-
 def _knot_rows(xs: np.ndarray, knots: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The rows of sorted ``xs`` that linear interpolation at ``knots``
     reads, as whole distinct-x groups: the group equal to a knot, or the
@@ -199,19 +176,95 @@ def _knot_rows(xs: np.ndarray, knots: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return rows, offset, start
 
 
-def _fit_level_table(x, t, omega):
+def _fit_level_table(x, omega, omega_t):
     # levels without weight take the global mean
     idx = np.rint(x).astype(int)
     if np.any(idx < 0):
         raise ValueError("categorical values must be nonnegative level indices")
     size = int(idx.max()) + 1
     sw = np.bincount(idx, weights=omega, minlength=size)
-    swt = np.bincount(idx, weights=omega * t, minlength=size)
+    swt = np.bincount(idx, weights=omega_t, minlength=size)
     gmean = float(swt.sum() / sw.sum())
     values = np.full(size, gmean)
     ok = sw > 0
     values[ok] = swt[ok] / sw[ok]
     return LevelTable(values, gmean)
+
+
+class SortedColumn:
+    """The part of numeric smoothing that depends only on x and the included
+    rows: those rows in stable x order (``gidx``) with their x values
+    (``xs``), the knot grid, and the rows, distinct-x groups and rank
+    windows that a fit onto that grid reads. A fitter builds one per
+    variable for all its training rows and reuses it while the set of
+    included rows stays the same."""
+
+    def __init__(self, xs: np.ndarray, gidx: np.ndarray, knots: np.ndarray | None, span: float):
+        n = len(xs)
+        self.xs, self.gidx, self.span = xs, gidx, span
+        self.knots = thin_knots(np.unique(xs)) if knots is None else knots
+        self.rows, self.offset, self.start = _knot_rows(xs, self.knots)
+        self.lo, self.hi = _window_bounds(self.rows, n, max(2, int(round(span * n))))
+        self.x_rows, self.x_start = xs[self.rows], xs[self.start]
+
+    def restrict(self, mask: np.ndarray) -> "SortedColumn":
+        """The column of the rows where ``mask`` holds, on the same knot grid."""
+        keep = mask[self.gidx]
+        return SortedColumn(self.xs[keep], self.gidx[keep], self.knots, self.span)
+
+
+class SmoothingTarget:
+    """The part of smoothing that depends only on (r, w): the rows the
+    weight floor keeps (``mask``), and in row order the target ts = r/w,
+    its weight omega = w^2 and omega * ts. Excluded rows hold ts = 0 and
+    are never divided. Raises ValueError when every row is excluded."""
+
+    def __init__(self, r: np.ndarray, w: np.ndarray):
+        mask = (np.abs(w) >= weight_floor(w)) & (w != 0.0)
+        if not mask.any():
+            raise ValueError("all rows excluded by the basis-weight floor")
+        self.mask = mask
+        self.full = bool(mask.all())
+        self.ts = r / w if self.full else np.divide(r, w, out=np.zeros(len(w)), where=mask)
+        self.omega = np.square(w)
+        self.omega_ts = self.omega * self.ts
+
+    def level_means(self, x: np.ndarray) -> LevelTable:
+        """The omega-weighted mean of ts per level of categorical ``x``."""
+        m = self.mask
+        return _fit_level_table(x[m], self.omega[m], self.omega_ts[m])
+
+    def curve(self, col: SortedColumn, method: str) -> Curve:
+        """The rank-window fit of ts on a column built for exactly this
+        target's included rows (``col.restrict(self.mask)`` unless the mask
+        is full), interpolated at the column's knots."""
+        g = col.gidx
+        omega, omega_ts = self.omega[g], self.omega_ts[g]
+        lo, hi1 = col.lo, col.hi + 1
+        c = np.empty(len(g) + 1)
+        c[0] = 0.0
+
+        def windowed(v):
+            np.cumsum(v, out=c[1:])
+            return c[hi1] - c[lo]
+
+        s0 = windowed(omega)
+        if method == NEAR_NEIGHBOR:
+            vals = windowed(omega_ts) / s0
+        else:
+            xs = col.xs
+            omega_x = omega * xs
+            xbar = windowed(omega_x) / s0
+            tbar = windowed(omega_ts) / s0
+            varx = windowed(omega_x * xs) / s0 - xbar**2
+            covxt = windowed(omega_x * self.ts[g]) / s0 - xbar * tbar
+            span_x = float(xs[-1] - xs[0])
+            good = varx > max(1e-12 * span_x * span_x, 1e-300)
+            slope = np.where(good, covxt / np.where(good, varx, 1.0), 0.0)
+            vals = tbar + slope * (col.x_rows - xbar)
+        om = omega[col.rows]
+        gvals = np.add.reduceat(om * vals, col.offset) / np.add.reduceat(om, col.offset)
+        return Curve(col.knots, np.interp(col.knots, col.x_start, gvals))
 
 
 def smooth(
@@ -240,39 +293,25 @@ def smooth(
     curve goes through the same floating-point operations as when every row
     is fitted, so the result is exact, not an approximation.
 
-    The returned function is not centred; the fitter recentres its nodes
-    itself.
+    This is ``SmoothingTarget(r, w)`` fitted on the ``SortedColumn`` of its
+    included rows; a fitter that smooths many targets against the same
+    columns builds those pieces once each. The returned function is not
+    centred; the fitter recentres its nodes itself.
     """
     x = np.asarray(x, dtype=float)
     r = np.asarray(r, dtype=float)
     w = np.asarray(w, dtype=float)
     if not (len(x) == len(r) == len(w)):
         raise ValueError("x, r, w must have equal lengths")
-    mask = (np.abs(w) >= weight_floor(w)) & (w != 0.0)
-    if not mask.any():
-        raise ValueError("all rows excluded by the basis-weight floor")
-
+    target = SmoothingTarget(r, w)
     if spec.method == CATEGORICAL_MEAN:
-        wm = w[mask]
-        return _fit_level_table(x[mask], r[mask] / wm, wm * wm)
+        return target.level_means(x)
     if order is None:
         order = np.argsort(x, kind="stable")
     # a stable sort of all rows restricted to the included ones is the
     # stable sort of the included rows
-    gidx = order[mask[order]]
-    ws = w[gidx]
-    xs, ts, omega = x[gidx], r[gidx] / ws, np.square(ws)
-    if knots is None:
-        knots = thin_knots(np.unique(xs))
-    rows, offset, start = _knot_rows(xs, knots)
-    m = max(2, int(round(spec.resolved_span() * len(xs))))
-    if spec.method == NEAR_NEIGHBOR:
-        vals = _near_neighbor_fit(xs, ts, omega, m, rows)
-    else:
-        vals = _local_linear_fit(xs, ts, omega, m, rows)
-    om = omega[rows]
-    gvals = np.add.reduceat(om * vals, offset) / np.add.reduceat(om, offset)
-    return Curve(knots, np.interp(knots, xs[start], gvals))
+    gidx = order if target.full else order[target.mask[order]]
+    return target.curve(SortedColumn(x[gidx], gidx, knots, spec.resolved_span()), spec.method)
 
 
 def spline_knots(x: np.ndarray) -> np.ndarray:

@@ -31,6 +31,8 @@ from .smoothers import (
     Curve,
     LevelTable,
     SmootherSpec,
+    SmoothingTarget,
+    SortedColumn,
     UnivariateFunction,
     combine,
     smooth,
@@ -239,6 +241,12 @@ class FunctionTree:
                 default = _field(entry, "default", where)
                 if not _finite_number(default):
                     raise ValueError(f"{where}: 'default' must be a finite number")
+                n_levels = variables[var].n_levels
+                if len(values) > n_levels:
+                    raise ValueError(
+                        f"{where}: level table has {len(values)} values but variable "
+                        f"{variables[var].name!r} has {n_levels} levels"
+                    )
                 func: UnivariateFunction = LevelTable(values, default)
             else:
                 func = Curve(_numbers(entry, "knots", where), values)
@@ -392,7 +400,6 @@ class _ColumnEval:
             i = np.clip(np.searchsorted(knots, col, side="right") - 1, 0, len(knots) - 2)
             gap = knots[i + 1] - knots[i]
             self.i0 = i
-            self.i1 = i + 1
             self.frac = np.clip((col - knots[i]) / gap, 0.0, 1.0)
 
     def apply(self, func: UnivariateFunction) -> np.ndarray:
@@ -411,7 +418,7 @@ class _ColumnEval:
         if self.i0 is None:
             return np.full(self.n, func.values[0])
         v = func.values
-        return v[self.i0] * (1.0 - self.frac) + v[self.i1] * self.frac
+        return v[self.i0] * (1.0 - self.frac) + v[1:][self.i0] * self.frac
 
 
 class TreeFitter:
@@ -436,21 +443,22 @@ class TreeFitter:
         self.sqrt_rho = np.sqrt(self.rho)
         self.n_tr = len(tr)
 
-        # per-variable preparation shared by every smoother call
-        self.knot_grids: list[np.ndarray | None] = []
-        self.orders: list[np.ndarray | None] = []
+        # per-variable preparation shared by every smoother call: for numeric
+        # variables the knot grid and the training rows in x order
+        self.columns: list[SortedColumn | None] = []
         self.eval_tr: list[_ColumnEval] = []
         self.eval_te: list[_ColumnEval] = []
-        for j, v in enumerate(data.variables):
-            col = self.Xtr[:, j]
+        span = config.numeric_smoother.resolved_span()
+        for v, col, col_te in zip(data.variables, self.Xtr.T, self.Xte.T):
+            grid = None
             if v.is_categorical:
-                self.knot_grids.append(None)
-                self.orders.append(None)
+                self.columns.append(None)
             else:
-                self.knot_grids.append(thin_knots(np.unique(col)))
-                self.orders.append(np.argsort(col, kind="stable"))
-            self.eval_tr.append(_ColumnEval(col, self.knot_grids[j]))
-            self.eval_te.append(_ColumnEval(self.Xte[:, j], self.knot_grids[j]))
+                grid = thin_knots(np.unique(col))
+                order = np.argsort(col, kind="stable")
+                self.columns.append(SortedColumn(col[order], order, grid, span))
+            self.eval_tr.append(_ColumnEval(col, grid))
+            self.eval_te.append(_ColumnEval(col_te, grid))
 
         if tree is None:
             self.b0 = float(np.average(self.ytr, weights=self.rho))
@@ -495,8 +503,11 @@ class TreeFitter:
         return float(np.sum(self.rho * self.resid**2))
 
     def _smooth(self, j: int, r: np.ndarray, w: np.ndarray) -> UnivariateFunction:
-        spec = _LEVEL_MEANS if self.data.variables[j].is_categorical else self.config.numeric_smoother
-        return smooth(self.Xtr[:, j], r, w, spec, order=self.orders[j], knots=self.knot_grids[j])
+        column = self.columns[j]
+        if column is None:
+            return smooth(self.Xtr[:, j], r, w, _LEVEL_MEANS)
+        return smooth(self.Xtr[:, j], r, w, self.config.numeric_smoother, order=column.gidx,
+                      knots=column.knots)
 
     def _subtree(self, k: int) -> list[int]:
         out = [k]
@@ -542,31 +553,53 @@ class TreeFitter:
             return False
         return not any(s <= pv for s in self.config.forbidden_subsets)
 
-    def score_candidate(self, k: int, j: int):
-        """Fit the (parent=k, variable=j) candidate and line-search its
-        scale; returns (sse_reduction, function, scale) or None. The caller
-        scales only the winning function."""
-        if not self._allowed(k, j):
+    def _candidate_function(self, k: int, j: int, target: SmoothingTarget) -> UnivariateFunction:
+        """``smooth`` of variable j on parent k's target, from the prepared
+        pieces: the parent's ``target`` and the variable's sorted column,
+        restricted to the target's rows when some are excluded."""
+        column = self.columns[j]
+        if column is None:
+            return target.level_means(self.Xtr[:, j])
+        if not target.full:
+            column = column.restrict(target.mask)
+        return target.curve(column, self.config.numeric_smoother.method)
+
+    def score_candidate(self, k: int, j: int, target: SmoothingTarget | None, rho_resid: np.ndarray):
+        """Fit the (parent=k, variable=j) candidate on the parent's smoothing
+        ``target`` (None when the weight floor excludes every row) and
+        line-search its scale against the residual; ``rho_resid`` is the
+        row weight times the residual. Returns (sse_reduction, function,
+        scale) or None. The caller scales only the winning function."""
+        if target is None:
             return None
-        w = self.B_tr[k] * self.sqrt_rho
         try:
-            f = self._smooth(j, self.resid * self.sqrt_rho, w)
+            f = self._candidate_function(k, j, target)
         except ValueError:
             return None
         d = self.B_tr[k] * self.eval_tr[j].apply(f)
         den = float(np.sum(self.rho * d * d))
         if den <= 0.0 or not np.isfinite(den):
             return None
-        num = float(np.sum(self.rho * self.resid * d))
+        num = float(np.sum(rho_resid * d))
         beta = num / den
         return num * num / den, f, beta
 
     def score_all_candidates(self):
         """Yield (sse_reduction, parent, variable, function, scale) for every
-        admissible candidate, parents then variables in index order."""
+        admissible candidate, parents then variables in index order. Each
+        parent's smoothing target is built once for all its variables."""
+        r = self.resid * self.sqrt_rho
+        rho_resid = self.rho * self.resid
         for k in range(len(self.nodes)):
-            for j in range(self.data.p):
-                res = self.score_candidate(k, j)
+            allowed = [j for j in range(self.data.p) if self._allowed(k, j)]
+            if not allowed:
+                continue
+            try:
+                target = SmoothingTarget(r, self.B_tr[k] * self.sqrt_rho)
+            except ValueError:
+                target = None
+            for j in allowed:
+                res = self.score_candidate(k, j, target, rho_resid)
                 if res is not None:
                     yield (res[0], k, j, *res[1:])
 

@@ -231,6 +231,12 @@ def test_predict_rejects_malformed_model_files(tmp_path, capsys):
         model.write_text(json.dumps(doc), encoding="utf-8")
         assert run("predict", "--model", model, "--data", data, "--out", tmp_path / "p.csv") == expect
     assert capsys.readouterr().err.count("error: node 1:") == 3
+    # a level table longer than its variable's level list
+    node = {"id": 1, "parent": 0, "var": 1, "influence": None, **levels, "values": [1.0] * 5}
+    doc = {"format_version": 1, "b0": 0.0, "variables": variables, "nodes": [node]}
+    model.write_text(json.dumps(doc), encoding="utf-8")
+    assert run("predict", "--model", model, "--data", data, "--out", tmp_path / "p.csv") == 3
+    assert "error: node 1: level table has 5 values but variable 'c' has 2 levels" in capsys.readouterr().err
     # a non-finite, a null, a boolean and an oversized integer root
     # constant, then a missing key at the top level and in a node
     node = {"id": 1, "parent": 0, "var": 1, "influence": None, **levels}
@@ -323,6 +329,45 @@ def test_predict_never_raises_on_mutated_model_files(model_files, slot, action, 
     out = model_files["root"] / "out.csv"
     for command in ("predict", "effects"):
         assert run(command, "--model", model, "--data", model_files["data"], "--out", out) in (0, 3)
+
+
+_CSV_CELLS = st.one_of(st.sampled_from(["", " ", "NA", "NaN", "nan", "inf", "-inf", "1e400", "text"]),
+                       st.text(max_size=6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    cells=st.lists(st.tuples(st.integers(1, 30), st.integers(0, 2), _CSV_CELLS), max_size=3),
+    header=st.lists(st.tuples(st.integers(0, 2), st.sampled_from(["duplicate", "empty", "bom"])),
+                    max_size=2),
+    lengths=st.lists(st.tuples(st.integers(0, 30), st.sampled_from(["drop", "extra"])), max_size=2),
+)
+def test_cli_never_raises_on_mutated_csv(model_files, cells, header, lengths):
+    # blank, missing, infinite or text cells; a duplicate or empty header
+    # name or a byte-order mark before the header; rows with a cell too few
+    # or too many: fit and predict either work or exit 2 or 3, and never raise
+    root = model_files["root"]
+    with open(model_files["data"], newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    for i, j, token in cells:
+        rows[i][j] = token
+    for j, kind in header:
+        if kind == "duplicate":
+            rows[0][j] = rows[0][(j + 1) % 3]
+        elif kind == "empty":
+            rows[0][j] = ""
+        else:
+            rows[0][0] = "\ufeff" + rows[0][0]
+    for i, kind in lengths:
+        rows[i] = rows[i][:-1] if kind == "drop" else rows[i] + ["0"]
+    data = root / "mutated.csv"
+    with open(data, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows(rows)
+    model = root / "valid.json"
+    model.write_text(json.dumps(model_files["doc"]), encoding="utf-8")
+    out = root / "out"
+    assert run("fit", "--data", data, "--out", out, "--max-nodes", 2) in (0, 2, 3)
+    assert run("predict", "--model", model, "--data", data, "--out", out) in (0, 2, 3)
 
 
 def test_end_to_end_determinism(tmp_path):

@@ -41,6 +41,12 @@ def test_load_basic_types(tmp_path):
     assert list(ds.y) == [1.0, 2.0, 3.0]
 
 
+def test_byte_order_mark_is_not_part_of_the_header(tmp_path):
+    p = _write(tmp_path / "d.csv", "\ufeffy,a\n1,1.5\n2,2.5\n3,3.5\n")
+    ds = load_csv(p, target="y", cat_threshold=2)
+    assert ds.names == ("a",) and list(ds.y) == [1.0, 2.0, 3.0]
+
+
 def test_missing_target_errors(tmp_path):
     p = _write(tmp_path / "d.csv", "a,b\n1,2\n3,4\n")
     with pytest.raises(DataError, match="target"):

@@ -18,6 +18,7 @@ from functree.smoothers import (
     thin_knots,
     weight_floor,
 )
+from functree.tree import TreeFitter
 
 
 def spec(method, span=None):
@@ -299,8 +300,18 @@ def test_fit_with_reference_smoother_gives_same_model(monkeypatch):
     data = ft.gen_friedman(600, seed=5)
     config = ft.FitConfig(max_nodes=6, patience=6)
     fast = json.dumps(ft.fit(data, config).to_dict())
+    calls = []
+
+    # the candidate sweep smooths from per-parent and per-variable pieces;
+    # here every candidate is smoothed from its raw (r, w) instead
+    def reference_candidate(self, k, j, target):
+        calls.append((k, j))
+        return self._smooth(j, self.resid * self.sqrt_rho, self.B_tr[k] * self.sqrt_rho)
+
     monkeypatch.setattr("functree.tree.smooth", reference_smooth)
+    monkeypatch.setattr(TreeFitter, "_candidate_function", reference_candidate)
     assert json.dumps(ft.fit(data, config).to_dict()) == fast
+    assert len(calls) > 6 * data.p
 
 
 # ---------------------------------------------------------------------------

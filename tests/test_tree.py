@@ -7,7 +7,7 @@ import pytest
 
 import functree as ft
 from functree.data import Dataset, SplitSpec, Variable, rmse, split_indices
-from functree.smoothers import Curve, LevelTable, SmootherSpec
+from functree.smoothers import Curve, LevelTable, SmootherSpec, SmoothingTarget
 from functree.tree import (
     FitConfig,
     FormatVersionError,
@@ -179,6 +179,47 @@ def test_fit_best_first_choice_matches_exhaustive_rescoring():
         best_red = max(s[0] for s in scores)
         winners = [(k, j) for red, k, j, *_ in scores if red >= best_red - 1e-12 * max(1.0, best_red)]
         assert fitter.step() == winners[0]
+
+
+def _friedman_with_group(n, seed, zero_weights):
+    """Friedman rows plus a 3-level categorical column that shifts y; with
+    ``zero_weights`` a fifth of the rows weigh 0, so every parent's
+    smoothing target excludes some rows."""
+    base = ft.gen_friedman(n, seed=seed)
+    rng = np.random.default_rng(seed)
+    g = rng.integers(0, 3, n).astype(float)
+    variables = base.variables + (Variable("g", "categorical", levels=("a", "b", "c")),)
+    weight = np.where(rng.random(n) < 0.2, 0.0, 1.0) if zero_weights else None
+    return Dataset(variables, np.column_stack([base.X, g]), base.y + g, weight=weight)
+
+
+@pytest.mark.parametrize("zero_weights", [False, True])
+@pytest.mark.parametrize("method", ["near_neighbor", "local_linear"])
+def test_candidate_sweep_equals_smooth(method, zero_weights):
+    data = _friedman_with_group(400, 3, zero_weights)
+    fitter = TreeFitter(data, FitConfig(numeric_smoother=SmootherSpec(method, span=0.2)))
+    for _ in range(4):
+        fitter.step()
+        fitter.backfit_pass()
+        fitter.recenter()
+    swept = {(k, j): (gain, f) for gain, k, j, f, _ in fitter.score_all_candidates()}
+    assert len(swept) == len(fitter.nodes) * data.p
+    r = fitter.resid * fitter.sqrt_rho
+    for k in range(len(fitter.nodes)):
+        w = fitter.B_tr[k] * fitter.sqrt_rho
+        assert SmoothingTarget(r, w).full == (not zero_weights)
+        for j in range(data.p):
+            want = fitter._smooth(j, r, w)
+            d = fitter.B_tr[k] * fitter.eval_tr[j].apply(want)
+            num = float(np.sum(fitter.rho * fitter.resid * d))
+            gain, got = swept[(k, j)]
+            assert gain == num * num / float(np.sum(fitter.rho * d * d))
+            assert type(got) is type(want)
+            assert np.array_equal(got.values, want.values)
+            if isinstance(want, Curve):
+                assert np.array_equal(got.knots, want.knots)
+            else:
+                assert got.default == want.default
 
 
 def test_fit_constant_outcome_gives_root_only():
