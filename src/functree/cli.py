@@ -45,6 +45,23 @@ _DATA_ERRORS = (DataError, FileNotFoundError, IsADirectoryError, SchemaMismatchE
                 FormatVersionError, KeyError, ValueError)
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if value is None or value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
+def _condition(text: str) -> tuple[str, str]:
+    name, sep, value = text.partition("=")
+    if not (sep and name.strip() and value):
+        raise argparse.ArgumentTypeError(f"expected NAME=VALUE, got {text!r}")
+    return name, value
+
+
 def _progress(msg: str) -> None:
     print(msg, file=sys.stderr)
 
@@ -196,11 +213,21 @@ def cmd_interact(args) -> int:
     method = "brute" if args.brute else "fast"
     if args.cond:
         cond = {}
-        for spec in args.cond:
-            name, _, value = spec.partition("=")
+        for name, value in args.cond:
             j = _var_indices(name, data.variables)[0]
             var = data.variables[j]
-            cond[j] = float(var.levels.index(value)) if var.is_categorical else float(value)
+            if var.is_categorical:
+                cond[j] = float(var.levels.index(value))
+                continue
+            try:
+                number = float(value)
+            except ValueError:
+                number = math.nan
+            if not math.isfinite(number):
+                print(f"error: argument --cond: {name}={value}: numeric variable {var.name!r} "
+                      "needs a finite number", file=sys.stderr)
+                return 2
+            cond[j] = number
         grid = conditional_interaction(tree, subset, cond, None, data,
                                        resolution=args.grid, method=method)
     elif args.brute:
@@ -328,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     _add_data_flags(p)
     p.add_argument("--vars", required=True, help="comma list of variable names")
-    p.add_argument("--grid", type=int, default=50, help="points per numeric variable")
+    p.add_argument("--grid", type=_positive_int, default=50, help="points per numeric variable")
     p.add_argument("--out", required=True)
     p.add_argument("--pa", action="store_true", help="partial association instead of dependence")
     p.add_argument("--brute", action="store_true",
@@ -340,9 +367,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     _add_data_flags(p)
     p.add_argument("--vars", required=True)
-    p.add_argument("--cond", action="append", default=[],
+    p.add_argument("--cond", action="append", default=[], type=_condition,
                    help="pin a variable, e.g. x6=2 (repeatable)")
-    p.add_argument("--grid", type=int, default=50)
+    p.add_argument("--grid", type=_positive_int, default=50)
     p.add_argument("--out", required=True)
     p.add_argument("--brute", action="store_true")
     p.set_defaults(func=cmd_interact)

@@ -318,23 +318,63 @@ def spline_knots(x: np.ndarray) -> np.ndarray:
     """Interior knots of ``spline_fit``: the distinct vigintiles (5th, 10th,
     ..., 95th percentiles) of x strictly inside its range. Tied x values
     make vigintiles coincide, so there can be fewer than 19."""
-    x = np.asarray(x, dtype=float)
-    interior = np.unique(np.quantile(x, np.arange(1, 20) / 20.0))
-    return interior[(interior > x.min()) & (interior < x.max())]
+    # np.quantile reads only order statistics, and it finds them several
+    # times faster in sorted input
+    xs = np.sort(np.asarray(x, dtype=float))
+    interior = np.unique(np.quantile(xs, np.arange(1, 20) / 20.0))
+    return interior[(interior > xs[0]) & (interior < xs[-1])]
 
 
-def spline_fit(x: np.ndarray, t: np.ndarray) -> Curve:
-    """Least-squares cubic regression spline of t on x with interior knots
-    ``spline_knots(x)``, returned as a densely sampled curve. The design has
-    4 + len(spline_knots(x)) columns."""
-    x = np.asarray(x, dtype=float)
-    t = np.asarray(t, dtype=float)
-    if len(x) != len(t):
-        raise ValueError("x and t must have equal lengths")
-    lo, hi = float(x.min()), float(x.max())
-    if not hi > lo:
-        raise ValueError("x must not be constant")
-    interior = spline_knots(x)
+def _bspline_basis(v: np.ndarray, breaks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The cubic B-splines on the clamped knot vector (lo x 4, interior,
+    hi x 4), where ``breaks`` is (lo, interior, hi), at sorted points v in
+    [lo, hi]. Returns where each knot interval s begins and ends among v
+    (``bounds[s]``, ``bounds[s + 1]``; hi falls in the last interval) and a
+    (4, len(v)) array whose row a holds B_{s+a}, the four B-splines nonzero
+    on the point's interval, from the Cox-de Boor recurrence."""
+    bounds = np.concatenate([[0], np.searchsorted(v, breaks[1:-1]), [len(v)]])
+    counts = np.diff(bounds)
+    t = np.concatenate([np.repeat(breaks[0], 3), breaks, np.repeat(breaks[-1], 3)])
+    nint = len(breaks) - 1
+    # interval s is [t[s + 3], t[s + 4]); every denominator below spans it
+    left = [None] + [v - np.repeat(t[4 - k : 4 - k + nint], counts) for k in (1, 2, 3)]
+    right = [None] + [np.repeat(t[3 + k : 3 + k + nint], counts) - v for k in (1, 2, 3)]
+    basis = [np.ones_like(v)]
+    for k in (1, 2, 3):
+        saved = 0.0
+        nxt = []
+        for r in range(k):
+            temp = basis[r] / (right[r + 1] + left[k - r])
+            nxt.append(saved + right[r + 1] * temp)
+            saved = left[k - r] * temp
+        nxt.append(saved)
+        basis = nxt
+    return bounds, np.array(basis)
+
+
+def _bspline_times(bounds, basis, beta) -> np.ndarray:
+    # the spline with B-spline coefficients beta at the points of ``basis``
+    out = np.empty(basis.shape[1])
+    for s in range(len(bounds) - 1):
+        out[bounds[s] : bounds[s + 1]] = beta[s : s + 4] @ basis[:, bounds[s] : bounds[s + 1]]
+    return out
+
+
+def _bspline_gram(bounds, basis, v) -> tuple[np.ndarray, np.ndarray]:
+    # B'B and B'v, one 4 x 4 block per knot interval (three more B-splines
+    # than intervals)
+    m = len(bounds) + 2
+    gram, bv = np.zeros((m, m)), np.zeros(m)
+    for s in range(len(bounds) - 1):
+        b = basis[:, bounds[s] : bounds[s + 1]]
+        gram[s : s + 4, s : s + 4] += b @ b.T
+        bv[s : s + 4] += b @ v[bounds[s] : bounds[s + 1]]
+    return gram, bv
+
+
+def _truncated_power_fit(x, t, lo, hi, interior, grid) -> np.ndarray:
+    # minimum-norm SVD least squares in the basis 1, u, u^2, u^3,
+    # (u - u_k)_+^3 of u = (x - lo) / (hi - lo), evaluated at grid
     scale = hi - lo
 
     def design(v):
@@ -345,11 +385,64 @@ def spline_fit(x: np.ndarray, t: np.ndarray) -> Curve:
             cols.append(np.clip(u - uk, 0.0, None) ** 3)
         return np.column_stack(cols)
 
-    A = design(x)
-    if len(x) < A.shape[1]:
+    beta = np.linalg.lstsq(design(x), t, rcond=None)[0]
+    return design(grid) @ beta
+
+
+def spline_fit(x: np.ndarray, t: np.ndarray) -> Curve:
+    """Least-squares cubic regression spline of t on x with interior knots
+    ``spline_knots(x)``, returned as a densely sampled curve on 2001
+    equispaced points of [min x, max x] and the interior knots. The spline
+    space has 4 + len(spline_knots(x)) dimensions.
+
+    The fit is solved in the cubic B-spline basis on the clamped knot vector
+    (min x four times, the interior knots, max x four times; Eilers & Marx
+    1996). It spans the same space as the truncated-power basis 1, u, u^2,
+    u^3, (u - u_k)_+^3, whose design condition numbers reach 1e9 on
+    effect-search products, but is far better conditioned. Each row has four nonzero basis
+    values, so the Gram matrix is banded and is accumulated knot interval by
+    knot interval from rows sorted by x. With its diagonal scaled to one it
+    is solved by Cholesky, and one step of iterative refinement on the
+    residual recovers the accuracy that forming the Gram matrix loses.
+
+    Tied x can leave too few distinct sites for the basis, and the fit is
+    then not identified between the sites. When Cholesky fails or a pivot
+    of the scaled Gram matrix has square below 1e-10, the fit warns and
+    falls back to the minimum-norm SVD solution in the truncated-power
+    basis.
+    """
+    x = np.asarray(x, dtype=float)
+    t = np.asarray(t, dtype=float)
+    if len(x) != len(t):
+        raise ValueError("x and t must have equal lengths")
+    lo, hi = float(x.min()), float(x.max())
+    if not hi > lo:
+        raise ValueError("x must not be constant")
+    order = np.argsort(x)
+    xs, ts = x[order], t[order]
+    interior = spline_knots(xs)
+    m = 4 + len(interior)
+    if len(x) < m:
         raise ValueError("need at least as many rows as spline basis functions")
-    beta, _, rank, _ = np.linalg.lstsq(A, t, rcond=None)
-    if rank < A.shape[1]:
-        warnings.warn("rank-deficient spline design; collinear columns dropped", stacklevel=2)
     grid = np.unique(np.concatenate([np.linspace(lo, hi, 2001), interior]))
-    return Curve(grid, design(grid) @ beta)
+    breaks = np.concatenate([[lo], interior, [hi]])
+    bounds, basis = _bspline_basis(xs, breaks)
+    gram, rhs = _bspline_gram(bounds, basis, ts)
+    # a basis function without data keeps a zero row, so Cholesky fails
+    diag = np.diag(gram)
+    inv = np.divide(1.0, np.sqrt(diag), out=np.zeros(m), where=diag > 0)
+    try:
+        chol = np.linalg.cholesky(gram * np.outer(inv, inv))
+        full_rank = np.min(np.diag(chol)) ** 2 >= 1e-10
+    except np.linalg.LinAlgError:
+        full_rank = False
+    if not full_rank:
+        warnings.warn("rank-deficient spline design; collinear columns dropped", stacklevel=2)
+        return Curve(grid, _truncated_power_fit(x, t, lo, hi, interior, grid))
+
+    def solve(v):
+        return inv * np.linalg.solve(chol.T, np.linalg.solve(chol, inv * v))
+
+    beta = solve(rhs)
+    beta += solve(_bspline_gram(bounds, basis, ts - _bspline_times(bounds, basis, beta))[1])
+    return Curve(grid, _bspline_times(*_bspline_basis(grid, breaks), beta))

@@ -192,6 +192,38 @@ def test_exit_code_2_on_bad_flags():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("command", ["pd", "interact"])
+@pytest.mark.parametrize("grid", ["0", "-3", "2.5", "abc"])
+def test_grid_must_be_a_positive_integer(workdir, tmp_path, capsys, command, grid):
+    out = tmp_path / "g.csv"
+    with pytest.raises(SystemExit) as exc:
+        run(command, "--model", workdir["model"], "--data", workdir["data"], "--vars", "x4,x5",
+            "--grid", grid, "--out", out)
+    assert exc.value.code == 2
+    assert "argument --grid: expected a positive integer" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("cond", ["x6", "=2", "x6="])
+def test_cond_must_be_name_equals_value(workdir, tmp_path, capsys, cond):
+    with pytest.raises(SystemExit) as exc:
+        run("interact", "--model", workdir["model"], "--data", workdir["data"], "--vars", "x4,x5",
+            "--cond", cond, "--out", tmp_path / "c.csv")
+    assert exc.value.code == 2
+    assert "argument --cond: expected NAME=VALUE" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["abc", "nan", "inf", "-1e400"])
+def test_numeric_cond_must_be_a_finite_number(workdir, tmp_path, capsys, value):
+    out = tmp_path / "c.csv"
+    capsys.readouterr()
+    assert run("interact", "--model", workdir["model"], "--data", workdir["data"], "--vars", "x4,x5",
+               "--cond", f"x6={value}", "--grid", "5", "--out", out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: argument --cond: x6=") and "finite number" in err
+    assert not out.exists()
+
+
 def test_exit_code_3_on_data_errors(workdir, tmp_path, capsys):
     assert run("fit", "--data", tmp_path / "missing.csv", "--out", tmp_path / "m.json") == 3
     assert run("fit", "--data", workdir["data"], "--target", "nope",

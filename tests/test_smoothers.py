@@ -1,6 +1,7 @@
 """Smoother and univariate-function contracts."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from functree.smoothers import (
     combine,
     smooth,
     spline_fit,
+    spline_knots,
     thin_knots,
     weight_floor,
 )
@@ -355,6 +357,130 @@ def test_spline_matches_normal_equations_oracle():
     beta = np.linalg.solve(A.T @ A, A.T @ t)
     dense = np.linspace(lo, hi, 1500)
     assert np.max(np.abs(f(dense) - design(dense) @ beta)) < 0.01
+
+
+def _truncated_power_reference(x, t):
+    """The least-squares spline in the truncated-power basis solved by SVD,
+    as the rank-deficient fallback of spline_fit must compute it. Returns
+    the grid, the curve values and the condition number of the design."""
+    lo, hi = x.min(), x.max()
+    interior = np.unique(np.quantile(x, np.arange(1, 20) / 20.0))
+    interior = interior[(interior > lo) & (interior < hi)]
+    scale = hi - lo
+
+    def design(v):
+        u = (v - lo) / scale
+        cols = [np.ones_like(u), u, u**2, u**3]
+        cols += [np.clip(u - (k - lo) / scale, 0.0, None) ** 3 for k in interior]
+        return np.column_stack(cols)
+
+    beta = np.linalg.lstsq(design(x), t, rcond=None)[0]
+    grid = np.unique(np.concatenate([np.linspace(lo, hi, 2001), interior]))
+    return grid, design(grid) @ beta, np.linalg.cond(design(x))
+
+
+def _bspline_design(v, lo, hi, interior):
+    """Dense cubic B-spline design on the clamped knots (lo x 4, interior,
+    hi x 4), from the textbook Cox-de Boor definition over the whole knot
+    vector (0/0 read as 0; hi belongs to the last nonempty interval)."""
+    t = np.concatenate([[lo] * 4, interior, [hi] * 4])
+    basis = np.array([(t[i] <= v) & (v < t[i + 1]) for i in range(len(t) - 1)], dtype=float)
+    basis[len(t) - 5, v == hi] = 1.0
+    for k in (1, 2, 3):
+        nxt = np.zeros((len(t) - 1 - k, len(v)))
+        for i in range(len(t) - 1 - k):
+            if t[i + k] > t[i]:
+                nxt[i] += (v - t[i]) / (t[i + k] - t[i]) * basis[i]
+            if t[i + k + 1] > t[i + 1]:
+                nxt[i] += (t[i + k + 1] - v) / (t[i + k + 1] - t[i + 1]) * basis[i + 1]
+        basis = nxt
+    return basis.T
+
+
+def _draw_x(kind, n, rng):
+    if kind == "uniform":
+        return rng.uniform(-1.0, 1.0, n)
+    if kind == "normal":
+        return rng.normal(size=n)
+    if kind == "lognormal":
+        return rng.lognormal(0.0, 1.5, n)
+    if kind == "normal_product":
+        return rng.normal(size=n) * rng.normal(size=n)
+    # clumped: 2-7 tight clusters, spreads from 1e-6 to 1 of the centre scale
+    centres = 3.0 * rng.normal(size=int(rng.integers(2, 8)))
+    return rng.choice(centres, n) + 10.0 ** rng.uniform(-6.0, 0.0) * rng.normal(size=n)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    kind=st.sampled_from(["uniform", "normal", "lognormal", "normal_product", "clumped"]),
+    n=st.integers(30, 3000),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_spline_fit_matches_least_squares_oracles(kind, n, seed):
+    rng = np.random.default_rng(seed)
+    x = _draw_x(kind, n, rng)
+    t = np.sin(3.0 * (x - x.mean()) / x.std()) + rng.normal(size=n)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        f = spline_fit(x, t)
+    grid, tp_values, tp_cond = _truncated_power_reference(x, t)
+    assert np.array_equal(f.knots, grid)
+    if caught:
+        # the rank-deficient fallback is the truncated-power fit, unchanged
+        assert np.array_equal(f.values, tp_values)
+        return
+    # SVD least squares on the dense B-spline design, columns scaled to unit
+    # norm (the same fit; unscaled, clumped x makes the SVD itself inexact)
+    lo, hi, interior = x.min(), x.max(), spline_knots(x)
+    design = _bspline_design(x, lo, hi, interior)
+    norms = np.linalg.norm(design, axis=0)
+    beta = np.linalg.lstsq(design / norms, t, rcond=None)[0] / norms
+    kappa = np.linalg.cond(design / norms)
+    scale = np.max(np.abs(f.values))
+    gap = np.max(np.abs(f.values - _bspline_design(grid, lo, hi, interior) @ beta))
+    # each tolerance grows into its reference's own error on ill-conditioned
+    # designs, the least-squares perturbation bounds: eps * kappa^2 for a
+    # noisy fit's coefficients (SVD and Householder QR differed by 4e-12 at
+    # kappa 430), eps * kappa for fitted values (the truncated-power fit
+    # was 1.45e-7 off the B-spline SVD and QR fits at kappa 5.1e9)
+    eps = np.finfo(float).eps
+    assert gap <= max(1e-12, eps * kappa**2) * scale
+    if tp_cond < 1e10:
+        assert np.max(np.abs(f.values - tp_values)) <= max(1e-7, eps * tp_cond) * scale
+
+
+@pytest.mark.parametrize("levels, seed", [(5, 9), (5, 13), (20, 5), (20, 8)])
+def test_rank_deficient_spline_falls_back_to_truncated_power(monkeypatch, levels, seed):
+    # tied x: more basis functions than distinct sites. On these seeds
+    # Cholesky of the singular Gram matrix returns a factor with a tiny
+    # pivot instead of raising, so only the pivot check catches it.
+    rng = np.random.default_rng(seed)
+    x = rng.choice(rng.normal(size=levels), 500)
+    t = rng.normal(size=500)
+    assert len(np.unique(x)) < 4 + len(spline_knots(x))
+    factors = []
+    cholesky = np.linalg.cholesky
+
+    def recording_cholesky(a):
+        factors.append(cholesky(a))
+        return factors[-1]
+
+    monkeypatch.setattr(np.linalg, "cholesky", recording_cholesky)
+    with pytest.warns(UserWarning, match="rank-deficient spline design"):
+        f = spline_fit(x, t)
+    assert len(factors) == 1
+    grid, values, _ = _truncated_power_reference(x, t)
+    assert np.array_equal(f.knots, grid)
+    assert np.array_equal(f.values, values)
+
+
+def test_spline_knots_equal_vigintiles_of_unsorted_x():
+    rng = np.random.default_rng(10)
+    q = np.arange(1, 20) / 20.0
+    for x in (rng.normal(size=997), rng.integers(0, 7, 300).astype(float), rng.lognormal(size=50)):
+        interior = np.unique(np.quantile(x, q))
+        assert np.array_equal(spline_knots(x), interior[(interior > x.min()) & (interior < x.max())])
 
 
 def test_spline_constant_x_errors():
