@@ -45,14 +45,28 @@ _DATA_ERRORS = (DataError, FileNotFoundError, IsADirectoryError, SchemaMismatchE
                 FormatVersionError, KeyError, ValueError)
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = None
-    if value is None or value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return value
+def _checked(kind, ok, what: str):
+    """An argparse type: ``kind(text)`` where ``ok`` holds of it, otherwise
+    an error (which argparse prefixes with the flag) saying what was
+    expected."""
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            value = None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
+        return value
+    return parse
+
+
+_positive_int = _checked(int, lambda v: v >= 1, "a positive integer")
+_nonnegative_int = _checked(int, lambda v: v >= 0, "a nonnegative integer")
+_replicates = _checked(int, lambda v: v >= 2, "an integer of at least 2")
+_span = _checked(float, lambda v: 0.0 < v <= 1.0, "a number in (0, 1]")
+_fraction = _checked(float, lambda v: 0.0 < v < 1.0, "a number strictly between 0 and 1")
+_orders = _checked(lambda text: [int(tok) for tok in text.split(",")],
+                   lambda v: min(v) >= 0, "a comma list of nonnegative integers")
 
 
 def _condition(text: str) -> tuple[str, str]:
@@ -251,10 +265,9 @@ def cmd_diff(args) -> int:
 
 def cmd_bootstrap(args) -> int:
     data = _load_data(args)
-    orders = [int(tok) for tok in args.max_orders.split(",")]
     base = _resolve_forbidden(_fit_config(args), args, data.variables)
-    configs = [replace(base, max_order=order) for order in orders]
-    labels = ["unconstrained" if order == 0 else f"max_order={order}" for order in orders]
+    configs = [replace(base, max_order=order) for order in args.max_orders]
+    labels = ["unconstrained" if order == 0 else f"max_order={order}" for order in args.max_orders]
     _progress(f"bootstrap: {args.reps} replicates x {len(configs)} configs")
     result = bootstrap_compare(data, configs, reps=args.reps, seed=args.seed, labels=labels)
     result.to_csv(args.out)
@@ -293,17 +306,17 @@ def _add_data_flags(p, target_default="y"):
 
 
 def _add_fit_flags(p):
-    p.add_argument("--max-nodes", dest="max_nodes", type=int, default=200)
-    p.add_argument("--max-order", dest="max_order", type=int, default=0,
+    p.add_argument("--max-nodes", dest="max_nodes", type=_positive_int, default=200)
+    p.add_argument("--max-order", dest="max_order", type=_nonnegative_int, default=0,
                    help="interaction-order cap (0 = unlimited, 1 = additive)")
     p.add_argument("--forbid", action="append", default=[],
                    help="comma list of variables no single path may jointly contain (repeatable)")
     p.add_argument("--numeric-method", dest="numeric_method", default="local_linear",
                    choices=["local_linear", "near_neighbor"])
-    p.add_argument("--span", type=float, default=0.15, help="smoother neighborhood fraction")
-    p.add_argument("--test-fraction", dest="test_fraction", type=float, default=0.2)
-    p.add_argument("--backfit-passes", dest="backfit_passes", type=int, default=2)
-    p.add_argument("--patience", type=int, default=5)
+    p.add_argument("--span", type=_span, default=0.15, help="smoother neighborhood fraction")
+    p.add_argument("--test-fraction", dest="test_fraction", type=_fraction, default=0.2)
+    p.add_argument("--backfit-passes", dest="backfit_passes", type=_nonnegative_int, default=2)
+    p.add_argument("--patience", type=_nonnegative_int, default=5)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -320,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_parser("gen", help="write a synthetic benchmark dataset")
     p.add_argument("--example", choices=["friedman", "hu"], required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--snr", type=float, default=2.0, help="signal/noise ratio (friedman; 0 = noiseless)")
     p.add_argument("--sd-x", dest="sd_x", type=float, default=0.5, help="predictor scale (friedman)")
@@ -346,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-order", dest="max_order", type=int, default=3, choices=[1, 2, 3, 4])
     p.add_argument("--no-screen", dest="no_screen", action="store_true")
     p.add_argument("--pa", action="store_true", help="add a partial-association strength column")
-    p.add_argument("--strength-rows", dest="strength_rows", type=int, default=None,
+    p.add_argument("--strength-rows", dest="strength_rows", type=_positive_int, default=None,
                    help="row subsample for strength evaluation")
     p.add_argument("--log", default=None, help="write the screening log to this file")
     p.set_defaults(func=cmd_effects)
@@ -383,8 +396,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = add_parser("bootstrap", help="compare constrained refits over bootstrap replicates")
     _add_data_flags(p)
     _add_fit_flags(p)
-    p.add_argument("--reps", type=int, default=20)
-    p.add_argument("--max-orders", dest="max_orders", default="0,2,1",
+    p.add_argument("--reps", type=_replicates, default=20)
+    p.add_argument("--max-orders", dest="max_orders", type=_orders, default="0,2,1",
                    help="comma list of interaction-order caps, one config each")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_bootstrap)

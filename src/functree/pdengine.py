@@ -21,7 +21,7 @@ import numpy as np
 
 from .data import Dataset, Variable
 from .smoothers import Curve, spline_fit, spline_knots
-from .tree import FunctionTree
+from .tree import FunctionTree, model_sum
 
 PD = "pd"
 PA = "pa"
@@ -193,7 +193,7 @@ class EffectEngine:
         self.node_values, self.basis = tree.node_columns(data.X)
         B = np.column_stack(self.basis)
         self.basis_mean = (data.weight @ B) / float(data.weight.sum())
-        self.pred_full = tree.b0 + B[:, 1:].sum(axis=1)
+        self.pred_full = model_sum(tree.b0, B)
         self.paths = [tree.path(m) for m in range(1, len(tree.nodes))]
         self.pathvars = [frozenset(tree.nodes[i].var for i in p) for p in self.paths]
         self._start(rows, use_pa)

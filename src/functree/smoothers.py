@@ -86,6 +86,30 @@ class Curve:
         return Curve(self.knots, self.values * s)
 
 
+class KnotIndex:
+    """Fixed points x located once on a knot vector, so that any curve on
+    those knots is evaluated there with a gather, a multiply and an add.
+
+    ``j`` is the knot interval of each point and ``dx`` its offset from the
+    interval's left knot, zeroed below the first knot and at or past the
+    last. A curve's values are then slope[j] * dx + values[j], with the
+    slope padded by a 0: the arithmetic of ``np.interp``, so the result is
+    bit for bit ``Curve(knots, values)(x)`` while no slope overflows.
+    """
+
+    def __init__(self, knots: np.ndarray, x: np.ndarray):
+        self.knots = knots
+        self.gaps = np.diff(knots)
+        self.j = np.maximum(np.searchsorted(knots, x, side="right") - 1, 0)
+        inside = (x >= knots[0]) & (x < knots[-1])
+        self.dx = np.where(inside, x - knots[self.j], 0.0)
+
+    def __call__(self, values: np.ndarray) -> np.ndarray:
+        slope = np.zeros(len(values))
+        slope[:-1] = np.diff(values) / self.gaps
+        return slope[self.j] * self.dx + values[self.j]
+
+
 UnivariateFunction = LevelTable | Curve
 
 

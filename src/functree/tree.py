@@ -29,6 +29,7 @@ from .smoothers import (
     CATEGORICAL_MEAN,
     LOCAL_LINEAR,
     Curve,
+    KnotIndex,
     LevelTable,
     SmootherSpec,
     SmoothingTarget,
@@ -141,10 +142,7 @@ class FunctionTree:
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         """Model value b0 + sum of path products, vectorized over rows."""
-        basis = self.node_columns(X)[1]
-        if len(basis) == 1:
-            return np.full(len(basis[0]), self.b0)
-        return self.b0 + np.column_stack(basis[1:]).sum(axis=1)
+        return model_sum(self.b0, np.column_stack(self.node_columns(X)[1]))
 
     def __call__(self, X: np.ndarray) -> np.ndarray:
         return self.predict(X)
@@ -261,6 +259,14 @@ class FunctionTree:
         if not _finite_number(b0):
             raise ValueError(f"model file: b0 must be a finite number, got {b0!r}")
         return cls(tuple(variables), float(b0), nodes, doc.get("train_stats"))
+
+
+def model_sum(b0: float, B: np.ndarray) -> np.ndarray:
+    """The model value b0 plus the row sums of the non-root columns of the
+    basis matrix ``B`` (one column per node id, the root's first). Every
+    model value is summed here, so the fitter's errors are those of
+    ``predict``."""
+    return b0 + B[:, 1:].sum(axis=1)
 
 
 def _set_influence(nodes: list[TreeNode], basis: list[np.ndarray], weight: np.ndarray) -> None:
@@ -380,47 +386,6 @@ class FitConfig:
         )
 
 
-class _ColumnEval:
-    """Prepared evaluation of node functions at one fixed data column.
-
-    Numeric columns pre-resolve interpolation indices against the shared
-    per-variable knot grid, so evaluating an on-grid curve is three vector
-    ops; curves on other knots fall back to direct interpolation.
-    """
-
-    def __init__(self, col: np.ndarray, knots: np.ndarray | None):
-        self.col = col
-        self.n = len(col)
-        self.knots = knots
-        if knots is None:
-            self.idx = np.rint(col).astype(int) if self.n else np.empty(0, dtype=int)
-        elif len(knots) == 1:
-            self.i0 = None
-        else:
-            i = np.clip(np.searchsorted(knots, col, side="right") - 1, 0, len(knots) - 2)
-            gap = knots[i + 1] - knots[i]
-            self.i0 = i
-            self.frac = np.clip((col - knots[i]) / gap, 0.0, 1.0)
-
-    def apply(self, func: UnivariateFunction) -> np.ndarray:
-        if self.n == 0:
-            return np.empty(0)
-        if self.knots is None:
-            vals = func.values
-            if self.idx.max(initial=-1) < len(vals):
-                return vals[self.idx]
-            ok = self.idx < len(vals)
-            return np.where(ok, vals[np.minimum(self.idx, len(vals) - 1)], func.default)
-        if func.knots is not self.knots and not (
-            len(func.knots) == len(self.knots) and np.array_equal(func.knots, self.knots)
-        ):
-            return func(self.col)
-        if self.i0 is None:
-            return np.full(self.n, func.values[0])
-        v = func.values
-        return v[self.i0] * (1.0 - self.frac) + v[1:][self.i0] * self.frac
-
-
 class TreeFitter:
     """Stateful forward-stepwise fitter; ``fit()`` is the public entry point.
 
@@ -446,19 +411,16 @@ class TreeFitter:
         # per-variable preparation shared by every smoother call: for numeric
         # variables the knot grid and the training rows in x order
         self.columns: list[SortedColumn | None] = []
-        self.eval_tr: list[_ColumnEval] = []
-        self.eval_te: list[_ColumnEval] = []
         span = config.numeric_smoother.resolved_span()
-        for v, col, col_te in zip(data.variables, self.Xtr.T, self.Xte.T):
-            grid = None
+        for v, col in zip(data.variables, self.Xtr.T):
             if v.is_categorical:
                 self.columns.append(None)
             else:
-                grid = thin_knots(np.unique(col))
                 order = np.argsort(col, kind="stable")
-                self.columns.append(SortedColumn(col[order], order, grid, span))
-            self.eval_tr.append(_ColumnEval(col, grid))
-            self.eval_te.append(_ColumnEval(col_te, grid))
+                self.columns.append(SortedColumn(col[order], order, thin_knots(np.unique(col)), span))
+        # one KnotIndex per (variable, knot vector, train or test rows); the
+        # key holds the knot array's id, which the index keeps alive
+        self._indexes: dict[tuple[int, int, bool], KnotIndex] = {}
 
         if tree is None:
             self.b0 = float(np.average(self.ytr, weights=self.rho))
@@ -475,29 +437,34 @@ class TreeFitter:
         self.pathvars: list[frozenset[int]] = [frozenset()]
         for node in self.nodes[1:]:
             self._register(node)
-        self.resid = self.ytr - self._predict(self.B_tr)
+        self.resid = self.ytr - model_sum(self.b0, np.column_stack(self.B_tr))
         # additions below this gain are float noise, not structure
         self.min_gain = 1e-12 * float(np.sum(self.rho * (self.ytr - np.average(self.ytr, weights=self.rho)) ** 2))
         self.history: list[dict] = []
 
     # -- plumbing ----------------------------------------------------------
 
+    def _eval(self, j: int, func: UnivariateFunction, test: bool = False) -> np.ndarray:
+        """``func`` of variable j at the training (or test) rows, bit for bit
+        ``func`` called on that column."""
+        X = self.Xte if test else self.Xtr
+        if isinstance(func, LevelTable):
+            return func(X[:, j])
+        key = (j, id(func.knots), test)
+        index = self._indexes.get(key)
+        if index is None:
+            index = self._indexes[key] = KnotIndex(func.knots, X[:, j])
+        return index(func.values)
+
     def _register(self, node: TreeNode) -> None:
         j = node.var
-        self.fv_tr.append(self.eval_tr[j].apply(node.func))
-        self.fv_te.append(self.eval_te[j].apply(node.func))
+        self.fv_tr.append(self._eval(j, node.func))
+        self.fv_te.append(self._eval(j, node.func, test=True))
         self.B_tr.append(self.B_tr[node.parent] * self.fv_tr[node.id])
         self.B_te.append(self.B_te[node.parent] * self.fv_te[node.id])
         self.children[node.id] = []
         self.children[node.parent].append(node.id)
         self.pathvars.append(self.pathvars[node.parent] | {j})
-
-    def _predict(self, bases: list[np.ndarray]) -> np.ndarray:
-        """b0 plus the basis columns (``B_tr`` or ``B_te``), summed in id order."""
-        out = np.full(len(bases[0]), self.b0)
-        for col in bases[1:]:
-            out += col
-        return out
 
     def train_sse(self) -> float:
         return float(np.sum(self.rho * self.resid**2))
@@ -525,12 +492,15 @@ class TreeFitter:
             self.B_tr[m] = self.B_tr[node.parent] * self.fv_tr[m]
             self.B_te[m] = self.B_te[node.parent] * self.fv_te[m]
 
-    def _set_function(self, k: int, func: UnivariateFunction) -> None:
-        node = self.nodes[k]
-        node.func = func
-        self.fv_tr[k] = self.eval_tr[node.var].apply(func)
-        self.fv_te[k] = self.eval_te[node.var].apply(func)
-        self._refresh_subtree(k)
+    def _set_functions(self, top: int, funcs: dict[int, UnivariateFunction]) -> None:
+        """Give each node in ``funcs``, all in the subtree of ``top``, its new
+        function evaluated afresh, then refresh the bases below ``top``."""
+        for k, func in funcs.items():
+            node = self.nodes[k]
+            node.func = func
+            self.fv_tr[k] = self._eval(node.var, func)
+            self.fv_te[k] = self._eval(node.var, func, test=True)
+        self._refresh_subtree(top)
 
     def _coweight(self, k: int) -> np.ndarray:
         """Sum over all bases containing node k of the path product with
@@ -553,10 +523,10 @@ class TreeFitter:
             return False
         return not any(s <= pv for s in self.config.forbidden_subsets)
 
-    def _candidate_function(self, k: int, j: int, target: SmoothingTarget) -> UnivariateFunction:
-        """``smooth`` of variable j on parent k's target, from the prepared
-        pieces: the parent's ``target`` and the variable's sorted column,
-        restricted to the target's rows when some are excluded."""
+    def _candidate_function(self, j: int, target: SmoothingTarget) -> UnivariateFunction:
+        """``smooth`` of variable j on a parent's ``target``, from the
+        variable's sorted column, restricted to the target's rows when some
+        are excluded."""
         column = self.columns[j]
         if column is None:
             return target.level_means(self.Xtr[:, j])
@@ -573,10 +543,10 @@ class TreeFitter:
         if target is None:
             return None
         try:
-            f = self._candidate_function(k, j, target)
+            f = self._candidate_function(j, target)
         except ValueError:
             return None
-        d = self.B_tr[k] * self.eval_tr[j].apply(f)
+        d = self.B_tr[k] * self._eval(j, f)
         den = float(np.sum(self.rho * d * d))
         if den <= 0.0 or not np.isfinite(den):
             return None
@@ -636,14 +606,14 @@ class TreeFitter:
             except ValueError:
                 continue
             direction = combine(proposal, node.func, 1.0, -1.0)
-            delta = cow * self.eval_tr[node.var].apply(direction)
+            delta = cow * self._eval(node.var, direction)
             den = float(np.sum(self.rho * delta * delta))
             if den <= 0.0 or not np.isfinite(den):
                 continue
             beta = float(np.sum(self.rho * self.resid * delta)) / den
             if beta == 0.0:
                 continue
-            self._set_function(k, combine(node.func, direction, 1.0, beta))
+            self._set_functions(k, {k: combine(node.func, direction, 1.0, beta)})
             self.resid = self.resid - beta * delta
 
     def recenter(self) -> None:
@@ -664,27 +634,18 @@ class TreeFitter:
             if c == 0.0:
                 continue
             if node.parent == ROOT:
-                node.func = node.func.shift(-c)
-                self.fv_tr[k] = self.fv_tr[k] - c
-                self.fv_te[k] = self.fv_te[k] - c
-                self.B_tr[k] = self.fv_tr[k]
-                self.B_te[k] = self.fv_te[k]
+                self._set_functions(k, {k: node.func.shift(-c)})
                 self.b0 += c
                 continue
             s = 1.0 + c
             if abs(s) < 0.05:
                 continue
             q = node.parent
-            self.nodes[q].func = self.nodes[q].func.scale(s)
-            self.fv_tr[q] = self.fv_tr[q] * s
-            self.fv_te[q] = self.fv_te[q] * s
+            funcs = {q: self.nodes[q].func.scale(s)}
             for ch in self.children[q]:
                 f = self.nodes[ch].func
-                f = f.shift(-c) if ch == k else f
-                self.nodes[ch].func = f.scale(1.0 / s)
-                self.fv_tr[ch] = self.eval_tr[self.nodes[ch].var].apply(self.nodes[ch].func)
-                self.fv_te[ch] = self.eval_te[self.nodes[ch].var].apply(self.nodes[ch].func)
-            self._refresh_subtree(q)
+                funcs[ch] = (f.shift(-c) if ch == k else f).scale(1.0 / s)
+            self._set_functions(q, funcs)
 
     # -- stopping loop -------------------------------------------------------
 
@@ -696,7 +657,7 @@ class TreeFitter:
     def _test_rmse(self) -> float:
         if len(self.yte) < 2 or np.ptp(self.yte) == 0.0:
             return float("nan")
-        return rmse(self.yte, self._predict(self.B_te), self.rho_te)
+        return rmse(self.yte, model_sum(self.b0, np.column_stack(self.B_te)), self.rho_te)
 
     def run(self) -> FunctionTree:
         cfg = self.config
@@ -707,7 +668,7 @@ class TreeFitter:
             return tree
         best_rmse = self._test_rmse()
         best_snap = self._snapshot()
-        best_train = rmse(self.ytr, self._predict(self.B_tr), self.rho)
+        best_train = rmse(self.ytr, model_sum(self.b0, np.column_stack(self.B_tr)), self.rho)
         bad = 0
         while len(self.nodes) - 1 < cfg.max_nodes:
             if not self.step():
@@ -715,7 +676,8 @@ class TreeFitter:
             for _ in range(cfg.backfit_passes):
                 self.backfit_pass()
             self.recenter()
-            self.resid = self.ytr - self._predict(self.B_tr)
+            fitted = model_sum(self.b0, np.column_stack(self.B_tr))
+            self.resid = self.ytr - fitted
             te = self._test_rmse()
             self.history.append(
                 {"n_nodes": len(self.nodes) - 1, "train_sse": self.train_sse(), "test_rmse": te}
@@ -723,7 +685,7 @@ class TreeFitter:
             if np.isnan(te) or te < best_rmse:
                 best_rmse = te
                 best_snap = self._snapshot()
-                best_train = rmse(self.ytr, self._predict(self.B_tr), self.rho)
+                best_train = rmse(self.ytr, fitted, self.rho)
                 bad = 0
             else:
                 bad += 1

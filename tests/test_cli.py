@@ -192,6 +192,31 @@ def test_exit_code_2_on_bad_flags():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("command, flag, value", [
+    ("fit", "--max-nodes", "0"),
+    ("fit", "--span", "5"),
+    ("fit", "--test-fraction", "0"),
+    ("fit", "--patience", "-1"),
+    ("fit", "--max-order", "-1"),
+    ("fit", "--backfit-passes", "-1"),
+    ("bootstrap", "--max-orders", "a"),
+    ("bootstrap", "--reps", "1"),
+    ("gen", "--n", "0"),
+    ("effects", "--strength-rows", "0"),
+])
+def test_bad_flag_values_exit_2_naming_the_flag(workdir, tmp_path, capsys, command, flag, value):
+    out = tmp_path / "out"
+    rest = {
+        "gen": ["--example", "friedman"],
+        "effects": ["--model", workdir["model"], "--data", workdir["data"]],
+    }.get(command, ["--data", workdir["data"]])
+    with pytest.raises(SystemExit) as exc:
+        run(command, *rest, flag, value, "--out", out)
+    assert exc.value.code == 2
+    assert f"argument {flag}: expected" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["pd", "interact"])
 @pytest.mark.parametrize("grid", ["0", "-3", "2.5", "abc"])
 def test_grid_must_be_a_positive_integer(workdir, tmp_path, capsys, command, grid):

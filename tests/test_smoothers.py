@@ -11,8 +11,10 @@ from hypothesis import strategies as st
 import functree as ft
 from functree.smoothers import (
     Curve,
+    KnotIndex,
     LevelTable,
     SmootherSpec,
+    SmoothingTarget,
     combine,
     smooth,
     spline_fit,
@@ -47,6 +49,20 @@ def test_curve_single_knot_is_constant():
 def test_curve_rejects_unsorted_knots():
     with pytest.raises(ValueError, match="increasing"):
         Curve(np.array([1.0, 1.0]), np.array([0.0, 1.0]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_knot_index_equals_interp(data):
+    start = data.draw(st.floats(-100.0, 100.0))
+    gaps = data.draw(st.lists(st.floats(1e-6, 10.0), max_size=599))
+    knots = np.unique(start + np.cumsum([0.0] + gaps))
+    scale = 10.0 ** data.draw(st.floats(-3.0, 3.0))
+    values = scale * np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=len(knots),
+                                                 max_size=len(knots))))
+    x = np.concatenate([knots, (knots[:-1] + knots[1:]) / 2, knots[:-1] + 0.3 * np.diff(knots),
+                        [knots[-1], knots[0] - 1.0, knots[-1] + 1.0, -1e9, 1e9]])
+    assert np.array_equal(KnotIndex(knots, x)(values), np.interp(x, knots, values))
 
 
 def test_level_table_default_for_unseen():
@@ -305,11 +321,18 @@ def test_fit_with_reference_smoother_gives_same_model(monkeypatch):
     calls = []
 
     # the candidate sweep smooths from per-parent and per-variable pieces;
-    # here every candidate is smoothed from its raw (r, w) instead
-    def reference_candidate(self, k, j, target):
-        calls.append((k, j))
-        return self._smooth(j, self.resid * self.sqrt_rho, self.B_tr[k] * self.sqrt_rho)
+    # here every candidate is smoothed from its raw (r, w) instead, which
+    # each parent's target records
+    class RecordingTarget(SmoothingTarget):
+        def __init__(self, r, w):
+            super().__init__(r, w)
+            self.r, self.w = r, w
 
+    def reference_candidate(self, j, target):
+        calls.append(j)
+        return self._smooth(j, target.r, target.w)
+
+    monkeypatch.setattr("functree.tree.SmoothingTarget", RecordingTarget)
     monkeypatch.setattr("functree.tree.smooth", reference_smooth)
     monkeypatch.setattr(TreeFitter, "_candidate_function", reference_candidate)
     assert json.dumps(ft.fit(data, config).to_dict()) == fast

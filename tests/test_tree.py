@@ -210,7 +210,7 @@ def test_candidate_sweep_equals_smooth(method, zero_weights):
         assert SmoothingTarget(r, w).full == (not zero_weights)
         for j in range(data.p):
             want = fitter._smooth(j, r, w)
-            d = fitter.B_tr[k] * fitter.eval_tr[j].apply(want)
+            d = fitter.B_tr[k] * fitter._eval(j, want)
             num = float(np.sum(fitter.rho * fitter.resid * d))
             gain, got = swept[(k, j)]
             assert gain == num * num / float(np.sum(fitter.rho * d * d))
@@ -238,13 +238,22 @@ def test_fit_requires_enough_rows():
         ft.fit(data, FitConfig())
 
 
-def test_stored_test_rmse_matches_recomputation(friedman_data, friedman_model):
-    tr, te = split_indices(friedman_data.n, FitConfig().split)
-    recomputed = rmse(
-        friedman_data.y[te], friedman_model.predict(friedman_data.X[te]),
-        friedman_data.weight[te],
-    )
-    assert abs(recomputed - friedman_model.train_stats["test_rmse"]) < 1e-12
+@pytest.mark.parametrize("case", ["friedman", "group_zero_weights", "hu"])
+def test_stored_test_rmse_matches_recomputation(case, friedman_data, friedman_model):
+    # the fitter evaluates and sums node values exactly as predict does, so
+    # the errors it stores and stops on are those of the returned model
+    tree = None
+    if case == "friedman":
+        data, config, tree = friedman_data, FitConfig(), friedman_model
+    elif case == "hu":
+        data, config = ft.gen_hu(5000, seed=3), FitConfig(max_nodes=24, patience=24)
+    else:
+        data, config = _friedman_with_group(400, 3, zero_weights=True), FitConfig()
+    tree = tree or ft.fit(data, config)
+    tr, te = split_indices(data.n, config.split)
+    for rows, key in ((tr, "train_rmse"), (te, "test_rmse")):
+        recomputed = rmse(data.y[rows], tree.predict(data.X[rows]), data.weight[rows])
+        assert recomputed == tree.train_stats[key]
 
 
 def test_node_influences_are_basis_sds(friedman_data, friedman_model):
