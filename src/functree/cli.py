@@ -65,6 +65,8 @@ _nonnegative_int = _checked(int, lambda v: v >= 0, "a nonnegative integer")
 _replicates = _checked(int, lambda v: v >= 2, "an integer of at least 2")
 _span = _checked(float, lambda v: 0.0 < v <= 1.0, "a number in (0, 1]")
 _fraction = _checked(float, lambda v: 0.0 < v < 1.0, "a number strictly between 0 and 1")
+_snr = _checked(float, lambda v: v >= 0.0, "a nonnegative number")
+_scale = _checked(float, lambda v: 0.0 < v < math.inf, "a finite positive number")
 _orders = _checked(lambda text: [int(tok) for tok in text.split(",")],
                    lambda v: min(v) >= 0, "a comma list of nonnegative integers")
 
@@ -301,7 +303,7 @@ def _add_data_flags(p, target_default="y"):
     p.add_argument("--data", required=True, help="input CSV file")
     p.add_argument("--target", default=target_default, help="outcome column name")
     p.add_argument("--categorical", default="", help="comma list of columns to force categorical")
-    p.add_argument("--cat-threshold", dest="cat_threshold", type=int, default=10,
+    p.add_argument("--cat-threshold", dest="cat_threshold", type=_nonnegative_int, default=10,
                    help="max distinct values for automatic categorical typing")
 
 
@@ -335,8 +337,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--example", choices=["friedman", "hu"], required=True)
     p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--snr", type=float, default=2.0, help="signal/noise ratio (friedman; 0 = noiseless)")
-    p.add_argument("--sd-x", dest="sd_x", type=float, default=0.5, help="predictor scale (friedman)")
+    p.add_argument("--snr", type=_snr, default=2.0, help="signal/noise ratio (friedman; 0 = noiseless)")
+    p.add_argument("--sd-x", dest="sd_x", type=_scale, default=0.5, help="predictor scale (friedman)")
     p.add_argument("--mode", choices=["regression", "classification"], default="regression")
     p.set_defaults(func=cmd_gen)
 

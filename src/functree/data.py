@@ -297,8 +297,8 @@ def gen_friedman(n: int, seed: int, sd_x: float = 0.5, snr: float = 2.0) -> Data
     so that snr=2 yields a 2/1 signal/noise ratio. Pass ``snr=math.inf`` for
     a noiseless outcome. The noiseless target is stored as hidden truth.
     """
-    if n < 1 or sd_x <= 0 or snr <= 0:
-        raise ValueError("need n >= 1, sd_x > 0, snr > 0")
+    if not (n >= 1 and 0 < sd_x < math.inf and snr > 0):
+        raise ValueError("need n >= 1, finite sd_x > 0, snr > 0")
     rng = np.random.default_rng(seed)
     X = rng.normal(0.0, sd_x, size=(n, 8))
     f = friedman_function(X)

@@ -160,8 +160,8 @@ class _Term(NamedTuple):
     subset, path nodes outside it, and the data mean of the outside product."""
 
     node_id: int
-    z_nodes: list[int]
-    comp_nodes: list[int]
+    z_nodes: tuple[int, ...]
+    comp_nodes: tuple[int, ...]
     gbar: float
     inside: bool
 
@@ -196,6 +196,12 @@ class EffectEngine:
         self.pred_full = model_sum(tree.b0, B)
         self.paths = [tree.path(m) for m in range(1, len(tree.nodes))]
         self.pathvars = [frozenset(tree.nodes[i].var for i in p) for p in self.paths]
+        # what depends only on (tree, data), shared by siblings: splits by
+        # subset, complement means by node tuple and PA coefficient curves
+        # by (z-side nodes, complement nodes)
+        self._splits: dict[frozenset, _Split] = {}
+        self._gbar: dict[tuple, float] = {}
+        self._pa_curves: dict[tuple, Curve] = {}
         self._start(rows, use_pa)
 
     def _start(self, rows: np.ndarray | None, use_pa: bool) -> None:
@@ -203,17 +209,17 @@ class EffectEngine:
         self.rows = np.arange(self.data.n) if rows is None else np.asarray(rows)
         self.w = self.data.weight[self.rows]
         self.pred = self.pred_full[self.rows]
-        self._splits: dict[frozenset, _Split] = {}
+        self._pred_var: float | None = None
         self._centers: dict[frozenset, float] = {}
         self._rows_centered: dict[frozenset, np.ndarray] = {}
         self._i_rows: dict[tuple, np.ndarray] = {}
-        self._pa_coeffs: dict[frozenset, list] = {}
         self.fast_evals = 0.0
         self.brute_equiv = 0.0
 
     def sibling(self, *, rows: np.ndarray | None = None, use_pa: bool = False) -> "EffectEngine":
-        """A new engine on the same tree and data, with its own rows, caches
-        and counters, that reuses this engine's node evaluations."""
+        """A new engine on the same tree and data, with its own rows,
+        row-dependent caches and counters, that shares this engine's node
+        evaluations, splits, complement means and coefficient curves."""
         eng = copy.copy(self)
         eng._start(rows, use_pa)
         return eng
@@ -237,21 +243,24 @@ class EffectEngine:
                 abar += float(self.basis_mean[node_id])
                 continue
             path = self.paths[idx]
-            z_nodes = [m for m in path if self.tree.nodes[m].var in key]
-            comp_nodes = [m for m in path if self.tree.nodes[m].var not in key]
+            z_nodes = tuple(m for m in path if self.tree.nodes[m].var in key)
+            comp_nodes = tuple(m for m in path if self.tree.nodes[m].var not in key)
             inside = not comp_nodes
             if inside:
                 gbar = 1.0
             else:
                 n_mixed += 1
-                gbar = float(np.average(self._rows_product(comp_nodes), weights=self.data.weight))
+                gbar = self._gbar.get(comp_nodes)
+                if gbar is None:
+                    gbar = float(np.average(self._rows_product(comp_nodes), weights=self.data.weight))
+                    self._gbar[comp_nodes] = gbar
             terms.append(_Term(node_id, z_nodes, comp_nodes, gbar, inside))
         total = len(self.pathvars)
         out = _Split(abar, terms, n_mixed / total if total else 0.0)
         self._splits[key] = out
         return out
 
-    def _rows_product(self, nodes: list[int]) -> np.ndarray:
+    def _rows_product(self, nodes: tuple[int, ...]) -> np.ndarray:
         """Product of the given nodes' functions at every data row."""
         out = self.node_values[nodes[0]].copy()
         for m in nodes[1:]:
@@ -274,25 +283,19 @@ class EffectEngine:
             out *= node.func(pts[:, pos[node.var]])
         return out
 
-    def _coeffs(self, key: frozenset) -> list:
-        """Partial-association coefficient function per term (None for a
-        fixed mean); fitted on the full data rows."""
-        cached = self._pa_coeffs.get(key)
-        if cached is not None:
-            return cached
-        split = self.split(key)
-        coeffs = []
-        for term in split.terms:
-            if term.inside:
-                coeffs.append(None)
-                continue
+    def _coeff(self, term: _Term) -> Curve:
+        """Partial-association coefficient function of a mixed term, fitted
+        on the full data rows."""
+        pair = (term.z_nodes, term.comp_nodes)
+        cached = self._pa_curves.get(pair)
+        if cached is None:
             fr = self._rows_product(term.z_nodes)
             if float(np.ptp(fr)) <= 1e-12 * max(1.0, float(np.abs(fr).max())) or self.data.n < 30:
-                coeffs.append(Curve(np.array([0.0]), np.array([term.gbar])))
+                cached = Curve(np.array([0.0]), np.array([term.gbar]))
             else:
-                coeffs.append(coefficient_curve(fr, self._rows_product(term.comp_nodes)))
-        self._pa_coeffs[key] = coeffs
-        return coeffs
+                cached = coefficient_curve(fr, self._rows_product(term.comp_nodes))
+            self._pa_curves[pair] = cached
+        return cached
 
     # -- effect values -------------------------------------------------------
 
@@ -306,13 +309,12 @@ class EffectEngine:
         complement mean (or, with ``use_pa``, its coefficient at f_k)."""
         split = self.split(key)
         out = np.full(n, split.abar)
-        coeffs = self._coeffs(key) if self.use_pa else None
-        for t, term in enumerate(split.terms):
+        for term in split.terms:
             f = f_of(term)
-            if coeffs is None or coeffs[t] is None:
-                out += term.gbar * f
+            if self.use_pa and not term.inside:
+                out += f * self._coeff(term)(f)
             else:
-                out += f * coeffs[t](f)
+                out += term.gbar * f
         return out
 
     def center(self, key: frozenset) -> float:
@@ -355,12 +357,13 @@ class EffectEngine:
         )
 
     def strength(self, subset) -> float:
-        key = frozenset(subset)
-        pv = float(np.average((self.pred - np.average(self.pred, weights=self.w)) ** 2, weights=self.w))
-        if pv <= 0.0:
+        if self._pred_var is None:
+            mean = np.average(self.pred, weights=self.w)
+            self._pred_var = float(np.average((self.pred - mean) ** 2, weights=self.w))
+        if self._pred_var <= 0.0:
             raise ValueError("model predictions are constant; strength is undefined")
-        iv = self.i_rows(key)
-        return float(np.sqrt(np.average(iv**2, weights=self.w) / pv))
+        iv = self.i_rows(frozenset(subset))
+        return float(np.sqrt(np.average(iv**2, weights=self.w) / self._pred_var))
 
 
 # ---------------------------------------------------------------------------
@@ -468,8 +471,10 @@ def coefficient_curve(f_values: np.ndarray, g_values: np.ndarray) -> Curve:
     """
     gbar = float(np.mean(g_values))
     curve = spline_fit(f_values, g_values)
+    # the knots and the quantiles read only order statistics: sort once
+    f_sorted = np.sort(f_values)
     n = len(f_values)
-    dof = 4 + len(spline_knots(f_values))  # cubic polynomial plus interior knots
+    dof = 4 + len(spline_knots(f_sorted))  # cubic polynomial plus interior knots
     if n > 2 * dof:
         sse_const = float(np.sum((g_values - gbar) ** 2))
         sse_spline = float(np.sum((g_values - curve(f_values)) ** 2))
@@ -478,7 +483,7 @@ def coefficient_curve(f_values: np.ndarray, g_values: np.ndarray) -> Curve:
         f_stat = ((sse_const - sse_spline) / (dof - 1)) / (sse_spline / (n - dof))
         if f_stat < 3.0:
             return Curve(np.array([0.0]), np.array([gbar]))
-    qlo, qhi = np.quantile(f_values, [0.05, 0.95])
+    qlo, qhi = np.quantile(f_sorted, [0.05, 0.95])
     if qhi > qlo:
         grid = np.linspace(qlo, qhi, 801)
         return Curve(grid, curve(grid))

@@ -21,6 +21,16 @@ _DEFAULT_SPANS = {NEAR_NEIGHBOR: 0.1, LOCAL_LINEAR: 0.2}
 
 MAX_CURVE_KNOTS = 500
 
+# np.interp bisects afresh for each point that leaves the previous point's
+# knot interval, so on sorted points its search is nearly free. Sorting first
+# pays from 64-128 points on a 500-knot curve (random normal points, numpy
+# 2.4, one core of a 2-vCPU x86-64 host: 9.7 us direct against 7.6 us sorted
+# at 128 points, 1.38 ms against 0.46 ms at 20,000) and from about 20 knots
+# at 20,000 points (100 at 128 points); on a one-knot curve the sort costs 40
+# times the lookup.
+SORTED_INTERP_POINTS = 128
+SORTED_INTERP_KNOTS = 32
+
 
 @dataclass(frozen=True)
 class LevelTable:
@@ -76,7 +86,16 @@ class Curve:
 
     def __call__(self, x):
         scalar = np.isscalar(x)
-        out = np.interp(np.atleast_1d(np.asarray(x, dtype=float)), self.knots, self.values)
+        xa = np.atleast_1d(np.asarray(x, dtype=float))
+        if xa.ndim == 1 and len(xa) >= SORTED_INTERP_POINTS and len(self.knots) >= SORTED_INTERP_KNOTS:
+            # each output depends on its own point alone, and the input
+            # length (which picks numpy's slope branch) is unchanged, so the
+            # values are np.interp's bit for bit
+            order = np.argsort(xa)
+            out = np.empty(len(xa))
+            out[order] = np.interp(xa[order], self.knots, self.values)
+        else:
+            out = np.interp(xa, self.knots, self.values)
         return float(out[0]) if scalar else out
 
     def shift(self, c: float) -> "Curve":

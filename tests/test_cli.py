@@ -34,6 +34,15 @@ def test_gen_schema(workdir):
     assert header == [f"x{j}" for j in range(1, 9)] + ["y", "__truth__"]
 
 
+@pytest.mark.parametrize("snr", ["0", "inf"])
+def test_gen_snr_zero_or_inf_is_noiseless(tmp_path, snr):
+    out = tmp_path / "f.csv"
+    assert run("gen", "--example", "friedman", "--n", "50", "--seed", "2", "--snr", snr,
+               "--out", out) == 0
+    ds = ft.load_csv(out, target="y")
+    np.testing.assert_array_equal(ds.y, ds.truth)
+
+
 def test_gen_hu_modes(tmp_path):
     out = tmp_path / "hu.csv"
     assert run("gen", "--example", "hu", "--n", "50", "--seed", "2", "--out", out,
@@ -202,6 +211,13 @@ def test_exit_code_2_on_bad_flags():
     ("bootstrap", "--max-orders", "a"),
     ("bootstrap", "--reps", "1"),
     ("gen", "--n", "0"),
+    ("gen", "--snr", "nan"),
+    ("gen", "--snr", "-1"),
+    ("gen", "--sd-x", "nan"),
+    ("gen", "--sd-x", "inf"),
+    ("gen", "--sd-x", "0"),
+    ("fit", "--cat-threshold", "-1"),
+    ("fit", "--cat-threshold", "2.5"),
     ("effects", "--strength-rows", "0"),
 ])
 def test_bad_flag_values_exit_2_naming_the_flag(workdir, tmp_path, capsys, command, flag, value):

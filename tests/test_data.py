@@ -164,6 +164,15 @@ def test_friedman_noiseless_limit():
     np.testing.assert_array_equal(ds.y, ds.truth)
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"snr": math.nan}, {"snr": 0.0}, {"snr": -1.0},
+    {"sd_x": math.nan}, {"sd_x": math.inf}, {"sd_x": 0.0},
+])
+def test_friedman_rejects_bad_scales(kwargs):
+    with pytest.raises(ValueError, match="sd_x"):
+        ft.gen_friedman(50, seed=1, **kwargs)
+
+
 def test_friedman_deterministic():
     a = ft.gen_friedman(200, seed=5)
     b = ft.gen_friedman(200, seed=5)

@@ -286,6 +286,39 @@ def test_search_strength_subsample_reproducible(friedman_data, friedman_model):
     assert [e.strength for e in a.entries] == [e.strength for e in b.entries]
 
 
+@pytest.fixture(scope="module")
+def hu_model_data():
+    """Correlated predictors, where most PA coefficient curves are not
+    constant (on the friedman fixture every one collapses to the mean)."""
+    data = ft.gen_hu(2000, seed=3)
+    return ft.fit(data, FitConfig(max_nodes=12, patience=12)), data
+
+
+@pytest.mark.parametrize("which", ["friedman", "hu"])
+def test_search_memos_match_a_fresh_engine_per_subset(request, which):
+    # the search's engines share splits, complement means and coefficient
+    # curves with each other and with the screen's full-row engine; a cache
+    # that depends on the rows or on PA must not leak between them
+    if which == "friedman":
+        model, data = request.getfixturevalue("friedman_model"), request.getfixturevalue("friedman_data")
+    else:
+        model, data = request.getfixturevalue("hu_model_data")
+    report = search_effects(model, data, max_order=3, with_pa=True, strength_rows=600, seed=5)
+    rows = np.sort(np.random.default_rng(5).choice(data.n, 600, replace=False))
+    assert report.screening is not None and len(report.entries) > 8
+    for e in report.entries:
+        assert e.strength == EffectEngine(model, data, rows=rows).strength(e.subset)
+        assert e.strength_pa == EffectEngine(model, data, rows=rows, use_pa=True).strength(e.subset)
+    # a sibling on other rows, after its parent has filled every cache
+    eng = EffectEngine(model, data, rows=rows, use_pa=True)
+    subsets = [e.subset for e in report.entries]
+    for s in subsets:
+        eng.strength(s)
+    other = eng.sibling(rows=np.arange(0, data.n, 3), use_pa=True)
+    fresh = EffectEngine(model, data, rows=np.arange(0, data.n, 3), use_pa=True)
+    assert [other.strength(s) for s in subsets] == [fresh.strength(s) for s in subsets]
+
+
 # ---------------------------------------------------------------------------
 # Model differencing
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import functree as ft
 from functree.smoothers import (
+    SORTED_INTERP_POINTS,
     Curve,
     KnotIndex,
     LevelTable,
@@ -55,7 +56,8 @@ def test_curve_rejects_unsorted_knots():
 @given(st.data())
 def test_knot_index_equals_interp(data):
     start = data.draw(st.floats(-100.0, 100.0))
-    gaps = data.draw(st.lists(st.floats(1e-6, 10.0), max_size=599))
+    n_gaps = data.draw(st.integers(0, 599))  # one knot to 600, on both sides of Curve's cutoff
+    gaps = data.draw(st.lists(st.floats(1e-6, 10.0), min_size=n_gaps, max_size=n_gaps))
     knots = np.unique(start + np.cumsum([0.0] + gaps))
     scale = 10.0 ** data.draw(st.floats(-3.0, 3.0))
     values = scale * np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=len(knots),
@@ -63,6 +65,12 @@ def test_knot_index_equals_interp(data):
     x = np.concatenate([knots, (knots[:-1] + knots[1:]) / 2, knots[:-1] + 0.3 * np.diff(knots),
                         [knots[-1], knots[0] - 1.0, knots[-1] + 1.0, -1e9, 1e9]])
     assert np.array_equal(KnotIndex(knots, x)(values), np.interp(x, knots, values))
+    # Curve sorts long inputs before np.interp and scatters the values back;
+    # a shuffled draw with ties, on either side of the cutoff, must match
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    n = data.draw(st.integers(1, 3 * SORTED_INTERP_POINTS))
+    for points in (x, rng.choice(x, size=n)):
+        assert np.array_equal(Curve(knots, values)(points), np.interp(points, knots, values))
 
 
 def test_level_table_default_for_unseen():
