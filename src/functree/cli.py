@@ -221,6 +221,34 @@ def cmd_pd(args) -> int:
     return 0
 
 
+def _pinned_values(pairs, variables, subset) -> dict[int, float]:
+    """``--cond NAME=VALUE`` pairs as {variable index: pinned value}. A
+    variable also in ``--vars``, an unknown level or a numeric value that is
+    not a finite number raises ArgumentTypeError naming the pair."""
+    cond = {}
+    for name, value in pairs:
+        j = _var_indices(name, variables)[0]
+        var = variables[j]
+        if j in subset:
+            problem = f"variable {var.name!r} is also in --vars"
+        elif var.is_categorical:
+            if value in var.levels:
+                cond[j] = float(var.levels.index(value))
+                continue
+            problem = f"categorical variable {var.name!r} has no level {value!r}"
+        else:
+            try:
+                number = float(value)
+            except ValueError:
+                number = math.nan
+            if math.isfinite(number):
+                cond[j] = number
+                continue
+            problem = f"numeric variable {var.name!r} needs a finite number"
+        raise argparse.ArgumentTypeError(f"{name}={value}: {problem}")
+    return cond
+
+
 def cmd_interact(args) -> int:
     tree = load(args.model)
     data = _load_data(args)
@@ -228,22 +256,11 @@ def cmd_interact(args) -> int:
     subset = _var_indices(args.vars, data.variables)
     method = "brute" if args.brute else "fast"
     if args.cond:
-        cond = {}
-        for name, value in args.cond:
-            j = _var_indices(name, data.variables)[0]
-            var = data.variables[j]
-            if var.is_categorical:
-                cond[j] = float(var.levels.index(value))
-                continue
-            try:
-                number = float(value)
-            except ValueError:
-                number = math.nan
-            if not math.isfinite(number):
-                print(f"error: argument --cond: {name}={value}: numeric variable {var.name!r} "
-                      "needs a finite number", file=sys.stderr)
-                return 2
-            cond[j] = number
+        try:
+            cond = _pinned_values(args.cond, data.variables, subset)
+        except argparse.ArgumentTypeError as exc:
+            print(f"error: argument --cond: {exc}", file=sys.stderr)
+            return 2
         grid = conditional_interaction(tree, subset, cond, None, data,
                                        resolution=args.grid, method=method)
     elif args.brute:

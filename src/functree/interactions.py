@@ -23,6 +23,7 @@ from .pdengine import (
     PURE_INTERACTION,
     EffectEngine,
     EffectGrid,
+    _mean,
     _pure_effect,
     check_subset,
     pd_brute,
@@ -206,7 +207,7 @@ def _screen_h(eng: EffectEngine) -> ScreenH:
     """``screen_h`` on an engine, so a caller holding one reuses its node
     evaluations."""
     p = eng.data.p
-    pred_c = eng.pred - np.average(eng.pred, weights=eng.w)
+    pred_c = eng.pred - _mean(eng.pred, eng.w, eng.w_sum)
     all_vars = frozenset(range(p))
     scores = np.zeros(p)
     for j in range(p):
@@ -214,8 +215,8 @@ def _screen_h(eng: EffectEngine) -> ScreenH:
         comp = all_vars - {j}
         pd_c = eng.rows_centered(comp) if comp else 0.0
         resid = pred_c - pd_j - pd_c
-        scores[j] = float(np.sqrt(np.average(resid**2, weights=eng.w)))
-    sd_pred = float(np.sqrt(np.average(pred_c**2, weights=eng.w)))
+        scores[j] = float(np.sqrt(_mean(resid**2, eng.w, eng.w_sum)))
+    sd_pred = float(np.sqrt(_mean(pred_c**2, eng.w, eng.w_sum)))
     threshold = SCREEN_FRACTION * sd_pred
     flagged = tuple(int(j) for j in range(p) if scores[j] >= threshold)
     return ScreenH(scores, threshold, flagged)

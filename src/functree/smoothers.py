@@ -32,6 +32,32 @@ SORTED_INTERP_POINTS = 128
 SORTED_INTERP_KNOTS = 32
 
 
+class SortedPoints:
+    """1-d evaluation points that long curves read in ascending order. The
+    order is found on first use and kept, so every curve evaluated at the
+    same points shares one argsort."""
+
+    __slots__ = ("x", "_order", "_sorted")
+
+    def __init__(self, x: np.ndarray):
+        self.x = x
+        self._order = None
+
+    def interp(self, knots: np.ndarray, values: np.ndarray) -> np.ndarray:
+        """``np.interp(self.x, knots, values)``, bit for bit."""
+        if len(self.x) < SORTED_INTERP_POINTS or len(knots) < SORTED_INTERP_KNOTS:
+            return np.interp(self.x, knots, values)
+        # each output depends on its own point alone, and the input length
+        # (which picks numpy's slope branch) is unchanged, so the values are
+        # np.interp's bit for bit
+        if self._order is None:
+            self._order = np.argsort(self.x)
+            self._sorted = self.x[self._order]
+        out = np.empty(len(self.x))
+        out[self._order] = np.interp(self._sorted, knots, values)
+        return out
+
+
 @dataclass(frozen=True)
 class LevelTable:
     """Per-level values for a categorical variable; unseen levels map to a
@@ -56,6 +82,9 @@ class LevelTable:
         valid = (idx >= 0) & (idx < len(self.values)) & (np.rint(xa) == xa)
         out = np.where(valid, self.values[np.clip(idx, 0, len(self.values) - 1)], self.default)
         return float(out[0]) if scalar else out
+
+    def at(self, points: SortedPoints) -> np.ndarray:
+        return self(points.x)
 
     def shift(self, c: float) -> "LevelTable":
         return LevelTable(self.values + c, self.default + c)
@@ -87,16 +116,11 @@ class Curve:
     def __call__(self, x):
         scalar = np.isscalar(x)
         xa = np.atleast_1d(np.asarray(x, dtype=float))
-        if xa.ndim == 1 and len(xa) >= SORTED_INTERP_POINTS and len(self.knots) >= SORTED_INTERP_KNOTS:
-            # each output depends on its own point alone, and the input
-            # length (which picks numpy's slope branch) is unchanged, so the
-            # values are np.interp's bit for bit
-            order = np.argsort(xa)
-            out = np.empty(len(xa))
-            out[order] = np.interp(xa[order], self.knots, self.values)
-        else:
-            out = np.interp(xa, self.knots, self.values)
+        out = self.at(SortedPoints(xa)) if xa.ndim == 1 else np.interp(xa, self.knots, self.values)
         return float(out[0]) if scalar else out
+
+    def at(self, points: SortedPoints) -> np.ndarray:
+        return points.interp(self.knots, self.values)
 
     def shift(self, c: float) -> "Curve":
         return Curve(self.knots, self.values + c)

@@ -34,6 +34,7 @@ from .smoothers import (
     SmootherSpec,
     SmoothingTarget,
     SortedColumn,
+    SortedPoints,
     UnivariateFunction,
     combine,
     smooth,
@@ -130,14 +131,22 @@ class FunctionTree:
     def node_columns(self, X: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
         """Each node's function values and basis-function values at the rows
         of X: two lists with one vector per node id, the root's being ones.
-        b0 plus the non-root basis vectors equals predict()."""
+        b0 plus the non-root basis vectors equals predict(). The nodes on one
+        variable are evaluated together at one ``SortedPoints``, so its column
+        is sorted once and its order is dropped before the next variable's."""
         X = self._check_matrix(X)
         ones = np.ones(X.shape[0])
-        values, basis = [ones], [ones]
+        by_var: dict[int, list[TreeNode]] = {}
         for node in self.nodes[1:]:
-            v = node.func(X[:, node.var])
-            values.append(v)
-            basis.append(basis[node.parent] * v)
+            by_var.setdefault(node.var, []).append(node)
+        values = [ones] * len(self.nodes)
+        for var, nodes in by_var.items():
+            at = SortedPoints(X[:, var])
+            for node in nodes:
+                values[node.id] = node.func.at(at)
+        basis = [ones]
+        for node in self.nodes[1:]:
+            basis.append(basis[node.parent] * values[node.id])
         return values, basis
 
     def predict(self, X: np.ndarray) -> np.ndarray:

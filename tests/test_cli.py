@@ -265,6 +265,38 @@ def test_numeric_cond_must_be_a_finite_number(workdir, tmp_path, capsys, value):
     assert not out.exists()
 
 
+def test_cond_variable_must_not_be_in_vars(workdir, tmp_path, capsys):
+    out = tmp_path / "c.csv"
+    capsys.readouterr()
+    assert run("interact", "--model", workdir["model"], "--data", workdir["data"], "--vars", "x4,x5",
+               "--cond", "x4=0.1", "--grid", "5", "--out", out) == 2
+    err = capsys.readouterr().err
+    assert err == "error: argument --cond: x4=0.1: variable 'x4' is also in --vars\n"
+    assert not out.exists()
+
+
+def test_categorical_cond_must_name_a_level(tmp_path, capsys):
+    data = _small_csv(tmp_path)
+    doc = {"format_version": 1, "b0": 0.0,
+           "variables": [{"name": "n", "kind": "numeric", "range": [0.0, 2.9]},
+                         {"name": "c", "kind": "categorical", "levels": ["a", "b"]}],
+           "nodes": [{"id": 1, "parent": 0, "var": 0, "influence": None, "kind": "curve",
+                      "knots": [0.0, 3.0], "values": [0.0, 1.0]},
+                     {"id": 2, "parent": 1, "var": 1, "influence": None, "kind": "levels",
+                      "values": [1.0, -1.0], "default": 0.0}]}
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "c.csv"
+    argv = ("interact", "--model", model, "--data", data, "--vars", "n", "--grid", "5", "--out", out)
+    assert run(*argv, "--cond", "c=b") == 0
+    out.unlink()
+    capsys.readouterr()
+    assert run(*argv, "--cond", "c=nowhere") == 2
+    err = capsys.readouterr().err
+    assert err == "error: argument --cond: c=nowhere: categorical variable 'c' has no level 'nowhere'\n"
+    assert not out.exists()
+
+
 def test_exit_code_3_on_data_errors(workdir, tmp_path, capsys):
     assert run("fit", "--data", tmp_path / "missing.csv", "--out", tmp_path / "m.json") == 3
     assert run("fit", "--data", workdir["data"], "--target", "nope",

@@ -9,6 +9,7 @@ import functree as ft
 from functree.data import Dataset, Variable
 from functree.interactions import (
     EffectEngine,
+    _screen_h,
     bootstrap_compare,
     conditional_interaction,
     pin,
@@ -317,6 +318,40 @@ def test_search_memos_match_a_fresh_engine_per_subset(request, which):
     other = eng.sibling(rows=np.arange(0, data.n, 3), use_pa=True)
     fresh = EffectEngine(model, data, rows=np.arange(0, data.n, 3), use_pa=True)
     assert [other.strength(s) for s in subsets] == [fresh.strength(s) for s in subsets]
+    # on all rows an engine reads the node columns in place, and with PA it
+    # keeps each term's f * coeff(f): after a search nothing may have written
+    # into the columns, and every centre must be numpy's weighted mean of the
+    # effect rebuilt from fresh columns
+    cols = model.node_columns(data.X)
+    for eng_rows, use_pa in ((None, True), (rows, True), (None, False)):
+        eng = EffectEngine(model, data, rows=eng_rows, use_pa=use_pa)
+        for s in subsets:
+            eng.strength(s)
+        if not use_pa:
+            _screen_h(eng)
+        assert all(np.array_equal(a, b) for a, b in zip(eng.node_values, cols[0]))
+        assert all(np.array_equal(a, b) for a, b in zip(eng.basis, cols[1]))
+        assert len(eng._centers) >= len(subsets)
+        for key in eng._centers:
+            raw = _uncentred_at_rows(eng, key, cols)
+            assert eng.center(key) == np.average(raw, weights=data.weight[eng.rows])
+
+
+def _uncentred_at_rows(eng, key, cols):
+    """A + sum_k f_k * g_k at the engine's rows, from the node columns
+    ``cols`` and the engine's split and coefficient curves."""
+    values, basis = cols
+    split = eng.split(key)
+    out = np.full(len(eng.rows), split.abar)
+    for t in split.terms:
+        if t.inside:
+            f = basis[t.node_id][eng.rows]
+        else:
+            f = values[t.z_nodes[0]][eng.rows]
+            for m in t.z_nodes[1:]:
+                f = f * values[m][eng.rows]
+        out += f * eng._coeff(t)(f) if eng.use_pa and not t.inside else t.gbar * f
+    return out
 
 
 # ---------------------------------------------------------------------------

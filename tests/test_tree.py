@@ -4,10 +4,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import functree as ft
 from functree.data import Dataset, SplitSpec, Variable, rmse, split_indices
-from functree.smoothers import Curve, LevelTable, SmootherSpec, SmoothingTarget
+from functree.smoothers import SORTED_INTERP_POINTS, Curve, LevelTable, SmootherSpec, SmoothingTarget
 from functree.tree import (
     FitConfig,
     FormatVersionError,
@@ -17,6 +19,7 @@ from functree.tree import (
     TreeNode,
     backfit_pass,
     difference,
+    model_sum,
 )
 
 from conftest import random_dataset, random_tree
@@ -78,6 +81,45 @@ def test_single_node_basis_is_function_column():
     values, basis = tree.node_columns(X)
     np.testing.assert_allclose(basis[1], [1.0, 2.0])
     np.testing.assert_allclose(values[1], [1.0, 2.0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_node_columns_equal_each_node_evaluated_alone(data):
+    # node_columns sorts each variable's column once for all its nodes; every
+    # value column must be the node's own function of its own column, bit for
+    # bit, with 1 to 4 nodes per variable, curves on either side of the knot
+    # cutoff, a level table and row counts on either side of the point cutoff
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    p = data.draw(st.integers(1, 3))
+    levels = ("a", "b", "c")
+    variables = tuple(Variable(f"x{j}", "numeric") for j in range(p)) + (
+        Variable("g", "categorical", levels=levels),)
+    node_vars = [j for j in range(p) for _ in range(data.draw(st.integers(1, 4)))] + [p]
+    nodes = [TreeNode(0, -1, None, None)]
+    for k, j in enumerate(rng.permutation(node_vars), start=1):
+        if j == p:
+            func = LevelTable(rng.uniform(-1.5, 1.5, len(levels)), 0.25)
+        else:
+            knots = np.unique(rng.uniform(-3.0, 3.0, data.draw(st.integers(1, 600))))
+            func = Curve(knots, rng.uniform(-1.5, 1.5, len(knots)))
+        nodes.append(TreeNode(k, int(rng.integers(0, k)), int(j), func))
+    tree = FunctionTree(variables, float(rng.normal()), nodes)
+    n = data.draw(st.integers(1, 2 * SORTED_INTERP_POINTS))
+    # rounded normals give ties; level 3 is unseen and reads the default
+    X = np.column_stack([np.round(rng.normal(0.0, 1.5, n), 1) for _ in range(p)]
+                        + [rng.integers(0, 4, n).astype(float)])
+    values, basis = tree.node_columns(X)
+    expect = [np.ones(n)]
+    for node in tree.nodes[1:]:
+        col = X[:, node.var]
+        v = node.func(col)
+        assert np.array_equal(values[node.id], v)
+        if isinstance(node.func, Curve):
+            assert np.array_equal(v, np.interp(col, node.func.knots, node.func.values))
+        expect.append(expect[node.parent] * v)
+    assert all(np.array_equal(b, e) for b, e in zip(basis, expect))
+    assert np.array_equal(tree.predict(X), model_sum(tree.b0, np.column_stack(expect)))
 
 
 def test_interaction_order_counts_distinct_path_variables():
