@@ -26,7 +26,8 @@ from .data import (
     split_indices,
     write_csv,
 )
-from .interactions import bootstrap_compare, conditional_interaction, pure_interaction, search_effects
+from .interactions import (bootstrap_compare, conditional_interaction, pure_interaction,
+                           pure_interaction_brute, search_effects)
 from .pdengine import pa as pa_effect
 from .pdengine import pd_brute, pd_fast, write_effect_csv
 from .smoothers import SmootherSpec
@@ -83,12 +84,12 @@ def _progress(msg: str) -> None:
 
 
 def _load_data(args, target: str | None = None, exclude: tuple[str, ...] = ()) -> Dataset:
-    cats = tuple(args.categorical.split(",")) if getattr(args, "categorical", "") else ()
+    cats = tuple(args.categorical.split(",")) if args.categorical else ()
     return load_csv(
         args.data,
         target=target if target is not None else args.target,
         categorical_override=cats,
-        cat_threshold=getattr(args, "cat_threshold", 10),
+        cat_threshold=args.cat_threshold,
         exclude=exclude,
     )
 
@@ -264,8 +265,6 @@ def cmd_interact(args) -> int:
         grid = conditional_interaction(tree, subset, cond, None, data,
                                        resolution=args.grid, method=method)
     elif args.brute:
-        from .interactions import pure_interaction_brute
-
         grid = pure_interaction_brute(tree.predict, subset, None, data, resolution=args.grid)
     else:
         grid = pure_interaction(tree, subset, None, data, resolution=args.grid)
@@ -325,17 +324,21 @@ def _add_data_flags(p, target_default="y"):
 
 
 def _add_fit_flags(p):
-    p.add_argument("--max-nodes", dest="max_nodes", type=_positive_int, default=200)
-    p.add_argument("--max-order", dest="max_order", type=_nonnegative_int, default=0,
+    default = FitConfig()
+    p.add_argument("--max-nodes", dest="max_nodes", type=_positive_int, default=default.max_nodes)
+    p.add_argument("--max-order", dest="max_order", type=_nonnegative_int, default=default.max_order,
                    help="interaction-order cap (0 = unlimited, 1 = additive)")
     p.add_argument("--forbid", action="append", default=[],
                    help="comma list of variables no single path may jointly contain (repeatable)")
-    p.add_argument("--numeric-method", dest="numeric_method", default="local_linear",
+    p.add_argument("--numeric-method", dest="numeric_method", default=default.numeric_smoother.method,
                    choices=["local_linear", "near_neighbor"])
-    p.add_argument("--span", type=_span, default=0.15, help="smoother neighborhood fraction")
-    p.add_argument("--test-fraction", dest="test_fraction", type=_fraction, default=0.2)
-    p.add_argument("--backfit-passes", dest="backfit_passes", type=_nonnegative_int, default=2)
-    p.add_argument("--patience", type=_nonnegative_int, default=5)
+    p.add_argument("--span", type=_span, default=default.numeric_smoother.span,
+                   help="smoother neighborhood fraction")
+    p.add_argument("--test-fraction", dest="test_fraction", type=_fraction,
+                   default=default.split.test_fraction)
+    p.add_argument("--backfit-passes", dest="backfit_passes", type=_nonnegative_int,
+                   default=default.backfit_passes)
+    p.add_argument("--patience", type=_nonnegative_int, default=default.patience)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -92,6 +92,8 @@ class Dataset:
         w = np.ones(n) if w is None else np.asarray(w, dtype=float).ravel()
         if len(w) != n or np.any(w < 0) or not np.all(np.isfinite(w)):
             raise ValueError("weights must be nonnegative, finite, length N")
+        if not w.sum() > 0:
+            raise ValueError("weights sum to zero")
         object.__setattr__(self, "weight", w)
         if self.truth is not None:
             t = np.asarray(self.truth, dtype=float).ravel()

@@ -62,7 +62,7 @@ def _check_subset(tree: FunctionTree, s) -> tuple[int, ...]:
 
 
 def pure_interaction(tree: FunctionTree, s, points=None, data: Dataset | None = None,
-                     resolution: int = 50, kind: str = PURE_INTERACTION) -> EffectGrid:
+                     resolution: int = 50) -> EffectGrid:
     """Partial dependence of the subset with all lower-order sub-effects
     recursively subtracted; identically zero when the model has no
     interaction among the subset's variables."""
@@ -78,7 +78,7 @@ def pure_interaction(tree: FunctionTree, s, points=None, data: Dataset | None = 
         names=tuple(data.variables[j].name for j in s),
         points=pts,
         values=values,
-        kind=kind,
+        kind=PURE_INTERACTION,
         center=eng.center(frozenset(s)),
         alpha=eng.split(frozenset(s)).alpha,
         eval_count=eng.fast_evals - before,
@@ -133,17 +133,17 @@ def conditional_interaction(tree: FunctionTree, s, cond, points=None,
                 "constant extrapolation applies", stacklevel=2,
             )
     if method == "fast":
-        return pure_interaction(pin(tree, cond_map), s, points, data, resolution, kind=CONDITIONAL)
-    if method != "brute":
+        grid = pure_interaction(pin(tree, cond_map), s, points, data, resolution)
+    elif method == "brute":
+        def restricted(X: np.ndarray) -> np.ndarray:
+            Xm = np.array(X, dtype=float, copy=True)
+            for j, val in cond_map.items():
+                Xm[:, j] = val
+            return tree.predict(Xm)
+
+        grid = pure_interaction_brute(restricted, s, points, data, resolution)
+    else:
         raise ValueError("method must be 'fast' or 'brute'")
-
-    def restricted(X: np.ndarray) -> np.ndarray:
-        Xm = np.array(X, dtype=float, copy=True)
-        for j, val in cond_map.items():
-            Xm[:, j] = val
-        return tree.predict(Xm)
-
-    grid = pure_interaction_brute(restricted, s, points, data, resolution)
     grid.kind = CONDITIONAL
     return grid
 

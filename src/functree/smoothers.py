@@ -334,29 +334,20 @@ class SmoothingTarget:
         return Curve(col.knots, np.interp(col.knots, col.x_start, gvals))
 
 
-def smooth(
-    x: np.ndarray,
-    r: np.ndarray,
-    w: np.ndarray,
-    spec: SmootherSpec,
-    *,
-    order: np.ndarray | None = None,
-    knots: np.ndarray | None = None,
-) -> UnivariateFunction:
+def smooth(x: np.ndarray, r: np.ndarray, w: np.ndarray, spec: SmootherSpec) -> UnivariateFunction:
     """Estimate the weighted conditional expectation E_{w^2}[ r/w | x ].
 
     Rows whose basis weight falls below the floor are excluded. For numeric
-    methods the result is a piecewise-linear curve on the ``knots`` grid,
-    which defaults to the distinct sorted x values (quantile-thinned past 500
-    knots). ``order`` may carry a precomputed stable argsort of the full x
-    vector to skip the per-call sort.
+    methods the result is a piecewise-linear curve on the distinct sorted x
+    values of the included rows, quantile-thinned past 500 knots.
 
     The curve value at a knot interpolates the w^2-weighted means, per
     distinct x, of a rank-window fit at each included row. Interpolation
     reads only the x group equal to the knot, or the two groups around a
-    knot that no included row holds (rows below the weight floor can remove
-    one). So the windowed fit is computed only at the rows of those groups,
-    from cumulative sums over all included rows. Each value that reaches the
+    knot that no included row holds (in a fitter's column, whose knots come
+    from all its rows, rows below the weight floor can remove one). So the
+    windowed fit is computed only at the rows of those groups, from
+    cumulative sums over all included rows. Each value that reaches the
     curve goes through the same floating-point operations as when every row
     is fitted, so the result is exact, not an approximation.
 
@@ -373,12 +364,11 @@ def smooth(
     target = SmoothingTarget(r, w)
     if spec.method == CATEGORICAL_MEAN:
         return target.level_means(x)
-    if order is None:
-        order = np.argsort(x, kind="stable")
+    order = np.argsort(x, kind="stable")
     # a stable sort of all rows restricted to the included ones is the
     # stable sort of the included rows
     gidx = order if target.full else order[target.mask[order]]
-    return target.curve(SortedColumn(x[gidx], gidx, knots, spec.resolved_span()), spec.method)
+    return target.curve(SortedColumn(x[gidx], gidx, None, spec.resolved_span()), spec.method)
 
 
 def spline_knots(x: np.ndarray) -> np.ndarray:

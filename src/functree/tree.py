@@ -37,15 +37,11 @@ from .smoothers import (
     SortedPoints,
     UnivariateFunction,
     combine,
-    smooth,
-    thin_knots,
 )
 
 FORMAT_VERSION = 1
 
 ROOT = 0
-
-_LEVEL_MEANS = SmootherSpec(CATEGORICAL_MEAN)
 
 
 class SchemaMismatchError(ValueError):
@@ -426,7 +422,7 @@ class TreeFitter:
                 self.columns.append(None)
             else:
                 order = np.argsort(col, kind="stable")
-                self.columns.append(SortedColumn(col[order], order, thin_knots(np.unique(col)), span))
+                self.columns.append(SortedColumn(col[order], order, None, span))
         # one KnotIndex per (variable, knot vector, train or test rows); the
         # key holds the knot array's id, which the index keeps alive
         self._indexes: dict[tuple[int, int, bool], KnotIndex] = {}
@@ -478,12 +474,16 @@ class TreeFitter:
     def train_sse(self) -> float:
         return float(np.sum(self.rho * self.resid**2))
 
-    def _smooth(self, j: int, r: np.ndarray, w: np.ndarray) -> UnivariateFunction:
+    def _smooth(self, j: int, target: SmoothingTarget) -> UnivariateFunction:
+        """``smooth`` of variable j on ``target``, from the variable's sorted
+        column, restricted to the target's rows when some are excluded. The
+        candidate sweep and backfitting both smooth through here."""
         column = self.columns[j]
         if column is None:
-            return smooth(self.Xtr[:, j], r, w, _LEVEL_MEANS)
-        return smooth(self.Xtr[:, j], r, w, self.config.numeric_smoother, order=column.gidx,
-                      knots=column.knots)
+            return target.level_means(self.Xtr[:, j])
+        if not target.full:
+            column = column.restrict(target.mask)
+        return target.curve(column, self.config.numeric_smoother.method)
 
     def _subtree(self, k: int) -> list[int]:
         out = [k]
@@ -532,17 +532,6 @@ class TreeFitter:
             return False
         return not any(s <= pv for s in self.config.forbidden_subsets)
 
-    def _candidate_function(self, j: int, target: SmoothingTarget) -> UnivariateFunction:
-        """``smooth`` of variable j on a parent's ``target``, from the
-        variable's sorted column, restricted to the target's rows when some
-        are excluded."""
-        column = self.columns[j]
-        if column is None:
-            return target.level_means(self.Xtr[:, j])
-        if not target.full:
-            column = column.restrict(target.mask)
-        return target.curve(column, self.config.numeric_smoother.method)
-
     def score_candidate(self, k: int, j: int, target: SmoothingTarget | None, rho_resid: np.ndarray):
         """Fit the (parent=k, variable=j) candidate on the parent's smoothing
         ``target`` (None when the weight floor excludes every row) and
@@ -552,7 +541,7 @@ class TreeFitter:
         if target is None:
             return None
         try:
-            f = self._candidate_function(j, target)
+            f = self._smooth(j, target)
         except ValueError:
             return None
         d = self.B_tr[k] * self._eval(j, f)
@@ -608,10 +597,10 @@ class TreeFitter:
         for k in range(1, len(self.nodes)):
             node = self.nodes[k]
             cow = self._coweight(k)
-            w = cow * self.sqrt_rho
-            target = (self.resid + cow * self.fv_tr[k]) * self.sqrt_rho
             try:
-                proposal = self._smooth(node.var, target, w)
+                target = SmoothingTarget((self.resid + cow * self.fv_tr[k]) * self.sqrt_rho,
+                                         cow * self.sqrt_rho)
+                proposal = self._smooth(node.var, target)
             except ValueError:
                 continue
             direction = combine(proposal, node.func, 1.0, -1.0)

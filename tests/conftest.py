@@ -7,7 +7,7 @@ import pytest
 
 import functree as ft
 from functree.data import NUMERIC, CATEGORICAL, Dataset, Variable
-from functree.smoothers import Curve, LevelTable
+from functree.smoothers import Curve, LevelTable, smooth, thin_knots, weight_floor
 from functree.tree import FunctionTree, TreeNode
 
 
@@ -58,3 +58,50 @@ def random_dataset(rng: np.random.Generator, tree: FunctionTree, n: int = 150) -
     X = np.column_stack(cols)
     y = tree.predict(X) + rng.normal(0.0, 0.1, size=n)
     return Dataset(tree.variables, X, y)
+
+
+def reference_smooth(x, r, w, spec, *, order=None, knots=None):
+    """The full-row numeric smoother: the windowed fit at every included
+    row, one weighted mean per distinct x, then interpolation at the knots
+    (by default the distinct x of the included rows, thinned as ``smooth``
+    thins them). ``order`` may carry a stable argsort of all of x.
+    Categorical specs go to ``smooth``."""
+    if spec.method == "categorical_mean":
+        return smooth(x, r, w, spec)
+    x, r, w = (np.asarray(a, dtype=float) for a in (x, r, w))
+    mask = (np.abs(w) >= weight_floor(w)) & (w != 0.0)
+    if not mask.any():
+        raise ValueError("all rows excluded by the basis-weight floor")
+    if order is None:
+        sidx = np.argsort(x[mask], kind="stable")
+        xs, rs, ws = x[mask][sidx], r[mask][sidx], w[mask][sidx]
+    else:
+        gidx = order[mask[order]]
+        xs, rs, ws = x[gidx], r[gidx], w[gidx]
+    ts, omega = rs / ws, np.square(ws)
+    n = len(xs)
+    m = max(2, int(round(spec.resolved_span() * n)))
+    i = np.arange(n)
+    lo, hi = np.maximum(i - (m - 1) // 2, 0), np.minimum(i + m // 2, n - 1)
+
+    def wsum(v):
+        c = np.concatenate([[0.0], np.cumsum(v)])
+        return c[hi + 1] - c[lo]
+
+    if spec.method == "near_neighbor":
+        vals = wsum(omega * ts) / wsum(omega)
+    else:
+        s0 = wsum(omega)
+        xbar = wsum(omega * xs) / s0
+        tbar = wsum(omega * ts) / s0
+        varx = wsum(omega * xs * xs) / s0 - xbar**2
+        covxt = wsum(omega * xs * ts) / s0 - xbar * tbar
+        span_x = float(xs[-1] - xs[0])
+        good = varx > max(1e-12 * span_x * span_x, 1e-300)
+        slope = np.where(good, covxt / np.where(good, varx, 1.0), 0.0)
+        vals = tbar + slope * (xs - xbar)
+    uniq, start = np.unique(xs, return_index=True)
+    uvals = np.add.reduceat(omega * vals, start) / np.add.reduceat(omega, start)
+    if knots is None:
+        knots = thin_knots(uniq)
+    return Curve(knots, np.interp(knots, uniq, uvals))

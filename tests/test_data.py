@@ -132,6 +132,15 @@ def test_dataset_needs_rows_and_columns():
         Dataset((v,), np.array([[1.0]]), np.array([1.0]))
 
 
+def test_dataset_rejects_all_zero_weights():
+    data = ft.gen_friedman(300, seed=1)
+    with pytest.raises(ValueError, match="weights sum to zero"):
+        Dataset(data.variables, data.X, data.y, weight=np.zeros(data.n))
+    one = np.zeros(data.n)
+    one[7] = 1.0
+    assert Dataset(data.variables, data.X, data.y, weight=one).weight.sum() == 1.0
+
+
 def test_split_is_deterministic_and_disjoint():
     spec = SplitSpec(0.25, seed=9)
     tr1, te1 = split_indices(100, spec)

@@ -1,6 +1,7 @@
 """Smoother and univariate-function contracts."""
 
 import json
+import sys
 import warnings
 
 import numpy as np
@@ -16,14 +17,16 @@ from functree.smoothers import (
     LevelTable,
     SmootherSpec,
     SmoothingTarget,
+    SortedColumn,
     combine,
     smooth,
     spline_fit,
     spline_knots,
     thin_knots,
-    weight_floor,
 )
 from functree.tree import TreeFitter
+
+from conftest import reference_smooth
 
 
 def spec(method, span=None):
@@ -203,18 +206,6 @@ def test_knot_cap_by_quantile_thinning():
     assert len(f.knots) <= 500
 
 
-def test_precomputed_order_matches_fresh_sort():
-    rng = np.random.default_rng(6)
-    x = rng.normal(size=120)
-    r = rng.normal(size=120)
-    w = rng.uniform(0.1, 1.0, 120)
-    order = np.argsort(x, kind="stable")
-    a = smooth(x, r, w, spec("local_linear"), order=order)
-    b = smooth(x, r, w, spec("local_linear"))
-    np.testing.assert_array_equal(a.knots, b.knots)
-    np.testing.assert_array_equal(a.values, b.values)
-
-
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_near_neighbor_rank_equivariance(seed):
@@ -234,51 +225,6 @@ def test_near_neighbor_rank_equivariance(seed):
 # smooth(): the knot-row numeric path against the full-row reference
 # ---------------------------------------------------------------------------
 
-def reference_smooth(x, r, w, spec, *, order=None, knots=None):
-    """The full-row numeric smoother: the windowed fit at every included
-    row, one weighted mean per distinct x, then interpolation at the knots.
-    Categorical specs go to ``smooth``."""
-    if spec.method == "categorical_mean":
-        return smooth(x, r, w, spec, order=order, knots=knots)
-    x, r, w = (np.asarray(a, dtype=float) for a in (x, r, w))
-    mask = (np.abs(w) >= weight_floor(w)) & (w != 0.0)
-    if not mask.any():
-        raise ValueError("all rows excluded by the basis-weight floor")
-    if order is None:
-        sidx = np.argsort(x[mask], kind="stable")
-        xs, rs, ws = x[mask][sidx], r[mask][sidx], w[mask][sidx]
-    else:
-        gidx = order[mask[order]]
-        xs, rs, ws = x[gidx], r[gidx], w[gidx]
-    ts, omega = rs / ws, np.square(ws)
-    n = len(xs)
-    m = max(2, int(round(spec.resolved_span() * n)))
-    i = np.arange(n)
-    lo, hi = np.maximum(i - (m - 1) // 2, 0), np.minimum(i + m // 2, n - 1)
-
-    def wsum(v):
-        c = np.concatenate([[0.0], np.cumsum(v)])
-        return c[hi + 1] - c[lo]
-
-    if spec.method == "near_neighbor":
-        vals = wsum(omega * ts) / wsum(omega)
-    else:
-        s0 = wsum(omega)
-        xbar = wsum(omega * xs) / s0
-        tbar = wsum(omega * ts) / s0
-        varx = wsum(omega * xs * xs) / s0 - xbar**2
-        covxt = wsum(omega * xs * ts) / s0 - xbar * tbar
-        span_x = float(xs[-1] - xs[0])
-        good = varx > max(1e-12 * span_x * span_x, 1e-300)
-        slope = np.where(good, covxt / np.where(good, varx, 1.0), 0.0)
-        vals = tbar + slope * (xs - xbar)
-    uniq, start = np.unique(xs, return_index=True)
-    uvals = np.add.reduceat(omega * vals, start) / np.add.reduceat(omega, start)
-    if knots is None:
-        knots = thin_knots(uniq)
-    return Curve(knots, np.interp(knots, uniq, uvals))
-
-
 @settings(max_examples=300, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -288,9 +234,11 @@ def reference_smooth(x, r, w, spec, *, order=None, knots=None):
     method=st.sampled_from(["near_neighbor", "local_linear"]),
     span=st.one_of(st.none(), st.floats(0.01, 1.0)),
     with_order=st.booleans(),
-    grid=st.sampled_from(["none", "full", "thinned", "off_data"]),
+    grid=st.sampled_from(["public", "none", "full", "thinned", "off_data"]),
 )
 def test_smooth_equals_full_row_reference(seed, n, xkind, weights, method, span, with_order, grid):
+    # "public" calls smooth() itself; every other grid smooths the way the
+    # fitter does, on a column of all rows restricted to the target's rows
     rng = np.random.default_rng(seed)
     if xkind == "distinct":
         x = rng.normal(size=n)
@@ -306,18 +254,23 @@ def test_smooth_equals_full_row_reference(seed, n, xkind, weights, method, span,
         w[rng.random(n) < 0.1] = 1e-9
     if not (w != 0.0).any():
         w[0] = 1.0
-    kw = {}
-    if with_order:
-        kw["order"] = np.argsort(x, kind="stable")
-    if grid == "full":
-        kw["knots"] = np.unique(x)
-    elif grid == "thinned":
-        kw["knots"] = thin_knots(np.unique(x), int(rng.integers(2, 600)))
-    elif grid == "off_data":
-        kw["knots"] = np.unique(rng.normal(scale=2.0, size=int(rng.integers(1, 50))))
     sp = spec(method, span=span)
-    got = smooth(x, r, w, sp, **kw)
-    want = reference_smooth(x, r, w, sp, **kw)
+    if grid == "public":
+        got, want = smooth(x, r, w, sp), reference_smooth(x, r, w, sp)
+    else:
+        knots = None
+        if grid == "full":
+            knots = np.unique(x)
+        elif grid == "thinned":
+            knots = thin_knots(np.unique(x), int(rng.integers(2, 600)))
+        elif grid == "off_data":
+            knots = np.unique(rng.normal(scale=2.0, size=int(rng.integers(1, 50))))
+        order = np.argsort(x, kind="stable")
+        target = SmoothingTarget(r, w)
+        col = SortedColumn(x[order], order, knots, sp.resolved_span()).restrict(target.mask)
+        got = target.curve(col, method)
+        kw = {"order": order} if with_order else {}
+        want = reference_smooth(x, r, w, sp, knots=col.knots, **kw)
     assert np.array_equal(got.knots, want.knots)
     assert np.array_equal(got.values, want.values)
 
@@ -326,25 +279,29 @@ def test_fit_with_reference_smoother_gives_same_model(monkeypatch):
     data = ft.gen_friedman(600, seed=5)
     config = ft.FitConfig(max_nodes=6, patience=6)
     fast = json.dumps(ft.fit(data, config).to_dict())
-    calls = []
+    callers = []
 
-    # the candidate sweep smooths from per-parent and per-variable pieces;
-    # here every candidate is smoothed from its raw (r, w) instead, which
-    # each parent's target records
+    # the fitter smooths from per-variable columns and per-target pieces;
+    # here every candidate and every backfit update is smoothed from the raw
+    # (r, w) that each target records
     class RecordingTarget(SmoothingTarget):
         def __init__(self, r, w):
             super().__init__(r, w)
             self.r, self.w = r, w
 
-    def reference_candidate(self, j, target):
-        calls.append(j)
-        return self._smooth(j, target.r, target.w)
+    def reference(self, j, target):
+        callers.append(sys._getframe(1).f_code.co_name)
+        column = self.columns[j]
+        if column is None:
+            return reference_smooth(self.Xtr[:, j], target.r, target.w, spec("categorical_mean"))
+        return reference_smooth(self.Xtr[:, j], target.r, target.w, self.config.numeric_smoother,
+                                order=column.gidx, knots=column.knots)
 
     monkeypatch.setattr("functree.tree.SmoothingTarget", RecordingTarget)
-    monkeypatch.setattr("functree.tree.smooth", reference_smooth)
-    monkeypatch.setattr(TreeFitter, "_candidate_function", reference_candidate)
+    monkeypatch.setattr(TreeFitter, "_smooth", reference)
     assert json.dumps(ft.fit(data, config).to_dict()) == fast
-    assert len(calls) > 6 * data.p
+    assert callers.count("score_candidate") > 6 * data.p
+    assert callers.count("backfit_pass") > 0
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from functree.tree import (
     model_sum,
 )
 
-from conftest import random_dataset, random_tree
+from conftest import random_dataset, random_tree, reference_smooth
 
 
 def identity_curve(lo=-10.0, hi=10.0):
@@ -251,7 +251,12 @@ def test_candidate_sweep_equals_smooth(method, zero_weights):
         w = fitter.B_tr[k] * fitter.sqrt_rho
         assert SmoothingTarget(r, w).full == (not zero_weights)
         for j in range(data.p):
-            want = fitter._smooth(j, r, w)
+            x, col = fitter.Xtr[:, j], fitter.columns[j]
+            if col is None:
+                want = reference_smooth(x, r, w, SmootherSpec("categorical_mean"))
+            else:
+                want = reference_smooth(x, r, w, fitter.config.numeric_smoother,
+                                        order=col.gidx, knots=col.knots)
             d = fitter.B_tr[k] * fitter._eval(j, want)
             num = float(np.sum(fitter.rho * fitter.resid * d))
             gain, got = swept[(k, j)]
