@@ -65,7 +65,8 @@ def pure_interaction(tree: FunctionTree, s, points=None, data: Dataset | None = 
                      resolution: int = 50) -> EffectGrid:
     """Partial dependence of the subset with all lower-order sub-effects
     recursively subtracted; identically zero when the model has no
-    interaction among the subset's variables."""
+    interaction among the subset's variables, and returned as exact zeros
+    without evaluation when no root path contains the subset."""
     if data is None:
         raise ValueError("data is required")
     s = _check_subset(tree, s)
@@ -336,7 +337,8 @@ def search_effects(tree: FunctionTree, data: Dataset, max_order: int = 3,
     With screening on, main effects are searched over variables carrying any
     influence mass, and order-n subsets over the interacting variables that
     also carry mass at level n or higher. ``strength_rows`` caps the number
-    of rows used for the strength variance (seeded subsample).
+    of rows used for the strength variance (seeded subsample). A subset that
+    no root path contains is reported with strength 0.0 at no cost.
     """
     max_order = min(max_order, 4)
     if max_order < 1:

@@ -1,9 +1,12 @@
 """Pure interactions, strengths, screening, search, and bootstrap."""
 
 import warnings
+from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import functree as ft
 from functree.data import Dataset, Variable
@@ -14,13 +17,14 @@ from functree.interactions import (
     conditional_interaction,
     pin,
     pure_interaction,
+    pure_interaction_brute,
     screen_h,
     screen_r,
     search_effects,
     strength,
 )
 from functree.pdengine import pd_fast, resolve_points
-from functree.smoothers import Curve
+from functree.smoothers import Curve, LevelTable
 from functree.tree import FitConfig, FunctionTree, TreeNode
 
 from conftest import random_dataset, random_tree
@@ -60,7 +64,7 @@ def bilinear_setup():
 def test_additive_tree_has_no_pair_interaction(friedman_data, additive_model):
     for s in [(0, 1), (3, 5), (2, 6)]:
         grid = pure_interaction(additive_model, s, None, friedman_data, resolution=8)
-        assert np.max(np.abs(grid.values)) < 1e-8
+        assert np.all(grid.values == 0.0)
 
 
 def test_bilinear_tree_recovers_product():
@@ -77,8 +81,6 @@ def test_bilinear_tree_recovers_product():
 
 def test_inclusion_exclusion_identity(friedman_data, friedman_model):
     eng = EffectEngine(friedman_model, friedman_data)
-    from itertools import combinations
-
     for s in [(0, 1), (3, 4, 5), (2, 6, 7), (0, 2, 5, 7)]:
         pts, _ = resolve_points(friedman_data, s, None, 5)
         memo = {}
@@ -111,7 +113,7 @@ def test_interaction_rows_have_zero_weighted_mean(friedman_data, friedman_model)
 
 def test_strength_additive_tree_is_tiny(friedman_data, additive_model):
     for s in [(0, 1), (3, 5), (1, 2, 4)]:
-        assert strength(additive_model, s, friedman_data) < 1e-6
+        assert strength(additive_model, s, friedman_data) == 0.0
 
 
 def test_strength_invariant_to_subset_order(friedman_data, friedman_model):
@@ -190,6 +192,80 @@ def test_pin_replaces_functions_with_constants():
 
 
 # ---------------------------------------------------------------------------
+# Dead subsets
+# ---------------------------------------------------------------------------
+
+def _in_a_path(tree, s) -> bool:
+    """Whether some root path's variable set contains the subset (live)."""
+    return any(set(s) <= tree.path_vars(k) for k in range(1, len(tree.nodes)))
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(st.data())
+def test_dead_subsets_give_exact_zeros(data):
+    # a subset that no root path's variable set contains has an identically
+    # zero pure interaction: the fast paths must give exact zeros for every
+    # such subset of up to 4 variables, on trees with paths up to depth 4,
+    # level tables and a pinned variable, and brute-force averaging must
+    # agree to rounding
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    p = data.draw(st.integers(2, 5))
+    levels = ("a", "b", "c")
+    variables = tuple(
+        Variable(f"g{j}", "categorical", levels=levels) if data.draw(st.booleans())
+        else Variable(f"x{j}", "numeric", observed_range=(-3.0, 3.0)) for j in range(p))
+    nodes, depth = [TreeNode(0, -1, None, None)], [0]
+    for k in range(1, data.draw(st.integers(1, 8)) + 1):
+        parent = int(rng.choice([m for m in range(k) if depth[m] < 4]))
+        j = int(rng.integers(0, p))
+        if variables[j].is_categorical:
+            func = LevelTable(rng.uniform(-1.2, 1.2, len(levels)), 0.25)
+        else:
+            knots = np.unique(rng.uniform(-2.0, 2.0, int(rng.integers(2, 8))))
+            func = Curve(knots, rng.uniform(-1.2, 1.2, len(knots)))
+        nodes.append(TreeNode(k, parent, j, func))
+        depth.append(depth[parent] + 1)
+    tree = FunctionTree(variables, float(rng.normal()), nodes)
+    if data.draw(st.booleans()):
+        tree = pin(tree, {int(rng.integers(0, p)): 1.0})
+    sample = random_dataset(rng, tree, n=60)
+    dead = [s for size in range(1, min(p, 4) + 1) for s in combinations(range(p), size)
+            if not _in_a_path(tree, s)]
+    eng = EffectEngine(tree, sample)
+    constant = np.ptp(tree.predict(sample.X)) == 0.0
+    for s in dead:
+        assert np.all(eng.i_rows(frozenset(s)) == 0.0)
+        try:
+            assert eng.strength(s) == 0.0
+        except ValueError:
+            assert constant
+        pts, _ = resolve_points(sample, s, None, 3)
+        assert np.all(pure_interaction(tree, s, pts, sample).values == 0.0)
+        rest = [j for j in range(p) if j not in s]
+        if rest:
+            cond = conditional_interaction(tree, s, {rest[0]: 1.0}, pts, sample)
+            assert np.all(cond.values == 0.0)
+    sub = ft.take_rows(sample, np.arange(20))
+    pred = tree.predict(sub.X)
+    sd = float(np.std(pred))
+    for s in data.draw(st.lists(st.sampled_from(dead), max_size=2)) if dead and np.ptp(pred) > 0 else ():
+        brute = pure_interaction_brute(tree.predict, s, sub.X[:5][:, list(s)], sub)
+        assert np.max(np.abs(brute.values)) <= 1e-12 * sd
+
+
+def test_dead_subset_property_fails_on_a_union_of_two_paths(monkeypatch):
+    # a live test that also accepts a subset lying only in the union of two
+    # paths evaluates dead subsets; their rounding noise must fail the
+    # property's exact zeros
+    def union_live(self, key):
+        return any(key <= a | b for a in self.pathvars for b in self.pathvars)
+
+    monkeypatch.setattr(EffectEngine, "live", union_live)
+    with pytest.raises(AssertionError):
+        test_dead_subsets_give_exact_zeros()
+
+
+# ---------------------------------------------------------------------------
 # Screening
 # ---------------------------------------------------------------------------
 
@@ -246,12 +322,35 @@ def test_search_recovers_friedman_structure(friedman_data, friedman_model):
     assert triples[0] == (3, 4, 5)
 
 
-def test_search_screening_matches_exhaustive(friedman_data, friedman_model):
+@pytest.fixture(scope="module")
+def hu_bench_model():
+    """The analysis benchmark's model: 24 nodes fitted on 5,000 rows."""
+    return ft.fit(ft.gen_hu(5000, seed=0), FitConfig(max_nodes=24, patience=24))
+
+
+def test_search_screening_matches_exhaustive(friedman_data, friedman_model, hu_bench_model):
     screened = search_effects(friedman_model, friedman_data, max_order=3)
     full = search_effects(friedman_model, friedman_data, max_order=3, use_screens=False)
     top_s = [frozenset(e.subset) for e in screened.top(k=10)]
     top_f = [frozenset(e.subset) for e in full.top(k=10)]
     assert top_s == top_f
+    # the exhaustive search pays for its live subsets alone, each once and
+    # in the search's order
+    eng = EffectEngine(friedman_model, friedman_data)
+    n = friedman_data.n
+    cost = 0.0
+    for order in (1, 2, 3):
+        for s in combinations(range(friedman_data.p), order):
+            if _in_a_path(friedman_model, s):
+                cost += n + eng.split(frozenset(s)).alpha * n
+    assert full.fast_evals == cost
+    # on the friedman model the screens drop only dead subsets; on this one
+    # they drop live ones too, and save their cost
+    data = ft.gen_hu(2000, seed=7)
+    screened = search_effects(hu_bench_model, data, max_order=3)
+    full = search_effects(hu_bench_model, data, max_order=3, use_screens=False)
+    assert [frozenset(e.subset) for e in screened.top(k=10)] == \
+        [frozenset(e.subset) for e in full.top(k=10)]
     assert screened.fast_evals < full.fast_evals
 
 
@@ -331,7 +430,8 @@ def test_search_memos_match_a_fresh_engine_per_subset(request, which):
             _screen_h(eng)
         assert all(np.array_equal(a, b) for a, b in zip(eng.node_values, cols[0]))
         assert all(np.array_equal(a, b) for a, b in zip(eng.basis, cols[1]))
-        assert len(eng._centers) >= len(subsets)
+        assert len(eng._centers) >= sum(_in_a_path(model, s) for s in subsets)
+        assert all(_in_a_path(model, key) for key in eng._i_rows)
         for key in eng._centers:
             raw = _uncentred_at_rows(eng, key, cols)
             assert eng.center(key) == np.average(raw, weights=data.weight[eng.rows])
