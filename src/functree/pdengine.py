@@ -416,7 +416,10 @@ class EffectEngine:
     def strength(self, subset) -> float:
         if self._pred_var is None:
             mean = _mean(self.pred, self.w, self.w_sum)
-            self._pred_var = float(_mean((self.pred - mean) ** 2, self.w, self.w_sum))
+            # constancy is tested exactly: a constant's weighted mean can be
+            # an ulp off and leave a variance of about 1e-33
+            var = float(_mean((self.pred - mean) ** 2, self.w, self.w_sum))
+            self._pred_var = var if np.ptp(self.pred[self.w > 0]) > 0.0 else 0.0
         if self._pred_var <= 0.0:
             raise ValueError("model predictions are constant; strength is undefined")
         key = frozenset(subset)

@@ -43,6 +43,20 @@ FORMAT_VERSION = 1
 
 ROOT = 0
 
+# The fit's parent queue (Friedman 1993, "Fast MARS", Stanford Statistics
+# Tech. Report 110): a step rescores the QUEUE_TOP parents with the highest
+# best gain when last scored, every parent not scored for QUEUE_AGE steps and
+# every parent never scored (all of them on the first step, then the newest
+# node). Measured with 2 vCPUs and one BLAS thread: a 30-step fit of
+# gen_hu(20000, s) rescores about 242 of the exact sweep's 465 parents and
+# took 7.6 s against 13.8 s (perfbench fit-hu30, medians of ten pairs); test
+# RMSE was at most 1.0032x the exact sweep's on that fit and on the default
+# fit of gen_friedman(10000, s), s = 1-5. QUEUE_TOP = 5 missed the exact
+# winner at step 10 of gen_friedman(10000, 11, snr=2), which then stopped at
+# 9 nodes; 8 keeps that fit's exact sequence.
+QUEUE_TOP = 8
+QUEUE_AGE = 5
+
 
 class SchemaMismatchError(ValueError):
     """Model and data disagree on the variable schema."""
@@ -446,6 +460,12 @@ class TreeFitter:
         # additions below this gain are float noise, not structure
         self.min_gain = 1e-12 * float(np.sum(self.rho * (self.ytr - np.average(self.ytr, weights=self.rho)) ** 2))
         self.history: list[dict] = []
+        # the parent queue: each scored parent's best gain and the step it
+        # was last scored at; the last step's chosen candidate and the
+        # parents and candidate count it scored
+        self._kept: dict[int, tuple[float, int]] = {}
+        self._steps = 0
+        self.last_step: dict = {}
 
     # -- plumbing ----------------------------------------------------------
 
@@ -552,14 +572,18 @@ class TreeFitter:
         beta = num / den
         return num * num / den, f, beta
 
-    def score_all_candidates(self):
+    def _variables(self, k: int) -> list[int]:
+        return [j for j in range(self.data.p) if self._allowed(k, j)]
+
+    def score_all_candidates(self, parents: list[int] | None = None):
         """Yield (sse_reduction, parent, variable, function, scale) for every
-        admissible candidate, parents then variables in index order. Each
-        parent's smoothing target is built once for all its variables."""
+        admissible candidate of ``parents`` (by default every node), parents
+        then variables in index order. Each parent's smoothing target is
+        built once for all its variables."""
         r = self.resid * self.sqrt_rho
         rho_resid = self.rho * self.resid
-        for k in range(len(self.nodes)):
-            allowed = [j for j in range(self.data.p) if self._allowed(k, j)]
+        for k in range(len(self.nodes)) if parents is None else parents:
+            allowed = self._variables(k)
             if not allowed:
                 continue
             try:
@@ -571,14 +595,45 @@ class TreeFitter:
                 if res is not None:
                     yield (res[0], k, j, *res[1:])
 
+    def _queue(self) -> list[int]:
+        """The parents this step rescores, in index order: the QUEUE_TOP
+        with the highest kept gain, and every one never scored or not
+        scored for QUEUE_AGE steps."""
+        kept = self._kept
+        top = sorted(kept, key=lambda k: (-kept[k][0], k))[:QUEUE_TOP]
+        due = [k for k in range(len(self.nodes))
+               if k not in kept or self._steps - kept[k][1] >= QUEUE_AGE]
+        return sorted(set(top).union(due))
+
+    def _sweep(self, parents: list[int]):
+        """The best candidate of ``parents`` (ties toward the lower parent,
+        then variable), keeping each parent's best gain for the queue."""
+        best, gains = None, dict.fromkeys(parents, 0.0)
+        for cand in self.score_all_candidates(parents):
+            gains[cand[1]] = max(gains[cand[1]], cand[0])
+            if best is None or cand[0] > best[0]:
+                best = cand
+        self._kept.update((k, (gain, self._steps)) for k, gain in gains.items())
+        return best
+
     def step(self) -> tuple[int, int] | None:
-        """Attach the best-scoring candidate and return its (parent,
-        variable); ties break toward lower node id then lower variable
-        index. Returns None when no candidate gains more than float noise."""
-        best = max(self.score_all_candidates(), key=lambda cand: cand[0], default=None)
+        """Attach the best-scoring candidate of the queue's parents and
+        return its (parent, variable); ties break toward lower node id then
+        lower variable index. When the queue finds no gain above float
+        noise, every other parent is scored too, so None means no candidate
+        of the exact sweep gains more than float noise."""
+        parents = self._queue()
+        best = self._sweep(parents)
+        if best is None or not best[0] > self.min_gain:
+            best = self._sweep([k for k in range(len(self.nodes)) if k not in parents])
+            parents = list(range(len(self.nodes)))
+        self._steps += 1
+        self.last_step = {"rescored": parents,
+                          "candidates": sum(len(self._variables(k)) for k in parents)}
         if best is None or not best[0] > self.min_gain:
             return None
-        _, k, j, func, beta = best
+        gain, k, j, func, beta = best
+        self.last_step.update(parent=k, var=j, gain=gain)
         node = TreeNode(len(self.nodes), k, j, func.scale(beta))
         self.nodes.append(node)
         self._register(node)
@@ -677,9 +732,8 @@ class TreeFitter:
             fitted = model_sum(self.b0, np.column_stack(self.B_tr))
             self.resid = self.ytr - fitted
             te = self._test_rmse()
-            self.history.append(
-                {"n_nodes": len(self.nodes) - 1, "train_sse": self.train_sse(), "test_rmse": te}
-            )
+            self.history.append({"n_nodes": len(self.nodes) - 1, "train_sse": self.train_sse(),
+                                 "test_rmse": te, **self.last_step})
             if np.isnan(te) or te < best_rmse:
                 best_rmse = te
                 best_snap = self._snapshot()

@@ -144,6 +144,18 @@ def test_strength_constant_predictions_error():
     data = Dataset(variables, X, X[:, 0])
     with pytest.raises(ValueError, match="constant"):
         strength(tree, (0,), data)
+    # a live pair of a two-node tree with both variables pinned: predictions
+    # are exactly constant, though their weighted variance reads 1.2e-32
+    rng = np.random.default_rng(0)
+    nodes = [TreeNode(0, -1, None, None),
+             TreeNode(1, 0, 0, Curve(np.array([-2.0, 2.0]), rng.uniform(-1.2, 1.2, 2))),
+             TreeNode(2, 1, 1, Curve(np.array([-2.0, 2.0]), rng.uniform(-1.2, 1.2, 2)))]
+    tree = FunctionTree(variables, float(rng.normal()), nodes)
+    tree = pin(tree, {0: float(rng.normal()), 1: float(rng.normal())})
+    X = rng.normal(size=(60, 2))
+    assert np.ptp(tree.predict(X)) == 0.0
+    with pytest.raises(ValueError, match="constant"):
+        strength(tree, (0, 1), Dataset(variables, X, X[:, 0]))
 
 
 # ---------------------------------------------------------------------------
@@ -235,10 +247,11 @@ def test_dead_subsets_give_exact_zeros(data):
     constant = np.ptp(tree.predict(sample.X)) == 0.0
     for s in dead:
         assert np.all(eng.i_rows(frozenset(s)) == 0.0)
-        try:
+        if constant:
+            with pytest.raises(ValueError, match="constant"):
+                eng.strength(s)
+        else:
             assert eng.strength(s) == 0.0
-        except ValueError:
-            assert constant
         pts, _ = resolve_points(sample, s, None, 3)
         assert np.all(pure_interaction(tree, s, pts, sample).values == 0.0)
         rest = [j for j in range(p) if j not in s]

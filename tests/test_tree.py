@@ -11,6 +11,7 @@ import functree as ft
 from functree.data import Dataset, SplitSpec, Variable, rmse, split_indices
 from functree.smoothers import SORTED_INTERP_POINTS, Curve, LevelTable, SmootherSpec, SmoothingTarget
 from functree.tree import (
+    QUEUE_TOP,
     FitConfig,
     FormatVersionError,
     FunctionTree,
@@ -221,6 +222,75 @@ def test_fit_best_first_choice_matches_exhaustive_rescoring():
         best_red = max(s[0] for s in scores)
         winners = [(k, j) for red, k, j, *_ in scores if red >= best_red - 1e-12 * max(1.0, best_red)]
         assert fitter.step() == winners[0]
+
+
+class _ExactFitter(TreeFitter):
+    """The fitter with every parent rescored at every step: the exact sweep."""
+
+    def _queue(self):
+        return list(range(len(self.nodes)))
+
+
+class _CheckedFitter(TreeFitter):
+    """Runs the exact sweep before every step and checks the queue's choice
+    against it. With ``floor`` the gain threshold sits at the best gain of
+    any parent but the exact winner's, so a queue that misses that parent
+    finds no gain above it and must rescore every parent."""
+
+    def __init__(self, data, config, floor):
+        super().__init__(data, config)
+        self.floor, self.noise, self.misses = floor, self.min_gain, 0
+
+    def step(self):
+        exact = list(self.score_all_candidates())
+        best = max(exact, key=lambda cand: cand[0], default=None)
+        if self.floor and best is not None:
+            self.min_gain = max([self.noise] + [c[0] for c in exact if c[1] != best[1]])
+        missed = best is not None and best[1] not in self._queue()
+        n_parents = len(self.nodes)
+        got = super().step()
+        rescored = self.last_step["rescored"]
+        assert self.last_step["candidates"] == len(rescored) * self.data.p
+        if got is None:
+            assert rescored == list(range(n_parents))
+        elif best[1] in rescored:
+            assert got == best[1:3]
+            assert self.last_step["gain"] == best[0]
+        self.misses += missed
+        return got
+
+
+def _queue_case(name, seed):
+    if name == "friedman":
+        return ft.gen_friedman(2000, seed=seed), FitConfig()
+    return ft.gen_hu(3000, seed=seed), FitConfig(max_nodes=20, patience=20)
+
+
+@pytest.mark.parametrize("floor", [False, True])
+def test_parent_queue_matches_exact_sweep(floor):
+    misses = 0
+    for name, seed in [("friedman", 1), ("friedman", 2), ("hu", 1), ("hu", 3)]:
+        fitter = _CheckedFitter(*_queue_case(name, seed), floor)
+        history = fitter.run().fit_history
+        misses += fitter.misses
+        # every parent on the first steps, then the newest node on each step
+        assert [h["rescored"] for h in history[:QUEUE_TOP + 1]] == [
+            list(range(k + 1)) for k in range(min(len(history), QUEUE_TOP + 1))]
+        assert all(h["n_nodes"] - 1 in h["rescored"] for h in history)
+    # the queue missed the exact winner's parent (and, with the floor, fell
+    # back to every parent) on some step
+    assert misses > 0
+
+
+@pytest.mark.parametrize("name,seed", [("friedman", 3), ("hu", 2), ("hu", 4)])
+def test_parent_queue_test_rmse_within_one_percent_of_exact(name, seed):
+    data, config = _queue_case(name, seed)
+    queue, exact = TreeFitter(data, config).run(), _ExactFitter(data, config).run()
+    assert queue.train_stats["test_rmse"] <= 1.01 * exact.train_stats["test_rmse"]
+    rescored = [sum(len(h["rescored"]) for h in t.fit_history) for t in (queue, exact)]
+    assert rescored[0] <= rescored[1]
+    # the model file holds no history
+    assert set(queue.to_dict()) == {"format_version", "b0", "variables", "nodes", "train_stats"}
 
 
 def _friedman_with_group(n, seed, zero_weights):
