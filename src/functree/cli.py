@@ -33,17 +33,16 @@ from .pdengine import pd_brute, pd_fast, write_effect_csv
 from .smoothers import SmootherSpec
 from .tree import (
     FitConfig,
-    FormatVersionError,
     FunctionTree,
-    SchemaMismatchError,
     difference,
     fit,
     load,
     save,
 )
 
-_DATA_ERRORS = (DataError, FileNotFoundError, IsADirectoryError, SchemaMismatchError,
-                FormatVersionError, KeyError, ValueError)
+# DataError, SchemaMismatchError and FormatVersionError are ValueErrors; any
+# OSError is a file that cannot be read or written
+_DATA_ERRORS = (OSError, KeyError, ValueError)
 
 
 def _checked(kind, ok, what: str):
@@ -105,24 +104,18 @@ def _var_indices(names_arg: str, variables) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _fit_config(args) -> FitConfig:
-    # --forbid names resolve to indices later, once the data is loaded
-    numeric = SmootherSpec(args.numeric_method, span=args.span)
+def _fit_config(args, variables) -> FitConfig:
+    """The fit flags as a FitConfig; --forbid names resolve against the
+    loaded data's variables."""
     return FitConfig(
         max_nodes=args.max_nodes,
         max_order=args.max_order,
-        numeric_smoother=numeric,
+        numeric_smoother=SmootherSpec(args.numeric_method, span=args.span),
         split=SplitSpec(args.test_fraction, args.seed),
         backfit_passes=args.backfit_passes,
         patience=args.patience,
+        forbidden_subsets=tuple(frozenset(_var_indices(spec, variables)) for spec in args.forbid),
     )
-
-
-def _resolve_forbidden(config: FitConfig, args, variables) -> FitConfig:
-    if not args.forbid:
-        return config
-    subsets = tuple(frozenset(_var_indices(spec, variables)) for spec in args.forbid)
-    return replace(config, forbidden_subsets=subsets)
 
 
 def _print_fit_summary(tree: FunctionTree, data: Dataset) -> None:
@@ -157,7 +150,7 @@ def cmd_gen(args) -> int:
 
 def cmd_fit(args) -> int:
     data = _load_data(args)
-    config = _resolve_forbidden(_fit_config(args), args, data.variables)
+    config = _fit_config(args, data.variables)
     _progress(f"fitting on {data.n} rows, {data.p} predictors")
     tree = fit(data, config)
     save(tree, args.out)
@@ -283,7 +276,7 @@ def cmd_diff(args) -> int:
 
 def cmd_bootstrap(args) -> int:
     data = _load_data(args)
-    base = _resolve_forbidden(_fit_config(args), args, data.variables)
+    base = _fit_config(args, data.variables)
     configs = [replace(base, max_order=order) for order in args.max_orders]
     labels = ["unconstrained" if order == 0 else f"max_order={order}" for order in args.max_orders]
     _progress(f"bootstrap: {args.reps} replicates x {len(configs)} configs")
@@ -300,7 +293,7 @@ def cmd_bootstrap(args) -> int:
 def cmd_surrogate(args) -> int:
     exclude = tuple(tok for tok in (args.exclude.split(",") if args.exclude else []) if tok)
     data = _load_data(args, target=args.pred, exclude=exclude)
-    config = _resolve_forbidden(_fit_config(args), args, data.variables)
+    config = _fit_config(args, data.variables)
     _progress(f"fitting surrogate to column {args.pred!r}")
     tree = fit(data, config)
     save(tree, args.out)

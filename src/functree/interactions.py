@@ -54,22 +54,13 @@ __all__ = [
 # Public effect operations
 # ---------------------------------------------------------------------------
 
-def _check_subset(tree: FunctionTree, s) -> tuple[int, ...]:
-    s = check_subset(tree, s)
-    if len(s) > 4:
-        raise ValueError("subset must hold 1 to 4 distinct variables")
-    return s
-
-
 def pure_interaction(tree: FunctionTree, s, points=None, data: Dataset | None = None,
                      resolution: int = 50) -> EffectGrid:
     """Partial dependence of the subset with all lower-order sub-effects
     recursively subtracted; identically zero when the model has no
     interaction among the subset's variables, and returned as exact zeros
     without evaluation when no root path contains the subset."""
-    if data is None:
-        raise ValueError("data is required")
-    s = _check_subset(tree, s)
+    s = check_subset(s, data, 4)
     eng = EffectEngine(tree, data)
     pts, axes = resolve_points(data, s, points, resolution)
     before = eng.fast_evals
@@ -90,7 +81,7 @@ def pure_interaction(tree: FunctionTree, s, points=None, data: Dataset | None = 
 def strength(tree: FunctionTree, s, data: Dataset) -> float:
     """Interaction strength: sd of the pure interaction over the data rows
     divided by the sd of the model predictions."""
-    s = _check_subset(tree, s)
+    s = check_subset(s, data, 4)
     return EffectEngine(tree, data).strength(s)
 
 
@@ -119,10 +110,10 @@ def conditional_interaction(tree: FunctionTree, s, cond, points=None,
     values. The pinned model is still a function tree, so the fast path gives
     exactly what brute-force averaging of the restricted predictor gives.
     """
-    if data is None:
-        raise ValueError("data is required")
-    s = _check_subset(tree, s)
+    s = check_subset(s, data, 4)
     cond_map = {int(v): float(val) for v, val in (cond.items() if isinstance(cond, dict) else cond)}
+    if cond_map:
+        check_subset(cond_map, data)
     if set(cond_map) & set(s):
         raise ValueError("conditioning variables must be disjoint from the subset")
     for j, val in cond_map.items():
@@ -153,9 +144,7 @@ def pure_interaction_brute(predict_fn, s, points=None, data: Dataset | None = No
                            resolution: int = 50) -> EffectGrid:
     """Pure interaction of a black-box predictor via brute-force partial
     dependences (reference path: N * N_z evaluations per subset)."""
-    if data is None:
-        raise ValueError("data is required")
-    s = tuple(s)
+    s = check_subset(s, data)
     pts, axes = resolve_points(data, s, points, resolution)
     evals = 0.0
 
@@ -340,8 +329,7 @@ def search_effects(tree: FunctionTree, data: Dataset, max_order: int = 3,
     of rows used for the strength variance (seeded subsample). A subset that
     no root path contains is reported with strength 0.0 at no cost.
     """
-    max_order = min(max_order, 4)
-    if max_order < 1:
+    if not 1 <= max_order <= 4:
         raise ValueError("max_order must be between 1 and 4")
     rows = None
     if strength_rows is not None and strength_rows < data.n:

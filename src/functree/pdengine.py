@@ -172,6 +172,15 @@ class _Split(NamedTuple):
     alpha: float
 
 
+def _product(columns: list[np.ndarray], nodes: tuple[int, ...]) -> np.ndarray:
+    """Product of the given nodes' columns (read-only: a single node's is
+    the column itself)."""
+    out = columns[nodes[0]]
+    for m in nodes[1:]:
+        out = out * columns[m]
+    return out
+
+
 def _mean(a: np.ndarray, w: np.ndarray, w_sum: float) -> np.floating:
     """``np.average(a, weights=w)`` given ``w_sum = w.sum()``: numpy's own
     arithmetic (numpy >= 1.23), without its per-call checks and weight sum."""
@@ -226,20 +235,13 @@ class EffectEngine:
         self._basis_at_rows = [b[take] for b in self.basis]
         self.w_sum = self.w.sum()
         self._pred_var: float | None = None
-        # row vectors by subset. Only live subsets (see ``live``) reach
-        # them from a pure interaction, so they hold at most one vector per
-        # live subset (plus the h-screen's complements): at most the sum over
-        # distinct path variable sets P of sum_{k<=4} C(|P|, k). On the
-        # 24-node benchmark model that is 14 mains, 15 pairs, 7 triples and
-        # 1 quadruple.
+        # centring constants by subset and pure interactions at the rows by
+        # sorted subset tuple. Over one analyze-hu30 round (seed 7) _i_rows
+        # had 142 hits in 234 lookups and _centers 4 in 16; of the shared
+        # memos, _splits had 52 in 240, _gbar 273 in 438 and _pa_curves 27
+        # in 76, each miss of which fits a spline
         self._centers: dict[frozenset, float] = {}
-        self._rows_centered: dict[frozenset, np.ndarray] = {}
         self._i_rows: dict[tuple, np.ndarray] = {}
-        # with PA, each mixed term's f * coeff(f) at the rows by (z-side
-        # nodes, complement nodes): distinct pairs x len(rows) floats, at
-        # most 48 pairs and 7.7 MB on the 24-node benchmark model at 20,000
-        # rows
-        self._pa_terms: dict[tuple, np.ndarray] = {}
         self.fast_evals = 0.0
         self.brute_equiv = 0.0
 
@@ -289,22 +291,16 @@ class EffectEngine:
         return out
 
     def _rows_product(self, nodes: tuple[int, ...]) -> np.ndarray:
-        """Product of the given nodes' functions at every data row."""
-        out = self.node_values[nodes[0]].copy()
-        for m in nodes[1:]:
-            out *= self.node_values[m]
-        return out
+        """Product of the given nodes' functions at every data row
+        (read-only)."""
+        return _product(self.node_values, nodes)
 
     def _term_f_rows(self, term: _Term) -> np.ndarray:
         """The term's z-side product at the engine's rows (read-only: it may
         be a node column itself)."""
         if term.inside:
             return self._basis_at_rows[term.node_id]
-        values = self._values_at_rows
-        out = values[term.z_nodes[0]]
-        for m in term.z_nodes[1:]:
-            out = out * values[m]
-        return out
+        return _product(self._values_at_rows, term.z_nodes)
 
     def _term_value(self, term: _Term, f: np.ndarray) -> np.ndarray:
         """f * g for the term's z-side product f: g is the complement mean
@@ -312,17 +308,6 @@ class EffectEngine:
         if self.use_pa and not term.inside:
             return f * self._coeff(term)(f)
         return term.gbar * f
-
-    def _term_rows(self, term: _Term) -> np.ndarray:
-        """The term's value at the engine's rows; with PA, a mixed term's
-        value is kept per engine."""
-        if not self.use_pa or term.inside:
-            return self._term_value(term, self._term_f_rows(term))
-        pair = (term.z_nodes, term.comp_nodes)
-        cached = self._pa_terms.get(pair)
-        if cached is None:
-            cached = self._pa_terms[pair] = self._term_value(term, self._term_f_rows(term))
-        return cached
 
     def _term_f_at(self, term: _Term, subset: tuple, pts: np.ndarray) -> np.ndarray:
         pos = {j: i for i, j in enumerate(subset)}
@@ -348,17 +333,16 @@ class EffectEngine:
 
     # -- effect values -------------------------------------------------------
 
-    def _account(self, n_points: int, split: _Split) -> None:
-        self.fast_evals += n_points + split.alpha * self.data.n
-        self.brute_equiv += float(n_points) * self.data.n
-
-    def _effect(self, key: frozenset, n: int, term_of) -> np.ndarray:
+    def _effect(self, key: frozenset, n: int, f_of) -> np.ndarray:
         """Uncentered effect A + sum_k f_k * g_k at n points, where
-        ``term_of(term)`` gives the term's ``_term_value`` there."""
+        ``f_of(term)`` gives the term's z-side product f_k there; the cost
+        is added to the counters."""
         split = self.split(key)
         out = np.full(n, split.abar)
         for term in split.terms:
-            out += term_of(term)
+            out += self._term_value(term, f_of(term))
+        self.fast_evals += n + split.alpha * self.data.n
+        self.brute_equiv += float(n) * self.data.n
         return out
 
     def center(self, key: frozenset) -> float:
@@ -367,23 +351,15 @@ class EffectEngine:
         return self._centers[key]
 
     def rows_centered(self, key: frozenset) -> np.ndarray:
-        cached = self._rows_centered.get(key)
-        if cached is None:
-            raw = self._effect(key, len(self.rows), self._term_rows)
-            c = float(_mean(raw, self.w, self.w_sum))
-            cached = raw - c
-            self._centers[key] = c
-            self._rows_centered[key] = cached
-            self._account(len(self.rows), self.split(key))
-        return cached
+        raw = self._effect(key, len(self.rows), self._term_f_rows)
+        c = self._centers[key] = float(_mean(raw, self.w, self.w_sum))
+        return raw - c
 
     def effect_at(self, subset: tuple, pts: np.ndarray) -> np.ndarray:
         """Centered effect (PD or PA) at explicit points; columns follow the
         given subset order."""
         key = frozenset(subset)
-        out = self._effect(key, len(pts),
-                           lambda term: self._term_value(term, self._term_f_at(term, subset, pts)))
-        self._account(len(pts), self.split(key))
+        out = self._effect(key, len(pts), lambda term: self._term_f_at(term, subset, pts))
         return out - self.center(key)
 
     def live(self, key: frozenset) -> bool:
@@ -433,22 +409,26 @@ class EffectEngine:
 # Partial dependence
 # ---------------------------------------------------------------------------
 
-def check_subset(tree: FunctionTree, subset) -> tuple[int, ...]:
-    """A subset as a tuple of distinct, in-range variable indices."""
+def check_subset(subset, data: Dataset | None, max_size: int | None = None) -> tuple[int, ...]:
+    """A subset as a tuple of 1 to ``max_size`` (default all) distinct
+    variable indices of ``data``, which every effect needs: it defines the
+    averaging distribution."""
+    if data is None:
+        raise ValueError("data is required (it defines the averaging distribution)")
     subset = tuple(subset)
-    if not subset or len(set(subset)) != len(subset):
-        raise ValueError("subset must be a nonempty list of distinct variable indices")
-    if not all(0 <= j < len(tree.variables) for j in subset):
-        raise ValueError("subset contains an invalid variable index")
+    if not all(isinstance(j, (int, np.integer)) and 0 <= j < data.p for j in subset):
+        raise ValueError(f"variable indices must be integers in 0..{data.p - 1}, got {subset}")
+    size = data.p if max_size is None else max_size
+    if not 1 <= len(subset) <= size or len(set(subset)) != len(subset):
+        raise ValueError(f"subset must hold distinct variable indices, 1 <= size <= {size}")
     return subset
 
 
 def _split_grid(tree: FunctionTree, subset, points, data: Dataset | None, resolution: int,
                 use_pa: bool) -> EffectGrid:
-    """A centred PD (or PA) grid read off one engine's split of the tree."""
-    if data is None:
-        raise ValueError("data is required (it defines the averaging distribution)")
-    subset = check_subset(tree, subset)
+    """A centred PD (or PA) grid read off one engine's split of the tree;
+    partial association takes subsets of at most two variables."""
+    subset = check_subset(subset, data, 2 if use_pa else None)
     pts, axes = resolve_points(data, subset, points, resolution)
     eng = EffectEngine(tree, data, use_pa=use_pa)
     key = frozenset(subset)
@@ -487,9 +467,7 @@ def pd_brute(predict_fn, subset, points=None, data: Dataset | None = None,
     on a numeric column, whatever the grid size. ``eval_count`` carries the
     total N * (N_z + U).
     """
-    if data is None:
-        raise ValueError("data is required")
-    subset = tuple(subset)
+    subset = check_subset(subset, data)
     pts, axes = resolve_points(data, subset, points, resolution)
     cols = list(subset)
 
@@ -559,7 +537,4 @@ def pa(tree: FunctionTree, subset, points=None, data: Dataset | None = None,
     is replaced by a varying coefficient estimated as a regression-spline fit
     of the complement product on the z-side product. Reduces to partial
     dependence exactly when no basis mixes z with its complement."""
-    subset = tuple(subset)
-    if len(subset) > 2:
-        raise ValueError("partial association is limited to subsets of size <= 2")
     return _split_grid(tree, subset, points, data, resolution, use_pa=True)

@@ -299,6 +299,8 @@ def test_categorical_cond_must_name_a_level(tmp_path, capsys):
 
 def test_exit_code_3_on_data_errors(workdir, tmp_path, capsys):
     assert run("fit", "--data", tmp_path / "missing.csv", "--out", tmp_path / "m.json") == 3
+    # a path through a file (NotADirectoryError)
+    assert run("fit", "--data", workdir["data"] / "x.csv", "--out", tmp_path / "m.json") == 3
     assert run("fit", "--data", workdir["data"], "--target", "nope",
                "--out", tmp_path / "m.json") == 3
     # schema mismatch between model and data

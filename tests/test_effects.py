@@ -193,6 +193,29 @@ def test_conditioning_variables_must_be_disjoint(friedman_data, friedman_model):
         conditional_interaction(friedman_model, (3, 4), {3: 0.0}, None, friedman_data)
 
 
+@pytest.mark.parametrize("call", [
+    lambda tree, data: ft.pd_brute(tree.predict, (0, 0), None, data, resolution=4),
+    lambda tree, data: ft.pd_brute(tree.predict, (99,), None, data, resolution=4),
+    lambda tree, data: pd_fast(tree, (1.5,), np.zeros((3, 1)), data),
+    lambda tree, data: pure_interaction_brute(tree.predict, (-1, 0), None, data, resolution=4),
+    lambda tree, data: conditional_interaction(tree, (0,), {-1: 0.5}, None, data, resolution=4),
+    lambda tree, data: conditional_interaction(tree, (0,), {-1: 0.5}, None, data, resolution=4,
+                                               method="brute"),
+    lambda tree, data: conditional_interaction(tree, (0,), {99: 0.5}, None, data, resolution=4),
+    lambda tree, data: search_effects(tree, data, max_order=7),
+], ids=["pd_brute-repeated", "pd_brute-out-of-range", "pd_fast-float-index", "pure_brute-negative",
+        "cond-fast-negative", "cond-brute-negative", "cond-out-of-range", "search-max-order-7"])
+def test_effect_inputs_are_checked(call):
+    # each used to return an answer for a variable the caller did not name
+    # (a repeat, index -1 read as the last column, index 1.5 read as no
+    # variable, an order past 4 run as 4) or to fail with an IndexError
+    rng = np.random.default_rng(5)
+    tree = random_tree(rng, p=4, max_nodes=8)
+    data = random_dataset(rng, tree, n=40)
+    with pytest.raises(ValueError):
+        call(tree, data)
+
+
 def test_pin_replaces_functions_with_constants():
     rng = np.random.default_rng(3)
     tree = random_tree(rng, p=4, max_nodes=8)
