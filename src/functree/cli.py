@@ -93,6 +93,14 @@ def _load_data(args, target: str | None = None, exclude: tuple[str, ...] = ()) -
     )
 
 
+def _model_and_data(args) -> tuple[FunctionTree, Dataset]:
+    """The --model tree and the --data rows, checked to share one schema."""
+    tree = load(args.model)
+    data = _load_data(args)
+    tree.check_schema(data.variables)
+    return tree, data
+
+
 def _var_indices(names_arg: str, variables) -> tuple[int, ...]:
     lut = {v.name: j for j, v in enumerate(variables)}
     out = []
@@ -160,9 +168,7 @@ def cmd_fit(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    tree = load(args.model)
-    data = _load_data(args)
-    tree.check_schema(data.variables)
+    tree, data = _model_and_data(args)
     pred = tree.predict(data.X)
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -174,9 +180,7 @@ def cmd_predict(args) -> int:
 
 
 def cmd_effects(args) -> int:
-    tree = load(args.model)
-    data = _load_data(args)
-    tree.check_schema(data.variables)
+    tree, data = _model_and_data(args)
     report = search_effects(
         tree,
         data,
@@ -200,9 +204,7 @@ def cmd_effects(args) -> int:
 
 
 def cmd_pd(args) -> int:
-    tree = load(args.model)
-    data = _load_data(args)
-    tree.check_schema(data.variables)
+    tree, data = _model_and_data(args)
     subset = _var_indices(args.vars, data.variables)
     if args.pa:
         grid = pa_effect(tree, subset, None, data, resolution=args.grid)
@@ -244,9 +246,7 @@ def _pinned_values(pairs, variables, subset) -> dict[int, float]:
 
 
 def cmd_interact(args) -> int:
-    tree = load(args.model)
-    data = _load_data(args)
-    tree.check_schema(data.variables)
+    tree, data = _model_and_data(args)
     subset = _var_indices(args.vars, data.variables)
     method = "brute" if args.brute else "fast"
     if args.cond:

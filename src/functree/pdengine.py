@@ -377,17 +377,14 @@ class EffectEngine:
         return _pure_effect(tuple(sorted(key)), lambda u: self.rows_centered(frozenset(u)),
                            self._i_rows)
 
-    def i_at(self, subset: tuple, pts: np.ndarray, _memo: dict | None = None) -> np.ndarray:
+    def i_at(self, subset: tuple, pts: np.ndarray) -> np.ndarray:
         """Pure interaction at explicit points whose columns follow
-        ``subset``; ``_memo`` may carry results across calls on the same
-        points."""
+        ``subset``."""
         subset = tuple(subset)
         if not self.live(frozenset(subset)):
             return np.zeros(len(pts))
         return _pure_effect(
-            subset, lambda u: self.effect_at(u, pts[:, [subset.index(v) for v in u]]),
-            {} if _memo is None else _memo,
-        )
+            subset, lambda u: self.effect_at(u, pts[:, [subset.index(v) for v in u]]), {})
 
     def strength(self, subset) -> float:
         if self._pred_var is None:

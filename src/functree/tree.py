@@ -181,9 +181,16 @@ class FunctionTree:
         )
 
     def recompute_influence(self, X: np.ndarray, weight: np.ndarray | None = None) -> None:
-        basis = self.node_columns(X)[1]
-        w = np.ones(len(basis[0])) if weight is None else np.asarray(weight, dtype=float)
-        _set_influence(self.nodes, basis, w)
+        """Set each non-root node's influence to the weighted standard
+        deviation of its basis function over the rows of X."""
+        if len(self.nodes) == 1:
+            return
+        B = np.column_stack(self.node_columns(X)[1][1:])
+        w = np.ones(len(B)) if weight is None else np.asarray(weight, dtype=float)
+        mean = np.average(B, axis=0, weights=w)
+        var = np.average((B - mean) ** 2, axis=0, weights=w)
+        for node in self.nodes[1:]:
+            node.influence = float(np.sqrt(var[node.id - 1]))
 
     # -- serialization -----------------------------------------------------
 
@@ -286,18 +293,6 @@ def model_sum(b0: float, B: np.ndarray) -> np.ndarray:
     model value is summed here, so the fitter's errors are those of
     ``predict``."""
     return b0 + B[:, 1:].sum(axis=1)
-
-
-def _set_influence(nodes: list[TreeNode], basis: list[np.ndarray], weight: np.ndarray) -> None:
-    """Set each non-root node's influence to the weighted standard deviation
-    of its basis vector (``basis`` holds one vector per node id)."""
-    if len(nodes) == 1:
-        return
-    B = np.column_stack(basis[1:])
-    mean = np.average(B, axis=0, weights=weight)
-    var = np.average((B - mean) ** 2, axis=0, weights=weight)
-    for node in nodes[1:]:
-        node.influence = float(np.sqrt(var[node.id - 1]))
 
 
 def _finite_number(value) -> bool:
@@ -408,9 +403,10 @@ class FitConfig:
 class TreeFitter:
     """Stateful forward-stepwise fitter; ``fit()`` is the public entry point.
 
-    State kept per step: node list, per-node function values on the train and
-    test partitions, per-node basis columns, and the training residual. All
-    updates are line-searched, so training squared error never increases.
+    State kept per step: node list, per-node function values and basis
+    columns on the training rows, and the training residual. All updates are
+    line-searched, so training squared error never increases. Test error,
+    training error and influences are read off snapshot trees.
     """
 
     def __init__(self, data: Dataset, config: FitConfig, *, tree: FunctionTree | None = None,
@@ -437,9 +433,9 @@ class TreeFitter:
             else:
                 order = np.argsort(col, kind="stable")
                 self.columns.append(SortedColumn(col[order], order, None, span))
-        # one KnotIndex per (variable, knot vector, train or test rows); the
+        # one KnotIndex per (variable, knot vector) at the training rows; the
         # key holds the knot array's id, which the index keeps alive
-        self._indexes: dict[tuple[int, int, bool], KnotIndex] = {}
+        self._indexes: dict[tuple[int, int], KnotIndex] = {}
 
         if tree is None:
             self.b0 = float(np.average(self.ytr, weights=self.rho))
@@ -449,9 +445,7 @@ class TreeFitter:
             self.b0 = tree.b0
             self.nodes = [replace(n) for n in tree.nodes]
         self.fv_tr: list[np.ndarray | None] = [None]
-        self.fv_te: list[np.ndarray | None] = [None]
         self.B_tr: list[np.ndarray] = [np.ones(self.n_tr)]
-        self.B_te: list[np.ndarray] = [np.ones(len(te))]
         self.children: dict[int, list[int]] = {ROOT: []}
         self.pathvars: list[frozenset[int]] = [frozenset()]
         for node in self.nodes[1:]:
@@ -469,24 +463,21 @@ class TreeFitter:
 
     # -- plumbing ----------------------------------------------------------
 
-    def _eval(self, j: int, func: UnivariateFunction, test: bool = False) -> np.ndarray:
-        """``func`` of variable j at the training (or test) rows, bit for bit
-        ``func`` called on that column."""
-        X = self.Xte if test else self.Xtr
+    def _eval(self, j: int, func: UnivariateFunction) -> np.ndarray:
+        """``func`` of variable j at the training rows, bit for bit ``func``
+        called on that column."""
         if isinstance(func, LevelTable):
-            return func(X[:, j])
-        key = (j, id(func.knots), test)
+            return func(self.Xtr[:, j])
+        key = (j, id(func.knots))
         index = self._indexes.get(key)
         if index is None:
-            index = self._indexes[key] = KnotIndex(func.knots, X[:, j])
+            index = self._indexes[key] = KnotIndex(func.knots, self.Xtr[:, j])
         return index(func.values)
 
     def _register(self, node: TreeNode) -> None:
         j = node.var
         self.fv_tr.append(self._eval(j, node.func))
-        self.fv_te.append(self._eval(j, node.func, test=True))
         self.B_tr.append(self.B_tr[node.parent] * self.fv_tr[node.id])
-        self.B_te.append(self.B_te[node.parent] * self.fv_te[node.id])
         self.children[node.id] = []
         self.children[node.parent].append(node.id)
         self.pathvars.append(self.pathvars[node.parent] | {j})
@@ -517,9 +508,7 @@ class TreeFitter:
         for m in self._subtree(k):
             if m == ROOT:
                 continue
-            node = self.nodes[m]
-            self.B_tr[m] = self.B_tr[node.parent] * self.fv_tr[m]
-            self.B_te[m] = self.B_te[node.parent] * self.fv_te[m]
+            self.B_tr[m] = self.B_tr[self.nodes[m].parent] * self.fv_tr[m]
 
     def _set_functions(self, top: int, funcs: dict[int, UnivariateFunction]) -> None:
         """Give each node in ``funcs``, all in the subtree of ``top``, its new
@@ -528,7 +517,6 @@ class TreeFitter:
             node = self.nodes[k]
             node.func = func
             self.fv_tr[k] = self._eval(node.var, func)
-            self.fv_te[k] = self._eval(node.var, func, test=True)
         self._refresh_subtree(top)
 
     def _coweight(self, k: int) -> np.ndarray:
@@ -703,25 +691,22 @@ class TreeFitter:
     # -- stopping loop -------------------------------------------------------
 
     def _snapshot(self) -> FunctionTree:
-        tree = FunctionTree(self.data.variables, self.b0, [replace(n) for n in self.nodes])
-        _set_influence(tree.nodes, self.B_tr, self.rho)
-        return tree
+        """The current model as a tree of its own; influences are not recomputed."""
+        return FunctionTree(self.data.variables, self.b0, [replace(n) for n in self.nodes])
 
-    def _test_rmse(self) -> float:
+    def _test_rmse(self, tree: FunctionTree) -> float:
         if len(self.yte) < 2 or np.ptp(self.yte) == 0.0:
             return float("nan")
-        return rmse(self.yte, model_sum(self.b0, np.column_stack(self.B_te)), self.rho_te)
+        return rmse(self.yte, tree.predict(self.Xte), self.rho_te)
 
     def run(self) -> FunctionTree:
         cfg = self.config
+        best = self._snapshot()
         if np.ptp(self.ytr) == 0.0:
             warnings.warn("constant outcome; returning a root-only tree", stacklevel=2)
-            tree = self._snapshot()
-            tree.train_stats = {"train_rmse": 0.0, "test_rmse": 0.0, "n_nodes": 0}
-            return tree
-        best_rmse = self._test_rmse()
-        best_snap = self._snapshot()
-        best_train = rmse(self.ytr, model_sum(self.b0, np.column_stack(self.B_tr)), self.rho)
+            best.train_stats = {"train_rmse": 0.0, "test_rmse": 0.0, "n_nodes": 0}
+            return best
+        best_rmse = self._test_rmse(best)
         bad = 0
         while len(self.nodes) - 1 < cfg.max_nodes:
             if not self.step():
@@ -729,27 +714,27 @@ class TreeFitter:
             for _ in range(cfg.backfit_passes):
                 self.backfit_pass()
             self.recenter()
-            fitted = model_sum(self.b0, np.column_stack(self.B_tr))
-            self.resid = self.ytr - fitted
-            te = self._test_rmse()
+            self.resid = self.ytr - model_sum(self.b0, np.column_stack(self.B_tr))
+            snap = self._snapshot()
+            te = self._test_rmse(snap)
             self.history.append({"n_nodes": len(self.nodes) - 1, "train_sse": self.train_sse(),
                                  "test_rmse": te, **self.last_step})
             if np.isnan(te) or te < best_rmse:
                 best_rmse = te
-                best_snap = self._snapshot()
-                best_train = rmse(self.ytr, fitted, self.rho)
+                best = snap
                 bad = 0
             else:
                 bad += 1
                 if bad > cfg.patience:
                     break
-        best_snap.train_stats = {
-            "train_rmse": best_train,
+        best.recompute_influence(self.Xtr, self.rho)
+        best.train_stats = {
+            "train_rmse": rmse(self.ytr, best.predict(self.Xtr), self.rho),
             "test_rmse": float(best_rmse),
-            "n_nodes": best_snap.n_nodes,
+            "n_nodes": best.n_nodes,
         }
-        best_snap.fit_history = self.history
-        return best_snap
+        best.fit_history = self.history
+        return best
 
 
 def fit(data: Dataset, config: FitConfig | None = None) -> FunctionTree:
@@ -774,5 +759,6 @@ def backfit_pass(tree: FunctionTree, data: Dataset, config: FitConfig | None = N
     fitter.backfit_pass()
     fitter.recenter()
     snap = fitter._snapshot()
+    snap.recompute_influence(fitter.Xtr, fitter.rho)
     snap.train_stats = tree.train_stats
     return snap

@@ -177,12 +177,11 @@ def test_criterion_5_pure_interaction_soundness(friedman_bench):
         size = int(rng.integers(1, 5))
         subset = tuple(sorted(rng.choice(8, size, replace=False)))
         pts, _ = resolve_points(data, subset, None, {1: 25, 2: 8, 3: 5, 4: 4}[size])
-        memo = {}
         total = np.zeros(len(pts))
         for k in range(1, size + 1):
             for u in combinations(subset, k):
                 cols = [subset.index(v) for v in u]
-                total += eng.i_at(u, pts[:, cols], memo)
+                total += eng.i_at(u, pts[:, cols])
         worst_ie = max(worst_ie, float(np.max(np.abs(total - eng.effect_at(subset, pts)))))
 
     ok = worst_strength < 1e-6 and worst_ie < 1e-8

@@ -83,12 +83,11 @@ def test_inclusion_exclusion_identity(friedman_data, friedman_model):
     eng = EffectEngine(friedman_model, friedman_data)
     for s in [(0, 1), (3, 4, 5), (2, 6, 7), (0, 2, 5, 7)]:
         pts, _ = resolve_points(friedman_data, s, None, 5)
-        memo = {}
         total = np.zeros(len(pts))
         for size in range(1, len(s) + 1):
             for u in combinations(s, size):
                 cols = [s.index(v) for v in u]
-                total += eng.i_at(u, pts[:, cols], memo)
+                total += eng.i_at(u, pts[:, cols])
         np.testing.assert_allclose(total, eng.effect_at(s, pts), atol=1e-8)
 
 
@@ -235,6 +234,30 @@ def _in_a_path(tree, s) -> bool:
     return any(set(s) <= tree.path_vars(k) for k in range(1, len(tree.nodes)))
 
 
+def _assert_dead_subsets_give_exact_zeros(tree, sample):
+    """Every dead subset of up to 4 variables: exact zeros from the engine's
+    rows, strength, pure and conditional grids. Returns the dead subsets."""
+    p = len(tree.variables)
+    dead = [s for size in range(1, min(p, 4) + 1) for s in combinations(range(p), size)
+            if not _in_a_path(tree, s)]
+    eng = EffectEngine(tree, sample)
+    constant = np.ptp(tree.predict(sample.X)) == 0.0
+    for s in dead:
+        assert np.all(eng.i_rows(frozenset(s)) == 0.0)
+        if constant:
+            with pytest.raises(ValueError, match="constant"):
+                eng.strength(s)
+        else:
+            assert eng.strength(s) == 0.0
+        pts, _ = resolve_points(sample, s, None, 3)
+        assert np.all(pure_interaction(tree, s, pts, sample).values == 0.0)
+        rest = [j for j in range(p) if j not in s]
+        if rest:
+            cond = conditional_interaction(tree, s, {rest[0]: 1.0}, pts, sample)
+            assert np.all(cond.values == 0.0)
+    return dead
+
+
 @settings(max_examples=40, deadline=None, database=None)
 @given(st.data())
 def test_dead_subsets_give_exact_zeros(data):
@@ -264,23 +287,7 @@ def test_dead_subsets_give_exact_zeros(data):
     if data.draw(st.booleans()):
         tree = pin(tree, {int(rng.integers(0, p)): 1.0})
     sample = random_dataset(rng, tree, n=60)
-    dead = [s for size in range(1, min(p, 4) + 1) for s in combinations(range(p), size)
-            if not _in_a_path(tree, s)]
-    eng = EffectEngine(tree, sample)
-    constant = np.ptp(tree.predict(sample.X)) == 0.0
-    for s in dead:
-        assert np.all(eng.i_rows(frozenset(s)) == 0.0)
-        if constant:
-            with pytest.raises(ValueError, match="constant"):
-                eng.strength(s)
-        else:
-            assert eng.strength(s) == 0.0
-        pts, _ = resolve_points(sample, s, None, 3)
-        assert np.all(pure_interaction(tree, s, pts, sample).values == 0.0)
-        rest = [j for j in range(p) if j not in s]
-        if rest:
-            cond = conditional_interaction(tree, s, {rest[0]: 1.0}, pts, sample)
-            assert np.all(cond.values == 0.0)
+    dead = _assert_dead_subsets_give_exact_zeros(tree, sample)
     sub = ft.take_rows(sample, np.arange(20))
     pred = tree.predict(sub.X)
     sd = float(np.std(pred))
@@ -292,13 +299,21 @@ def test_dead_subsets_give_exact_zeros(data):
 def test_dead_subset_property_fails_on_a_union_of_two_paths(monkeypatch):
     # a live test that also accepts a subset lying only in the union of two
     # paths evaluates dead subsets; their rounding noise must fail the
-    # property's exact zeros
+    # property's exact zeros. On this additive tree {x0, x1} is dead.
     def union_live(self, key):
         return any(key <= a | b for a in self.pathvars for b in self.pathvars)
 
+    variables = (Variable("x0", "numeric"), Variable("x1", "numeric"))
+    tree = FunctionTree(variables, 0.5, [
+        TreeNode(0, -1, None, None),
+        TreeNode(1, 0, 0, Curve(np.array([-1.0, 0.0, 1.0]), np.array([0.3, -0.7, 1.1]))),
+        TreeNode(2, 0, 1, Curve(np.array([-1.0, 1.0]), np.array([-0.9, 0.4]))),
+    ])
+    sample = random_dataset(np.random.default_rng(0), tree, n=60)
     monkeypatch.setattr(EffectEngine, "live", union_live)
+    assert np.any(EffectEngine(tree, sample).i_rows(frozenset({0, 1})) != 0.0)
     with pytest.raises(AssertionError):
-        test_dead_subsets_give_exact_zeros()
+        _assert_dead_subsets_give_exact_zeros(tree, sample)
 
 
 # ---------------------------------------------------------------------------

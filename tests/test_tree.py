@@ -355,12 +355,13 @@ def test_fit_requires_enough_rows():
         ft.fit(data, FitConfig())
 
 
-@pytest.mark.parametrize("case", ["friedman", "group_zero_weights", "hu"])
+@pytest.mark.parametrize("case", ["friedman", "group_zero_weights", "hu", "backfit"])
 def test_stored_test_rmse_matches_recomputation(case, friedman_data, friedman_model):
-    # the fitter evaluates and sums node values exactly as predict does, so
-    # the errors it stores and stops on are those of the returned model
+    # the fitter reads the errors it stores and stops on, and the node
+    # influences, off the returned tree itself; backfit_pass keeps its input's
+    # errors and reads influences off all rows
     tree = None
-    if case == "friedman":
+    if case in ("friedman", "backfit"):
         data, config, tree = friedman_data, FitConfig(), friedman_model
     elif case == "hu":
         data, config = ft.gen_hu(5000, seed=3), FitConfig(max_nodes=24, patience=24)
@@ -368,9 +369,15 @@ def test_stored_test_rmse_matches_recomputation(case, friedman_data, friedman_mo
         data, config = _friedman_with_group(400, 3, zero_weights=True), FitConfig()
     tree = tree or ft.fit(data, config)
     tr, te = split_indices(data.n, config.split)
-    for rows, key in ((tr, "train_rmse"), (te, "test_rmse")):
-        recomputed = rmse(data.y[rows], tree.predict(data.X[rows]), data.weight[rows])
-        assert recomputed == tree.train_stats[key]
+    if case == "backfit":
+        tree, tr = backfit_pass(tree, data), np.arange(data.n)
+    else:
+        for rows, key in ((tr, "train_rmse"), (te, "test_rmse")):
+            recomputed = rmse(data.y[rows], tree.predict(data.X[rows]), data.weight[rows])
+            assert recomputed == tree.train_stats[key]
+    want = tree.copy()
+    want.recompute_influence(data.X[tr], data.weight[tr])
+    assert [n.influence for n in tree.nodes[1:]] == [n.influence for n in want.nodes[1:]]
 
 
 def test_node_influences_are_basis_sds(friedman_data, friedman_model):
