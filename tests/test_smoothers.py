@@ -1,8 +1,10 @@
 """Smoother and univariate-function contracts."""
 
 import json
+import math
 import sys
 import warnings
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -347,15 +349,62 @@ def test_spline_matches_normal_equations_oracle():
     assert np.max(np.abs(f(dense) - design(dense) @ beta)) < 0.01
 
 
-def _truncated_power_reference(x, t, scaled=False):
+def _two_product(a, b):
+    """a * b as the unevaluated sum p + e of two float arrays, exactly
+    (Dekker's splitting; no overflow or underflow at these magnitudes)."""
+    p = a * b
+    c = 134217729.0 * a
+    ah, al = c - (c - a), a - (c - (c - a))
+    c = 134217729.0 * b
+    bh, bl = c - (c - b), b - (c - (c - b))
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+def _dot(a, b):
+    """The dot product of two float vectors to 106 bits, as a Decimal."""
+    terms = np.concatenate(_two_product(a, b)).tolist()
+    hi = math.fsum(terms)
+    return Decimal(hi) + Decimal(math.fsum(terms + [-hi]))
+
+
+def _accurate_least_squares(D, t, E):
+    """E @ beta for the least-squares solution beta of D @ beta ~ t, from
+    normal equations summed to 106 bits and solved in 60-digit decimal
+    arithmetic, so that only the rounding of D and E is left in it."""
+    p = D.shape[1]
+    with localcontext() as ctx:
+        ctx.prec = 60
+        A = [[Decimal(0)] * p + [_dot(D[:, i], t)] for i in range(p)]
+        for i in range(p):
+            for j in range(i, p):
+                A[i][j] = A[j][i] = _dot(D[:, i], D[:, j])
+        # Gaussian elimination: the Gram matrix of a full-rank D is positive
+        # definite, so no pivot is zero
+        for k in range(p):
+            for i in range(k + 1, p):
+                m = A[i][k] / A[k][k]
+                for j in range(k, p + 1):
+                    A[i][j] -= m * A[k][j]
+        beta = [Decimal(0)] * p
+        for k in reversed(range(p)):
+            beta[k] = (A[k][p] - sum(A[k][j] * beta[j] for j in range(k + 1, p))) / A[k][k]
+        hi = np.array([float(b) for b in beta])
+        lo = np.array([float(b - Decimal(h)) for b, h in zip(beta, hi)])
+    rows = np.hstack([*_two_product(E, hi), E * lo]).tolist()
+    return np.array([math.fsum(row) for row in rows])
+
+
+def _truncated_power_reference(x, t, accurate=False):
     """The least-squares spline in the truncated-power basis solved by SVD,
     as the rank-deficient fallback of spline_fit must compute it. Returns
     the grid, the curve values and the condition number of the design.
-    ``scaled`` solves with the design's columns scaled to unit norm, for a
-    full-rank design the same fit computed more accurately, and returns the
-    smaller of the scaled and unscaled condition numbers: scaling lowered it
-    from 1.2e9 to 9.6e8 on one lognormal draw but raised it by up to 1.4x
-    on clumped ones, and a bound set by it is then never looser."""
+    ``accurate`` solves a full-rank design with _accurate_least_squares
+    instead: SVD in float64 is off the exact fit by about eps times the
+    condition number, 1.65x that on one lognormal draw, where the accurate
+    solve is 4.8e-9 relative off the exact B-spline fit. The condition number
+    returned is the smaller of the unscaled design's and that of its columns
+    scaled to unit norm (the lower one on one lognormal draw, 1.4x higher on
+    clumped ones), so a bound set by it is never looser than either."""
     lo, hi = x.min(), x.max()
     interior = np.unique(np.quantile(x, np.arange(1, 20) / 20.0))
     interior = interior[(interior > lo) & (interior < hi)]
@@ -368,10 +417,12 @@ def _truncated_power_reference(x, t, scaled=False):
         return np.column_stack(cols)
 
     D = design(x)
-    norms = np.linalg.norm(D, axis=0) if scaled else 1.0
-    beta = np.linalg.lstsq(D / norms, t, rcond=None)[0] / norms
     grid = np.unique(np.concatenate([np.linspace(lo, hi, 2001), interior]))
-    return grid, design(grid) @ beta, min(np.linalg.cond(D), np.linalg.cond(D / norms))
+    cond = min(np.linalg.cond(D), np.linalg.cond(D / np.linalg.norm(D, axis=0)))
+    if accurate:
+        return grid, _accurate_least_squares(D, t, design(grid)), cond
+    beta = np.linalg.lstsq(D, t, rcond=None)[0]
+    return grid, design(grid) @ beta, cond
 
 
 def _bspline_design(v, lo, hi, interior):
@@ -412,9 +463,11 @@ def _draw_x(kind, n, rng):
     n=st.integers(30, 3000),
     seed=st.integers(0, 2**32 - 1),
 )
-# the unscaled truncated-power reference (condition number 1.2e9) was 4.5e-7
-# relative off this fit, against a bound of 2.8e-7
+# the float64 truncated-power reference was 4.5e-7 relative off this fit
+# (condition number 1.2e9), against a bound of 2.8e-7, and 1.08e-7 off the
+# next (condition number 4.6e8, 3.5e8 scaled), against a bound of 1e-7
 @example(kind="lognormal", n=30, seed=110146)
+@example(kind="clumped", n=94, seed=94)
 def test_spline_fit_matches_least_squares_oracles(kind, n, seed):
     rng = np.random.default_rng(seed)
     x = _draw_x(kind, n, rng)
@@ -422,9 +475,9 @@ def test_spline_fit_matches_least_squares_oracles(kind, n, seed):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         f = spline_fit(x, t)
-    # the rank-deficient fallback is the unscaled truncated-power fit, bit
-    # for bit; a full-rank fit is unique, so its reference scales columns
-    grid, tp_values, tp_cond = _truncated_power_reference(x, t, scaled=not caught)
+    # the rank-deficient fallback is the float64 truncated-power fit, bit
+    # for bit; a full-rank fit is unique, so its reference is solved accurately
+    grid, tp_values, tp_cond = _truncated_power_reference(x, t, accurate=not caught)
     assert np.array_equal(f.knots, grid)
     if caught:
         assert np.array_equal(f.values, tp_values)
