@@ -193,7 +193,7 @@ def cmd_effects(args) -> int:
     report.to_csv(args.out)
     if args.log:
         with open(args.log, "w", encoding="utf-8") as fh:
-            fh.write(report.screening_text(data.names))
+            fh.write(report.screening_text())
     _progress(f"evaluation cost: fast {report.fast_evals:.4g}, brute-equivalent {report.brute_equiv:.4g}")
     print("top effects:")
     for e in report.top(k=10):
@@ -212,7 +212,7 @@ def cmd_pd(args) -> int:
         grid = pd_brute(tree.predict, subset, None, data, resolution=args.grid)
     else:
         grid = pd_fast(tree, subset, None, data, resolution=args.grid)
-    write_effect_csv(grid, args.out, data.variables)
+    write_effect_csv(grid, args.out)
     _progress(f"{grid.kind} grid with {grid.n_points} points written to {args.out}")
     return 0
 
@@ -220,7 +220,7 @@ def cmd_pd(args) -> int:
 def _pinned_values(pairs, variables, subset) -> dict[int, float]:
     """``--cond NAME=VALUE`` pairs as {variable index: pinned value}. A
     variable also in ``--vars``, an unknown level or a numeric value that is
-    not a finite number raises ArgumentTypeError naming the pair."""
+    not a finite number raises ArgumentTypeError naming --cond and the pair."""
     cond = {}
     for name, value in pairs:
         j = _var_indices(name, variables)[0]
@@ -241,7 +241,7 @@ def _pinned_values(pairs, variables, subset) -> dict[int, float]:
                 cond[j] = number
                 continue
             problem = f"numeric variable {var.name!r} needs a finite number"
-        raise argparse.ArgumentTypeError(f"{name}={value}: {problem}")
+        raise argparse.ArgumentTypeError(f"argument --cond: {name}={value}: {problem}")
     return cond
 
 
@@ -250,18 +250,14 @@ def cmd_interact(args) -> int:
     subset = _var_indices(args.vars, data.variables)
     method = "brute" if args.brute else "fast"
     if args.cond:
-        try:
-            cond = _pinned_values(args.cond, data.variables, subset)
-        except argparse.ArgumentTypeError as exc:
-            print(f"error: argument --cond: {exc}", file=sys.stderr)
-            return 2
+        cond = _pinned_values(args.cond, data.variables, subset)
         grid = conditional_interaction(tree, subset, cond, None, data,
                                        resolution=args.grid, method=method)
     elif args.brute:
         grid = pure_interaction_brute(tree.predict, subset, None, data, resolution=args.grid)
     else:
         grid = pure_interaction(tree, subset, None, data, resolution=args.grid)
-    write_effect_csv(grid, args.out, data.variables)
+    write_effect_csv(grid, args.out)
     _progress(f"{grid.kind} grid with {grid.n_points} points written to {args.out}")
     return 0
 
@@ -340,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Fit function-tree models and analyze their interaction structure.",
     )
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="seed for every random choice")
+    common.add_argument("--seed", type=_nonnegative_int, default=0, help="seed for every random choice")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=argparse.ArgumentParser)
 
     def add_parser(name, **kw):
@@ -433,6 +429,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except argparse.ArgumentTypeError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except _DATA_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

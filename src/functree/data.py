@@ -192,7 +192,7 @@ def load_csv(
     values is at most ``cat_threshold``. A column named ``__truth__`` becomes
     the hidden noiseless target; columns in ``exclude`` are dropped. Missing
     cells are rejected; predictor columns with a single distinct value are
-    dropped with a warning.
+    dropped with a warning, and categorical ones with a level per row warn.
     """
     # utf-8-sig drops a byte-order mark, which would otherwise join the first
     # column name
@@ -248,6 +248,9 @@ def load_csv(
             variables.append(Variable(name, NUMERIC, observed_range=(values.min(), values.max())))
             cols.append(values)
         else:
+            if len(distinct) == len(cells):
+                warnings.warn(f"categorical column {name!r} has a distinct level on every row; "
+                              "a level table cannot predict unseen rows", stacklevel=2)
             levels = _sorted_levels(cells)
             lut = {lev: float(i) for i, lev in enumerate(levels)}
             variables.append(Variable(name, CATEGORICAL, levels=levels))

@@ -63,17 +63,16 @@ def pure_interaction(tree: FunctionTree, s, points=None, data: Dataset | None = 
     s = check_subset(s, data, 4)
     eng = EffectEngine(tree, data)
     pts, axes = resolve_points(data, s, points, resolution)
-    before = eng.fast_evals
     values = eng.i_at(s, pts)
     return EffectGrid(
         subset=s,
-        names=tuple(data.variables[j].name for j in s),
+        variables=tuple(data.variables[j] for j in s),
         points=pts,
         values=values,
         kind=PURE_INTERACTION,
         center=eng.center(frozenset(s)),
         alpha=eng.split(frozenset(s)).alpha,
-        eval_count=eng.fast_evals - before,
+        eval_count=eng.fast_evals,
         axes=axes,
     )
 
@@ -158,7 +157,7 @@ def pure_interaction_brute(predict_fn, s, points=None, data: Dataset | None = No
     values = _pure_effect(s, centred_pd, {})
     return EffectGrid(
         subset=s,
-        names=tuple(data.variables[j].name for j in s),
+        variables=tuple(data.variables[j] for j in s),
         points=pts,
         values=values,
         kind=PURE_INTERACTION,
@@ -264,9 +263,11 @@ class EffectEntry:
 @dataclass
 class EffectReport:
     """Ranked effect entries (descending strength within order) plus the
-    screening provenance and the evaluation-cost accounting of the search."""
+    screening provenance and the evaluation-cost accounting of the search;
+    ``names`` labels the searched data's variables."""
 
     entries: list[EffectEntry]
+    names: tuple[str, ...]
     screening: dict | None
     fast_evals: float
     brute_equiv: float
@@ -295,25 +296,25 @@ class EffectReport:
                     row.append("" if e.strength_pa is None else repr(e.strength_pa))
                 writer.writerow(row)
 
-    def screening_text(self, names: tuple[str, ...] | None = None) -> str:
+    def screening_text(self) -> str:
         if self.screening is None:
             return "screening disabled\n"
         h: ScreenH = self.screening["h"]
         r: ScreenR = self.screening["r"]
         pools: dict[int, tuple[int, ...]] = self.screening["pools"]
-        label = (lambda j: names[j]) if names else str
+        names = self.names
         lines = [f"h-screen threshold: {h.threshold:.6g}"]
-        lines.append("h-scores: " + ", ".join(f"{label(j)}={h.scores[j]:.4g}" for j in range(len(h.scores))))
-        lines.append("interacting variables: " + (", ".join(label(j) for j in h.flagged) or "(none)"))
+        lines.append("h-scores: " + ", ".join(f"{names[j]}={h.scores[j]:.4g}" for j in range(len(h.scores))))
+        lines.append("interacting variables: " + (", ".join(names[j] for j in h.flagged) or "(none)"))
         lines.append(f"r-screen threshold: {r.threshold:.6g}")
         for level in range(1, r.matrix.shape[1]):
             row = ", ".join(
-                f"{label(j)}={r.matrix[j, level]:.4g}" for j in range(r.matrix.shape[0])
+                f"{names[j]}={r.matrix[j, level]:.4g}" for j in range(r.matrix.shape[0])
                 if r.matrix[j, level] > 0
             )
             lines.append(f"r level {level}: {row or '(none)'}")
         for order, pool in sorted(pools.items()):
-            lines.append(f"order-{order} search pool: " + (", ".join(label(j) for j in pool) or "(none)"))
+            lines.append(f"order-{order} search pool: " + (", ".join(names[j] for j in pool) or "(none)"))
         return "\n".join(lines) + "\n"
 
 
@@ -357,7 +358,7 @@ def search_effects(tree: FunctionTree, data: Dataset, max_order: int = 3,
             batch.append(EffectEntry(s, tuple(data.variables[j].name for j in s), order, st, st_pa))
         batch.sort(key=lambda e: -e.strength)
         entries.extend(batch)
-    return EffectReport(entries, screening, eng.fast_evals, eng.brute_equiv)
+    return EffectReport(entries, data.names, screening, eng.fast_evals, eng.brute_equiv)
 
 
 # ---------------------------------------------------------------------------

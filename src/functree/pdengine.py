@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .data import Dataset, Variable
-from .smoothers import Curve, spline_fit, spline_knots
+from .smoothers import Curve, SortedPoints, spline_fit, spline_knots
 from .tree import FunctionTree, model_sum
 
 PD = "pd"
@@ -40,7 +40,7 @@ class EffectGrid:
     """
 
     subset: tuple[int, ...]
-    names: tuple[str, ...]
+    variables: tuple[Variable, ...]
     points: np.ndarray
     values: np.ndarray
     kind: str
@@ -48,6 +48,10 @@ class EffectGrid:
     alpha: float | None = None
     eval_count: float = 0.0
     axes: tuple[np.ndarray, ...] | None = field(default=None, repr=False)
+
+    @property
+    def names(self) -> tuple[str, ...]:
+        return tuple(v.name for v in self.variables)
 
     @property
     def n_points(self) -> int:
@@ -63,15 +67,10 @@ class EffectGrid:
         return float(np.sqrt(np.mean(self.values**2)))
 
 
-def write_effect_csv(grid: EffectGrid, path, variables: tuple[Variable, ...] | None = None) -> None:
+def write_effect_csv(grid: EffectGrid, path) -> None:
     """Write an effect grid as CSV with '#' metadata lines (kind, subset,
-    centering constant, alpha) followed by one column per variable plus
-    ``value``."""
-    lut = {}
-    if variables is not None:
-        for pos, j in enumerate(grid.subset):
-            if variables[j].is_categorical:
-                lut[pos] = variables[j].levels
+    centering constant, alpha) followed by one column per variable, where a
+    categorical variable's cells are level names, plus ``value``."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(f"# kind: {grid.kind}\n")
         fh.write(f"# subset: {';'.join(grid.names)}\n")
@@ -82,10 +81,8 @@ def write_effect_csv(grid: EffectGrid, path, variables: tuple[Variable, ...] | N
         writer = csv.writer(fh)
         writer.writerow(list(grid.names) + ["value"])
         for pt, val in zip(grid.points, grid.values):
-            row = [
-                lut[pos][int(c)] if pos in lut else repr(float(c))
-                for pos, c in enumerate(pt)
-            ]
+            row = [v.levels[int(c)] if v.is_categorical else repr(float(c))
+                   for v, c in zip(grid.variables, pt)]
             writer.writerow(row + [repr(float(val))])
 
 
@@ -281,19 +278,14 @@ class EffectEngine:
                 n_mixed += 1
                 gbar = self._gbar.get(comp_nodes)
                 if gbar is None:
-                    gbar = float(_mean(self._rows_product(comp_nodes), self.data.weight,
-                                       self._data_w_sum))
+                    gbar = float(_mean(_product(self.node_values, comp_nodes),
+                                       self.data.weight, self._data_w_sum))
                     self._gbar[comp_nodes] = gbar
             terms.append(_Term(node_id, z_nodes, comp_nodes, gbar, inside))
         total = len(self.pathvars)
         out = _Split(abar, terms, n_mixed / total if total else 0.0)
         self._splits[key] = out
         return out
-
-    def _rows_product(self, nodes: tuple[int, ...]) -> np.ndarray:
-        """Product of the given nodes' functions at every data row
-        (read-only)."""
-        return _product(self.node_values, nodes)
 
     def _term_f_rows(self, term: _Term) -> np.ndarray:
         """The term's z-side product at the engine's rows (read-only: it may
@@ -309,13 +301,11 @@ class EffectEngine:
             return f * self._coeff(term)(f)
         return term.gbar * f
 
-    def _term_f_at(self, term: _Term, subset: tuple, pts: np.ndarray) -> np.ndarray:
-        pos = {j: i for i, j in enumerate(subset)}
-        out = np.ones(len(pts))
-        for m in term.z_nodes:
-            node = self.tree.nodes[m]
-            out *= node.func(pts[:, pos[node.var]])
-        return out
+    def _term_f_at(self, term: _Term, at: dict[int, SortedPoints]) -> np.ndarray:
+        """The term's z-side product at each subset variable's points."""
+        nodes = self.tree.nodes
+        return _product({m: nodes[m].func.at(at[nodes[m].var]) for m in term.z_nodes},
+                        term.z_nodes)
 
     def _coeff(self, term: _Term) -> Curve:
         """Partial-association coefficient function of a mixed term, fitted
@@ -323,11 +313,11 @@ class EffectEngine:
         pair = (term.z_nodes, term.comp_nodes)
         cached = self._pa_curves.get(pair)
         if cached is None:
-            fr = self._rows_product(term.z_nodes)
+            fr = _product(self.node_values, term.z_nodes)
             if float(np.ptp(fr)) <= 1e-12 * max(1.0, float(np.abs(fr).max())) or self.data.n < 30:
                 cached = Curve(np.array([0.0]), np.array([term.gbar]))
             else:
-                cached = coefficient_curve(fr, self._rows_product(term.comp_nodes))
+                cached = coefficient_curve(fr, _product(self.node_values, term.comp_nodes))
             self._pa_curves[pair] = cached
         return cached
 
@@ -356,10 +346,11 @@ class EffectEngine:
         return raw - c
 
     def effect_at(self, subset: tuple, pts: np.ndarray) -> np.ndarray:
-        """Centered effect (PD or PA) at explicit points; columns follow the
-        given subset order."""
+        """Centered effect (PD or PA) at explicit points whose columns follow
+        the subset; the terms on one variable share its column's sort."""
         key = frozenset(subset)
-        out = self._effect(key, len(pts), lambda term: self._term_f_at(term, subset, pts))
+        at = {j: SortedPoints(pts[:, i]) for i, j in enumerate(subset)}
+        out = self._effect(key, len(pts), lambda term: self._term_f_at(term, at))
         return out - self.center(key)
 
     def live(self, key: frozenset) -> bool:
@@ -433,7 +424,7 @@ def _split_grid(tree: FunctionTree, subset, points, data: Dataset | None, resolu
     values = eng.effect_at(subset, pts)
     return EffectGrid(
         subset=subset,
-        names=tuple(data.variables[j].name for j in subset),
+        variables=tuple(data.variables[j] for j in subset),
         points=pts,
         values=values,
         kind=PA if use_pa else PD,
@@ -482,7 +473,7 @@ def pd_brute(predict_fn, subset, points=None, data: Dataset | None = None,
     evals = float(len(pts)) * data.n + float(len(uniq)) * data.n
     return EffectGrid(
         subset=subset,
-        names=tuple(data.variables[j].name for j in subset),
+        variables=tuple(data.variables[j] for j in subset),
         points=pts,
         values=values - c,
         kind=PD,

@@ -83,7 +83,7 @@ class LevelTable:
         out = np.where(valid, self.values[np.clip(idx, 0, len(self.values) - 1)], self.default)
         return float(out[0]) if scalar else out
 
-    def at(self, points: SortedPoints) -> np.ndarray:
+    def at(self, points: SortedPoints | KnotIndex) -> np.ndarray:
         return self(points.x)
 
     def shift(self, c: float) -> "LevelTable":
@@ -119,7 +119,7 @@ class Curve:
         out = self.at(SortedPoints(xa)) if xa.ndim == 1 else np.interp(xa, self.knots, self.values)
         return float(out[0]) if scalar else out
 
-    def at(self, points: SortedPoints) -> np.ndarray:
+    def at(self, points: SortedPoints | KnotIndex) -> np.ndarray:
         return points.interp(self.knots, self.values)
 
     def shift(self, c: float) -> "Curve":
@@ -130,27 +130,33 @@ class Curve:
 
 
 class KnotIndex:
-    """Fixed points x located once on a knot vector, so that any curve on
-    those knots is evaluated there with a gather, a multiply and an add.
+    """Fixed 1-d points x, located once per knot vector: each point's knot
+    interval j and offset dx from its left knot, zeroed below the first knot
+    and at or past the last. A curve on those knots then costs a gather, a
+    multiply and an add, slope[j] * dx + values[j] with the slope padded by
+    a 0: ``np.interp``'s arithmetic bit for bit, while no slope overflows.
+    It pays when many curves share a few knot vectors, as in a fitter. An
+    entry is keyed by its knot array's id and holds the array, so the id is
+    not reused."""
 
-    ``j`` is the knot interval of each point and ``dx`` its offset from the
-    interval's left knot, zeroed below the first knot and at or past the
-    last. A curve's values are then slope[j] * dx + values[j], with the
-    slope padded by a 0: the arithmetic of ``np.interp``, so the result is
-    bit for bit ``Curve(knots, values)(x)`` while no slope overflows.
-    """
+    __slots__ = ("x", "_located")
 
-    def __init__(self, knots: np.ndarray, x: np.ndarray):
-        self.knots = knots
-        self.gaps = np.diff(knots)
-        self.j = np.maximum(np.searchsorted(knots, x, side="right") - 1, 0)
-        inside = (x >= knots[0]) & (x < knots[-1])
-        self.dx = np.where(inside, x - knots[self.j], 0.0)
+    def __init__(self, x: np.ndarray):
+        self.x = x
+        self._located: dict[int, tuple] = {}
 
-    def __call__(self, values: np.ndarray) -> np.ndarray:
+    def interp(self, knots: np.ndarray, values: np.ndarray) -> np.ndarray:
+        """``np.interp(self.x, knots, values)``, bit for bit."""
+        entry = self._located.get(id(knots))
+        if entry is None:
+            j = np.maximum(np.searchsorted(knots, self.x, side="right") - 1, 0)
+            inside = (self.x >= knots[0]) & (self.x < knots[-1])
+            entry = (knots, np.diff(knots), j, np.where(inside, self.x - knots[j], 0.0))
+            self._located[id(knots)] = entry
+        _, gaps, j, dx = entry
         slope = np.zeros(len(values))
-        slope[:-1] = np.diff(values) / self.gaps
-        return slope[self.j] * self.dx + values[self.j]
+        slope[:-1] = np.diff(values) / gaps
+        return slope[j] * dx + values[j]
 
 
 UnivariateFunction = LevelTable | Curve

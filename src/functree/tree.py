@@ -18,7 +18,6 @@ import numpy as np
 
 from .data import (
     CATEGORICAL,
-    NUMERIC,
     Dataset,
     SplitSpec,
     Variable,
@@ -433,9 +432,8 @@ class TreeFitter:
             else:
                 order = np.argsort(col, kind="stable")
                 self.columns.append(SortedColumn(col[order], order, None, span))
-        # one KnotIndex per (variable, knot vector) at the training rows; the
-        # key holds the knot array's id, which the index keeps alive
-        self._indexes: dict[tuple[int, int], KnotIndex] = {}
+        # the training rows of each variable, located once per knot vector
+        self.points = [KnotIndex(col) for col in self.Xtr.T]
 
         if tree is None:
             self.b0 = float(np.average(self.ytr, weights=self.rho))
@@ -464,15 +462,8 @@ class TreeFitter:
     # -- plumbing ----------------------------------------------------------
 
     def _eval(self, j: int, func: UnivariateFunction) -> np.ndarray:
-        """``func`` of variable j at the training rows, bit for bit ``func``
-        called on that column."""
-        if isinstance(func, LevelTable):
-            return func(self.Xtr[:, j])
-        key = (j, id(func.knots))
-        index = self._indexes.get(key)
-        if index is None:
-            index = self._indexes[key] = KnotIndex(func.knots, self.Xtr[:, j])
-        return index(func.values)
+        """``func`` of variable j at the training rows."""
+        return func.at(self.points[j])
 
     def _register(self, node: TreeNode) -> None:
         j = node.var

@@ -3,6 +3,7 @@
 import copy
 import csv
 import json
+import os
 
 import numpy as np
 import pytest
@@ -78,6 +79,13 @@ def test_fit_forbid_flag(workdir):
     for k in range(1, len(tree.nodes)):
         assert not {3, 4, 5} <= tree.path_vars(k)
     assert doc["format_version"] == 1
+
+
+def test_fit_warns_on_a_categorical_column_with_a_level_per_row(workdir, tmp_path):
+    # a level table learns nothing it can apply to unseen rows
+    with pytest.warns(UserWarning, match="'x1' has a distinct level on every row"):
+        assert run("fit", "--data", workdir["data"], "--categorical", "x1", "--max-nodes", "2",
+                   "--out", tmp_path / "m.json") == 0
 
 
 def test_predict_command(workdir, tmp_path):
@@ -218,6 +226,7 @@ def test_exit_code_2_on_bad_flags():
     ("gen", "--sd-x", "0"),
     ("fit", "--cat-threshold", "-1"),
     ("fit", "--cat-threshold", "2.5"),
+    ("fit", "--seed", "-1"),
     ("effects", "--strength-rows", "0"),
 ])
 def test_bad_flag_values_exit_2_naming_the_flag(workdir, tmp_path, capsys, command, flag, value):
@@ -488,3 +497,66 @@ def test_end_to_end_determinism(tmp_path):
         assert run("effects", "--model", m, "--data", d, "--out", e, "--max-order", "2") == 0
         outputs.append((d.read_bytes(), m.read_bytes(), e.read_bytes()))
     assert outputs[0] == outputs[1]
+
+
+def _argv_cases(root, data, model):
+    """A valid, cheap argv for every subcommand."""
+    out, log = root / "argv_out", root / "argv.log"
+    model_args = ["--model", model, "--data", data]
+    fit_args = ["--data", data, "--max-nodes", "2", "--categorical", "c", "--seed", "1"]
+    return {
+        "gen": ["gen", "--example", "friedman", "--n", "40", "--snr", "2", "--out", out],
+        "fit": ["fit", *fit_args, "--forbid", "n,c", "--span", "0.5", "--out", out],
+        "predict": ["predict", *model_args, "--target", "y", "--out", out],
+        "effects": ["effects", *model_args, "--max-order", "2", "--strength-rows", "20",
+                    "--log", log, "--out", out],
+        "pd": ["pd", *model_args, "--vars", "n", "--grid", "3", "--out", out],
+        "interact": ["interact", *model_args, "--vars", "n", "--cond", "c=a", "--grid", "3",
+                     "--out", out],
+        "diff": ["diff", "--model-a", model, "--model-b", model, "--out", out],
+        "bootstrap": ["bootstrap", *fit_args, "--reps", "2", "--max-orders", "0,1", "--out", out],
+        "surrogate": ["surrogate", "--data", data, "--max-nodes", "2", "--pred", "y",
+                      "--exclude", "c", "--out", out],
+    }
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    command=st.sampled_from(["gen", "fit", "predict", "effects", "pd", "interact", "diff",
+                             "bootstrap", "surrogate"]),
+    flag=st.integers(0, 10**6),
+    action=st.sampled_from(["keep", "drop", "set"]),
+    value=st.sampled_from(["", "-1", "nan", "1e400", "nowhere", "n,n", "directory"]),
+)
+def test_cli_never_raises_on_mutated_argv(model_files, command, flag, action, value):
+    # a valid command line works; with one flag dropped, or given an empty,
+    # negative, NaN, overflowing, unknown, repeated or directory value, the
+    # command works or exits 2 or 3, never raises, and a grid it writes is
+    # not empty
+    root = model_files["root"]
+    (root / "cwd").mkdir(exist_ok=True)
+    model = root / "argv_model.json"
+    model.write_text(json.dumps(model_files["doc"]), encoding="utf-8")
+    argv = _argv_cases(root, model_files["data"], model)[command]
+    flags = [i for i, a in enumerate(argv) if isinstance(a, str) and a.startswith("--")]
+    at = flags[flag % len(flags)]
+    if action == "drop":
+        del argv[at:at + 2]
+    elif action == "set":
+        argv[at + 1] = str(root) if value == "directory" else value
+    out = root / "argv_out"
+    if out.is_file():
+        out.unlink()
+    # a relative path made of a value lands in the scratch directory
+    cwd = os.getcwd()
+    os.chdir(root / "cwd")
+    try:
+        code = run(*argv)
+    except SystemExit as exc:  # argparse rejects a flag
+        code = exc.code
+    finally:
+        os.chdir(cwd)
+    assert code in ((0,) if action == "keep" else (0, 2, 3))
+    if code == 0 and command in ("pd", "interact") and out.is_file():
+        with open(out, newline="", encoding="utf-8") as fh:
+            assert len([row for row in csv.reader(fh) if not row[0].startswith("#")]) > 1

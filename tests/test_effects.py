@@ -427,8 +427,10 @@ def test_search_report_csv_and_log(tmp_path, friedman_data, friedman_model):
     lines = out.read_text().splitlines()
     assert lines[0] == "subset,order,strength,strength_pa"
     assert len(lines) == len(report.entries) + 1
-    text = report.screening_text(friedman_data.names)
+    text = report.screening_text()
     assert "interacting variables" in text and "order-2 search pool" in text
+    # the report labels variables by the searched data's names
+    assert "h-scores: x1=" in text
 
 
 def test_search_strength_subsample_reproducible(friedman_data, friedman_model):

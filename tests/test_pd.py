@@ -4,12 +4,16 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import functree as ft
 from functree.data import Dataset, Variable
 from functree.interactions import pure_interaction
 from functree.pdengine import (
     EffectEngine,
+    _mean,
+    _product,
     coefficient_curve,
     default_axis,
     pa,
@@ -68,8 +72,8 @@ def test_reconstruction_identity():
                 if m not in touched:
                     total += eng.basis[m]
             for t in split.terms:
-                f = eng._rows_product(t.z_nodes)
-                g = eng._rows_product(t.comp_nodes) if t.comp_nodes else 1.0
+                f = _product(eng.node_values, t.z_nodes)
+                g = _product(eng.node_values, t.comp_nodes) if t.comp_nodes else 1.0
                 total += f * g
             np.testing.assert_allclose(total, tree.predict(data.X), atol=1e-10)
 
@@ -299,7 +303,7 @@ def test_resolve_points_forms(friedman_data):
 def test_effect_csv_export(tmp_path, friedman_data, friedman_model):
     grid = pd_fast(friedman_model, (6, 7), None, friedman_data, resolution=4)
     out = tmp_path / "g.csv"
-    write_effect_csv(grid, out, friedman_data.variables)
+    write_effect_csv(grid, out)
     lines = out.read_text().splitlines()
     assert lines[0] == "# kind: pd"
     assert lines[1] == "# subset: x7;x8"
@@ -309,3 +313,35 @@ def test_effect_csv_export(tmp_path, friedman_data, friedman_model):
     # values round-trip through repr
     first = lines[header_at + 1].split(",")
     assert float(first[2]) == grid.values[0]
+
+
+def test_effect_csv_labels_levels_by_name(tmp_path):
+    # a categorical subset variable is written by level name, read off the
+    # grid's own variables
+    tree = random_tree(np.random.default_rng(5), p=3, max_nodes=8, categorical=(1,))
+    data = random_dataset(np.random.default_rng(6), tree, n=60)
+    grid = pd_fast(tree, (1, 0), None, data, resolution=3)
+    out = tmp_path / "g.csv"
+    write_effect_csv(grid, out)
+    rows = [ln.split(",") for ln in out.read_text().splitlines() if not ln.startswith("#")]
+    assert rows[0] == ["v1", "v0", "value"]
+    levels = data.variables[1].levels
+    assert [r[0] for r in rows[1:]] == [levels[int(c)] for c in grid.points[:, 0]]
+    assert {r[0] for r in rows[1:]} == set(levels)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.floats(-1e6, 1e6), st.sampled_from([0.0, 0.0, 0.5, 1.0, 3.0, 1e-3])),
+                min_size=1, max_size=300))
+def test_weighted_mean_equals_np_average(pairs):
+    # the engine's fast weighted mean is np.average bit for bit, zero
+    # weights included, and fails as it does when the weights sum to zero
+    a, w = (np.array(v) for v in zip(*pairs))
+    if w.sum() == 0.0:
+        with pytest.raises(ZeroDivisionError):
+            _mean(a, w, w.sum())
+        with pytest.raises(ZeroDivisionError):
+            np.average(a, weights=w)
+    else:
+        got, want = _mean(a, w, w.sum()), np.average(a, weights=w)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()

@@ -69,7 +69,13 @@ def test_knot_index_equals_interp(data):
                                                  max_size=len(knots))))
     x = np.concatenate([knots, (knots[:-1] + knots[1:]) / 2, knots[:-1] + 0.3 * np.diff(knots),
                         [knots[-1], knots[0] - 1.0, knots[-1] + 1.0, -1e9, 1e9]])
-    assert np.array_equal(KnotIndex(knots, x)(values), np.interp(x, knots, values))
+    # one index, located on a second knot vector between two evaluations on
+    # the first: each curve reads its own knots' location
+    index = KnotIndex(x)
+    knots2 = np.unique(np.concatenate([knots[::2] - 0.5, [knots[-1] + 2.0]]))
+    values2 = np.cos(knots2)
+    for k, v in ((knots, values), (knots2, values2), (knots, -values), (knots2, 2.0 * values2)):
+        assert np.array_equal(index.interp(k, v), np.interp(x, k, v))
     # Curve sorts long inputs before np.interp and scatters the values back;
     # a shuffled draw with ties, on either side of the cutoff, must match
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
