@@ -16,7 +16,6 @@ import sys
 from dataclasses import replace
 
 from .data import (
-    DataError,
     Dataset,
     SplitSpec,
     gen_friedman,
@@ -101,13 +100,16 @@ def _model_and_data(args) -> tuple[FunctionTree, Dataset]:
     return tree, data
 
 
-def _var_indices(names_arg: str, variables) -> tuple[int, ...]:
+def _var_indices(names_arg: str, variables, flag: str) -> tuple[int, ...]:
+    """The indices of a comma list of variable names; an unknown or repeated
+    name raises ArgumentTypeError naming ``flag``."""
     lut = {v.name: j for j, v in enumerate(variables)}
     out = []
     for name in names_arg.split(","):
         name = name.strip()
-        if name not in lut:
-            raise DataError(f"unknown variable {name!r}")
+        if name not in lut or lut[name] in out:
+            problem = "repeated" if name in lut else "unknown"
+            raise argparse.ArgumentTypeError(f"argument {flag}: {problem} variable {name!r}")
         out.append(lut[name])
     return tuple(out)
 
@@ -122,7 +124,7 @@ def _fit_config(args, variables) -> FitConfig:
         split=SplitSpec(args.test_fraction, args.seed),
         backfit_passes=args.backfit_passes,
         patience=args.patience,
-        forbidden_subsets=tuple(frozenset(_var_indices(spec, variables)) for spec in args.forbid),
+        forbidden_subsets=tuple(frozenset(_var_indices(spec, variables, "--forbid")) for spec in args.forbid),
     )
 
 
@@ -205,7 +207,7 @@ def cmd_effects(args) -> int:
 
 def cmd_pd(args) -> int:
     tree, data = _model_and_data(args)
-    subset = _var_indices(args.vars, data.variables)
+    subset = _var_indices(args.vars, data.variables, "--vars")
     if args.pa:
         grid = pa_effect(tree, subset, None, data, resolution=args.grid)
     elif args.brute:
@@ -223,7 +225,7 @@ def _pinned_values(pairs, variables, subset) -> dict[int, float]:
     not a finite number raises ArgumentTypeError naming --cond and the pair."""
     cond = {}
     for name, value in pairs:
-        j = _var_indices(name, variables)[0]
+        j = _var_indices(name, variables, "--cond")[0]
         var = variables[j]
         if j in subset:
             problem = f"variable {var.name!r} is also in --vars"
@@ -247,7 +249,7 @@ def _pinned_values(pairs, variables, subset) -> dict[int, float]:
 
 def cmd_interact(args) -> int:
     tree, data = _model_and_data(args)
-    subset = _var_indices(args.vars, data.variables)
+    subset = _var_indices(args.vars, data.variables, "--vars")
     method = "brute" if args.brute else "fast"
     if args.cond:
         cond = _pinned_values(args.cond, data.variables, subset)

@@ -106,9 +106,9 @@ class Curve:
         v = np.asarray(self.values, dtype=float)
         if k.ndim != 1 or len(k) == 0 or k.shape != v.shape:
             raise ValueError("knots and values must be equal-length 1-d vectors")
-        if len(k) > 1 and not np.all(np.diff(k) > 0):
+        if len(k) > 1 and not (k[1:] > k[:-1]).all():
             raise ValueError("knots must be strictly increasing")
-        if not (np.all(np.isfinite(k)) and np.all(np.isfinite(v))):
+        if not (np.isfinite(k).all() and np.isfinite(v).all()):
             raise ValueError("knots and values must be finite")
         object.__setattr__(self, "knots", k)
         object.__setattr__(self, "values", v)
@@ -130,14 +130,15 @@ class Curve:
 
 
 class KnotIndex:
-    """Fixed 1-d points x, located once per knot vector: each point's knot
-    interval j and offset dx from its left knot, zeroed below the first knot
-    and at or past the last. A curve on those knots then costs a gather, a
-    multiply and an add, slope[j] * dx + values[j] with the slope padded by
-    a 0: ``np.interp``'s arithmetic bit for bit, while no slope overflows.
-    It pays when many curves share a few knot vectors, as in a fitter. An
-    entry is keyed by its knot array's id and holds the array, so the id is
-    not reused."""
+    """Fixed finite 1-d points x, located once per knot vector: each point's
+    knot interval q (0 below the first knot, len(knots) at or past the last)
+    and its offset dx from the interval's left knot (the first knot for
+    q = 0). A curve on those knots is linear in dx on each interval and
+    constant outside them, so it costs a gather, a multiply and an add,
+    slope[q] * dx + base[q] (``_pieces``): ``np.interp``'s arithmetic bit for
+    bit, while no slope overflows. It pays when many curves share a few knot
+    vectors, as in a fitter. An entry is keyed by its knot array's id and
+    holds the array, so the id is not reused."""
 
     __slots__ = ("x", "_located")
 
@@ -145,18 +146,28 @@ class KnotIndex:
         self.x = x
         self._located: dict[int, tuple] = {}
 
-    def interp(self, knots: np.ndarray, values: np.ndarray) -> np.ndarray:
-        """``np.interp(self.x, knots, values)``, bit for bit."""
+    def locate(self, knots: np.ndarray) -> tuple:
+        """(knots, their gaps, q, dx) of every point."""
         entry = self._located.get(id(knots))
         if entry is None:
-            j = np.maximum(np.searchsorted(knots, self.x, side="right") - 1, 0)
-            inside = (self.x >= knots[0]) & (self.x < knots[-1])
-            entry = (knots, np.diff(knots), j, np.where(inside, self.x - knots[j], 0.0))
+            q = np.searchsorted(knots, self.x, side="right")
+            entry = (knots, np.diff(knots), q, self.x - knots[np.maximum(q - 1, 0)])
             self._located[id(knots)] = entry
-        _, gaps, j, dx = entry
-        slope = np.zeros(len(values))
-        slope[:-1] = np.diff(values) / gaps
-        return slope[j] * dx + values[j]
+        return entry
+
+    def interp(self, knots: np.ndarray, values: np.ndarray) -> np.ndarray:
+        """``np.interp(self.x, knots, values)``, bit for bit."""
+        _, gaps, q, dx = self.locate(knots)
+        slope, base = _pieces(values, gaps)
+        return slope[q] * dx + base[q]
+
+
+def _pieces(values: np.ndarray, gaps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # a curve's slope and left-end value on each knot interval q of KnotIndex;
+    # both outer intervals are flat
+    slope = np.zeros(len(values) + 1)
+    slope[1:-1] = np.diff(values) / gaps
+    return slope, np.concatenate([values[:1], values])
 
 
 UnivariateFunction = LevelTable | Curve
@@ -249,14 +260,14 @@ def _knot_rows(xs: np.ndarray, knots: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return rows, offset, start
 
 
-def _fit_level_table(x, omega, omega_t):
+def _fit_level_table(x, omega, rw):
     # levels without weight take the global mean
     idx = np.rint(x).astype(int)
     if np.any(idx < 0):
         raise ValueError("categorical values must be nonnegative level indices")
     size = int(idx.max()) + 1
     sw = np.bincount(idx, weights=omega, minlength=size)
-    swt = np.bincount(idx, weights=omega_t, minlength=size)
+    swt = np.bincount(idx, weights=rw, minlength=size)
     gmean = float(swt.sum() / sw.sum())
     values = np.full(size, gmean)
     ok = sw > 0
@@ -266,31 +277,60 @@ def _fit_level_table(x, omega, omega_t):
 
 class SortedColumn:
     """The part of numeric smoothing that depends only on x and the included
-    rows: those rows in stable x order (``gidx``) with their x values
-    (``xs``), the knot grid, and the rows, distinct-x groups and rank
-    windows that a fit onto that grid reads. A fitter builds one per
-    variable for all its training rows and reuses it while the set of
-    included rows stays the same."""
+    rows. ``points`` locates every row on the knot grid once (its interval
+    q and offset dx; the grid is by default the thinned distinct x of the
+    included rows). The included rows in stable x order (``order``
+    restricted to ``mask``) give the rows, distinct-x groups and rank
+    windows that a fit onto the grid reads, and cut the ranks into
+    segments: runs between consecutive window bounds and interval starts.
+    A window is a run of whole segments, and on a segment every curve on
+    the grid is linear in dx. Each excluded row joins a segment per
+    interval that no window reads. ``seg`` holds each row's segment, in row
+    order, and ``seg_q`` each segment's interval. A fitter builds one
+    column per variable for all its training rows and restricts it to a
+    target's rows when the weight floor excludes some; dx is shared."""
 
-    def __init__(self, xs: np.ndarray, gidx: np.ndarray, knots: np.ndarray | None, span: float):
+    def __init__(self, points: KnotIndex, order: np.ndarray, knots: np.ndarray | None,
+                 span: float, mask: np.ndarray | None = None):
+        self.points, self.order, self.span = points, order, span
+        gidx = order if mask is None else order[mask[order]]
+        xs = points.x[gidx]
         n = len(xs)
-        self.xs, self.gidx, self.span = xs, gidx, span
         self.knots = thin_knots(np.unique(xs)) if knots is None else knots
-        self.rows, self.offset, self.start = _knot_rows(xs, self.knots)
-        self.lo, self.hi = _window_bounds(self.rows, n, max(2, int(round(span * n))))
-        self.x_rows, self.x_start = xs[self.rows], xs[self.start]
+        _, self.gaps, q, self.dx = points.locate(self.knots)
+        rows, self.offset, start = _knot_rows(xs, self.knots)
+        lo, hi = _window_bounds(rows, n, max(2, int(round(span * n))))
+        self.x_rows, self.x_start, self.knot_rows = xs[rows], xs[start], gidx[rows]
+        self.span_x = float(xs[-1] - xs[0])
+        qs = q[gidx]
+        cut = np.concatenate([[True], qs[1:] != qs[:-1]])
+        cut[lo] = True
+        cut[hi[hi < n - 1] + 1] = True
+        bounds = np.flatnonzero(cut)
+        self.wlo, self.whi = np.searchsorted(bounds, lo), np.searchsorted(bounds, hi + 1)
+        self.seg_q = np.concatenate([qs[bounds], np.arange(len(self.knots) + 1)])
+        self.origin = self.knots[np.maximum(qs[bounds] - 1, 0)]
+        self.seg = q + len(bounds)
+        self.seg[gidx] = np.repeat(np.arange(len(bounds)), np.diff(np.append(bounds, n)))
 
     def restrict(self, mask: np.ndarray) -> "SortedColumn":
         """The column of the rows where ``mask`` holds, on the same knot grid."""
-        keep = mask[self.gidx]
-        return SortedColumn(self.xs[keep], self.gidx[keep], self.knots, self.span)
+        return SortedColumn(self.points, self.order, self.knots, self.span, mask)
+
+
+def _windows(c: np.ndarray, col: SortedColumn) -> np.ndarray:
+    # each row's sums over the column's windows, from its per-segment sums
+    # after a leading 0
+    np.cumsum(c, axis=1, out=c)
+    return np.take(c, col.whi, axis=1) - np.take(c, col.wlo, axis=1)
 
 
 class SmoothingTarget:
     """The part of smoothing that depends only on (r, w): the rows the
-    weight floor keeps (``mask``), and in row order the target ts = r/w,
-    its weight omega = w^2 and omega * ts. Excluded rows hold ts = 0 and
-    are never divided. Raises ValueError when every row is excluded."""
+    weight floor keeps (``mask``) and, in row order, the weight omega = w^2
+    and rw = r * w. Smoothing fits ts = r / w with weight omega, and every
+    omega-weighted sum of ts is a sum of rw, so ts is never formed. Raises
+    ValueError when every row is excluded."""
 
     def __init__(self, r: np.ndarray, w: np.ndarray):
         mask = (np.abs(w) >= weight_floor(w)) & (w != 0.0)
@@ -298,46 +338,53 @@ class SmoothingTarget:
             raise ValueError("all rows excluded by the basis-weight floor")
         self.mask = mask
         self.full = bool(mask.all())
-        self.ts = r / w if self.full else np.divide(r, w, out=np.zeros(len(w)), where=mask)
         self.omega = np.square(w)
-        self.omega_ts = self.omega * self.ts
+        self.rw = r * w
 
     def level_means(self, x: np.ndarray) -> LevelTable:
         """The omega-weighted mean of ts per level of categorical ``x``."""
         m = self.mask
-        return _fit_level_table(x[m], self.omega[m], self.omega_ts[m])
+        return _fit_level_table(x[m], self.omega[m], self.rw[m])
 
-    def curve(self, col: SortedColumn, method: str) -> Curve:
-        """The rank-window fit of ts on a column built for exactly this
+    def fit(self, col: SortedColumn, method: str) -> tuple[Curve, float, float]:
+        """The rank-window fit f of ts on a column built for exactly this
         target's included rows (``col.restrict(self.mask)`` unless the mask
-        is full), interpolated at the column's knots."""
-        g = col.gidx
-        omega, omega_ts = self.omega[g], self.omega_ts[g]
-        lo, hi1 = col.lo, col.hi + 1
-        c = np.empty(len(g) + 1)
-        c[0] = 0.0
+        is full), interpolated at the column's knots, with its line-search
+        sums over every row: sum rw * f and sum omega * f^2.
 
-        def windowed(v):
-            np.cumsum(v, out=c[1:])
-            return c[hi1] - c[lo]
-
-        s0 = windowed(omega)
+        Both come from five moments per segment, of omega, omega * dx,
+        omega * dx^2, rw and rw * dx. A segment's moments about its
+        interval's left knot a give its sums of omega * x, omega * x^2 and
+        rw * x, and their cumulative sums over segments give every window."""
+        om, rw, dx = self.omega, self.rw, col.dx
+        omdx = om * dx
+        m0, m1, m2, t0, t1 = (np.bincount(col.seg, v, len(col.seg_q))
+                              for v in (om, omdx, omdx * dx, rw, rw * dx))
+        a, k = col.origin, len(col.origin)
+        c = np.empty((2 if method == NEAR_NEIGHBOR else 5, k + 1))
+        c[:, 0] = 0.0
+        c[0, 1:], c[1, 1:] = m0[:k], t0[:k]
         if method == NEAR_NEIGHBOR:
-            vals = windowed(omega_ts) / s0
+            s0, st = _windows(c, col)
+            vals = st / s0
         else:
-            xs = col.xs
-            omega_x = omega * xs
-            xbar = windowed(omega_x) / s0
-            tbar = windowed(omega_ts) / s0
-            varx = windowed(omega_x * xs) / s0 - xbar**2
-            covxt = windowed(omega_x * self.ts[g]) / s0 - xbar * tbar
-            span_x = float(xs[-1] - xs[0])
-            good = varx > max(1e-12 * span_x * span_x, 1e-300)
+            c[2, 1:] = a * m0[:k] + m1[:k]
+            c[3, 1:] = a * (c[2, 1:] + m1[:k]) + m2[:k]
+            c[4, 1:] = a * t0[:k] + t1[:k]
+            s0, st, sx, sxx, sxt = _windows(c, col)
+            xbar = sx / s0
+            tbar = st / s0
+            varx = sxx / s0 - xbar**2
+            covxt = sxt / s0 - xbar * tbar
+            good = varx > max(1e-12 * col.span_x * col.span_x, 1e-300)
             slope = np.where(good, covxt / np.where(good, varx, 1.0), 0.0)
             vals = tbar + slope * (col.x_rows - xbar)
-        om = omega[col.rows]
+        om = om[col.knot_rows]
         gvals = np.add.reduceat(om * vals, col.offset) / np.add.reduceat(om, col.offset)
-        return Curve(col.knots, np.interp(col.knots, col.x_start, gvals))
+        curve = Curve(col.knots, np.interp(col.knots, col.x_start, gvals))
+        slope, base = _pieces(curve.values, col.gaps)
+        sl, v = slope[col.seg_q], base[col.seg_q]
+        return curve, float(v @ t0 + sl @ t1), float((v * v) @ m0 + (2.0 * v * sl) @ m1 + (sl * sl) @ m2)
 
 
 def smooth(x: np.ndarray, r: np.ndarray, w: np.ndarray, spec: SmootherSpec) -> UnivariateFunction:
@@ -352,10 +399,14 @@ def smooth(x: np.ndarray, r: np.ndarray, w: np.ndarray, spec: SmootherSpec) -> U
     reads only the x group equal to the knot, or the two groups around a
     knot that no included row holds (in a fitter's column, whose knots come
     from all its rows, rows below the weight floor can remove one). So the
-    windowed fit is computed only at the rows of those groups, from
-    cumulative sums over all included rows. Each value that reaches the
-    curve goes through the same floating-point operations as when every row
-    is fitted, so the result is exact, not an approximation.
+    windowed fit is computed only at the rows of those groups, from window
+    sums over segments of rows (``SmoothingTarget.fit``). Those sums round
+    differently from cumulative sums over all included rows: against that
+    full-row fit the curve values agree within 1e-12 * kappa * max|r/w|.
+    kappa is 1 for near-neighbour averaging; for local linear fits it is the
+    largest E[x^2] / Var[x] (weighted by w^2) of a window that fits a
+    slope, or 1 if that is smaller. On integer x and r with w in {0, 1, 2,
+    4} every window sum is exact and the two agree bit for bit.
 
     This is ``SmoothingTarget(r, w)`` fitted on the ``SortedColumn`` of its
     included rows; a fitter that smooths many targets against the same
@@ -370,11 +421,9 @@ def smooth(x: np.ndarray, r: np.ndarray, w: np.ndarray, spec: SmootherSpec) -> U
     target = SmoothingTarget(r, w)
     if spec.method == CATEGORICAL_MEAN:
         return target.level_means(x)
-    order = np.argsort(x, kind="stable")
-    # a stable sort of all rows restricted to the included ones is the
-    # stable sort of the included rows
-    gidx = order if target.full else order[target.mask[order]]
-    return target.curve(SortedColumn(x[gidx], gidx, None, spec.resolved_span()), spec.method)
+    col = SortedColumn(KnotIndex(x), np.argsort(x, kind="stable"), None, spec.resolved_span(),
+                       None if target.full else target.mask)
+    return target.fit(col, spec.method)[0]
 
 
 def spline_knots(x: np.ndarray) -> np.ndarray:
@@ -493,7 +542,8 @@ def spline_fit(x: np.ndarray, t: np.ndarray) -> Curve:
     gram, rhs = _bspline_gram(bounds, basis, ts)
     # a basis function without data keeps a zero row, so Cholesky fails
     diag = np.diag(gram)
-    inv = np.divide(1.0, np.sqrt(diag), out=np.zeros(m), where=diag > 0)
+    inv = np.zeros(m)
+    inv[diag > 0] = 1.0 / np.sqrt(diag[diag > 0])
     try:
         chol = np.linalg.cholesky(gram * np.outer(inv, inv))
         full_rank = np.min(np.diag(chol)) ** 2 >= 1e-10

@@ -342,9 +342,14 @@ def save(tree: FunctionTree, path) -> None:
 
 
 def load(path) -> FunctionTree:
-    """Read a tree written by save(); rejects unknown format versions."""
+    """Read a tree written by save(); rejects unknown format versions and
+    files that are not JSON text."""
     with open(path, encoding="utf-8") as fh:
-        return FunctionTree.from_dict(json.load(fh))
+        try:
+            doc = json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise ValueError(f"{path}: not a functree model file ({exc})") from None
+    return FunctionTree.from_dict(doc)
 
 
 def difference(a: FunctionTree, b: FunctionTree) -> FunctionTree:
@@ -422,18 +427,14 @@ class TreeFitter:
         self.sqrt_rho = np.sqrt(self.rho)
         self.n_tr = len(tr)
 
-        # per-variable preparation shared by every smoother call: for numeric
-        # variables the knot grid and the training rows in x order
-        self.columns: list[SortedColumn | None] = []
-        span = config.numeric_smoother.resolved_span()
-        for v, col in zip(data.variables, self.Xtr.T):
-            if v.is_categorical:
-                self.columns.append(None)
-            else:
-                order = np.argsort(col, kind="stable")
-                self.columns.append(SortedColumn(col[order], order, None, span))
-        # the training rows of each variable, located once per knot vector
+        # the training rows of each variable, located once per knot vector,
+        # and for numeric variables the sorted column every smoother call
+        # shares (on the knot grid of all training rows)
         self.points = [KnotIndex(col) for col in self.Xtr.T]
+        span = config.numeric_smoother.resolved_span()
+        self.columns: list[SortedColumn | None] = [
+            None if v.is_categorical else SortedColumn(pts, np.argsort(pts.x, kind="stable"), None, span)
+            for v, pts in zip(data.variables, self.points)]
 
         if tree is None:
             self.b0 = float(np.average(self.ytr, weights=self.rho))
@@ -476,16 +477,20 @@ class TreeFitter:
     def train_sse(self) -> float:
         return float(np.sum(self.rho * self.resid**2))
 
-    def _smooth(self, j: int, target: SmoothingTarget) -> UnivariateFunction:
+    def _smooth(self, j: int, target: SmoothingTarget) -> tuple[UnivariateFunction, float, float]:
         """``smooth`` of variable j on ``target``, from the variable's sorted
-        column, restricted to the target's rows when some are excluded. The
-        candidate sweep and backfitting both smooth through here."""
+        column, restricted to the target's rows when some are excluded, with
+        the line-search sums sum rw * f and sum omega * f^2 of its result f
+        over the training rows. The candidate sweep and backfitting both
+        smooth through here."""
         column = self.columns[j]
         if column is None:
-            return target.level_means(self.Xtr[:, j])
+            f = target.level_means(self.Xtr[:, j])
+            fx = self._eval(j, f)
+            return f, float(target.rw @ fx), float(target.omega @ (fx * fx))
         if not target.full:
             column = column.restrict(target.mask)
-        return target.curve(column, self.config.numeric_smoother.method)
+        return target.fit(column, self.config.numeric_smoother.method)
 
     def _subtree(self, k: int) -> list[int]:
         out = [k]
@@ -531,25 +536,23 @@ class TreeFitter:
             return False
         return not any(s <= pv for s in self.config.forbidden_subsets)
 
-    def score_candidate(self, k: int, j: int, target: SmoothingTarget | None, rho_resid: np.ndarray):
+    def score_candidate(self, k: int, j: int, target: SmoothingTarget | None):
         """Fit the (parent=k, variable=j) candidate on the parent's smoothing
         ``target`` (None when the weight floor excludes every row) and
-        line-search its scale against the residual; ``rho_resid`` is the
-        row weight times the residual. Returns (sse_reduction, function,
-        scale) or None. The caller scales only the winning function."""
+        line-search its scale against the residual: the target's rw is the
+        row weight times the residual times the parent basis, and omega the
+        row weight times that basis squared. Returns (sse_reduction,
+        function, scale) or None. The caller scales only the winning
+        function."""
         if target is None:
             return None
         try:
-            f = self._smooth(j, target)
+            f, num, den = self._smooth(j, target)
         except ValueError:
             return None
-        d = self.B_tr[k] * self._eval(j, f)
-        den = float(np.sum(self.rho * d * d))
         if den <= 0.0 or not np.isfinite(den):
             return None
-        num = float(np.sum(rho_resid * d))
-        beta = num / den
-        return num * num / den, f, beta
+        return num * num / den, f, num / den
 
     def _variables(self, k: int) -> list[int]:
         return [j for j in range(self.data.p) if self._allowed(k, j)]
@@ -560,7 +563,6 @@ class TreeFitter:
         then variables in index order. Each parent's smoothing target is
         built once for all its variables."""
         r = self.resid * self.sqrt_rho
-        rho_resid = self.rho * self.resid
         for k in range(len(self.nodes)) if parents is None else parents:
             allowed = self._variables(k)
             if not allowed:
@@ -570,7 +572,7 @@ class TreeFitter:
             except ValueError:
                 target = None
             for j in allowed:
-                res = self.score_candidate(k, j, target, rho_resid)
+                res = self.score_candidate(k, j, target)
                 if res is not None:
                     yield (res[0], k, j, *res[1:])
 
@@ -634,7 +636,7 @@ class TreeFitter:
             try:
                 target = SmoothingTarget((self.resid + cow * self.fv_tr[k]) * self.sqrt_rho,
                                          cow * self.sqrt_rho)
-                proposal = self._smooth(node.var, target)
+                proposal = self._smooth(node.var, target)[0]
             except ValueError:
                 continue
             direction = combine(proposal, node.func, 1.0, -1.0)

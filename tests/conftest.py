@@ -62,12 +62,16 @@ def random_dataset(rng: np.random.Generator, tree: FunctionTree, n: int = 150) -
 
 def reference_smooth(x, r, w, spec, *, order=None, knots=None):
     """The full-row numeric smoother: the windowed fit at every included
-    row, one weighted mean per distinct x, then interpolation at the knots
-    (by default the distinct x of the included rows, thinned as ``smooth``
-    thins them). ``order`` may carry a stable argsort of all of x.
-    Categorical specs go to ``smooth``."""
+    row, from cumulative sums over all included rows, one weighted mean per
+    distinct x, then interpolation at the knots (by default the distinct x
+    of the included rows, thinned as ``smooth`` thins them). ``order`` may
+    carry a stable argsort of all of x. Returns the curve and kappa, the
+    scale of the tolerance ``smooth`` states against this fit: 1, or for a
+    local linear fit the largest E[x^2] / Var[x] (weighted by w^2) of a
+    window that fits a slope, if larger. Categorical specs go to
+    ``smooth``, with kappa 1."""
     if spec.method == "categorical_mean":
-        return smooth(x, r, w, spec)
+        return smooth(x, r, w, spec), 1.0
     x, r, w = (np.asarray(a, dtype=float) for a in (x, r, w))
     mask = (np.abs(w) >= weight_floor(w)) & (w != 0.0)
     if not mask.any():
@@ -88,20 +92,24 @@ def reference_smooth(x, r, w, spec, *, order=None, knots=None):
         c = np.concatenate([[0.0], np.cumsum(v)])
         return c[hi + 1] - c[lo]
 
+    kappa = 1.0
     if spec.method == "near_neighbor":
         vals = wsum(omega * ts) / wsum(omega)
     else:
         s0 = wsum(omega)
         xbar = wsum(omega * xs) / s0
         tbar = wsum(omega * ts) / s0
-        varx = wsum(omega * xs * xs) / s0 - xbar**2
+        x2bar = wsum(omega * xs * xs) / s0
+        varx = x2bar - xbar**2
         covxt = wsum(omega * xs * ts) / s0 - xbar * tbar
         span_x = float(xs[-1] - xs[0])
         good = varx > max(1e-12 * span_x * span_x, 1e-300)
         slope = np.where(good, covxt / np.where(good, varx, 1.0), 0.0)
         vals = tbar + slope * (xs - xbar)
+        if good.any():
+            kappa = max(1.0, float(np.max(x2bar[good] / varx[good])))
     uniq, start = np.unique(xs, return_index=True)
     uvals = np.add.reduceat(omega * vals, start) / np.add.reduceat(omega, start)
     if knots is None:
         knots = thin_knots(uniq)
-    return Curve(knots, np.interp(knots, uniq, uvals))
+    return Curve(knots, np.interp(knots, uniq, uvals)), kappa

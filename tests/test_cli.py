@@ -306,6 +306,31 @@ def test_categorical_cond_must_name_a_level(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("pd", "--vars", "x4,x4"), "argument --vars: repeated variable 'x4'"),
+    (("pd", "--vars", "nowhere"), "argument --vars: unknown variable 'nowhere'"),
+    (("fit", "--forbid", "x1,nowhere"), "argument --forbid: unknown variable 'nowhere'"),
+])
+def test_variable_names_are_flag_errors(workdir, tmp_path, capsys, argv, message):
+    out = tmp_path / "out"
+    command, *flags = argv
+    inputs = ("--data", workdir["data"]) if command == "fit" else \
+        ("--model", workdir["model"], "--data", workdir["data"])
+    capsys.readouterr()
+    assert run(command, *inputs, *flags, "--out", out) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_model_file_that_is_not_json_names_the_file(workdir, tmp_path, capsys):
+    capsys.readouterr()
+    assert run("predict", "--model", workdir["data"], "--data", workdir["data"],
+               "--out", tmp_path / "p.csv") == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {workdir['data']}: not a functree model file (")
+    assert err.count("\n") == 1
+
+
 def test_exit_code_3_on_data_errors(workdir, tmp_path, capsys):
     assert run("fit", "--data", tmp_path / "missing.csv", "--out", tmp_path / "m.json") == 3
     # a path through a file (NotADirectoryError)

@@ -320,22 +320,26 @@ def test_candidate_sweep_equals_smooth(method, zero_weights):
     for k in range(len(fitter.nodes)):
         w = fitter.B_tr[k] * fitter.sqrt_rho
         assert SmoothingTarget(r, w).full == (not zero_weights)
+        included = SmoothingTarget(r, w).mask
+        ts_max = np.max(np.abs(r[included] / w[included]))
         for j in range(data.p):
             x, col = fitter.Xtr[:, j], fitter.columns[j]
             if col is None:
-                want = reference_smooth(x, r, w, SmootherSpec("categorical_mean"))
+                want, kappa = reference_smooth(x, r, w, SmootherSpec("categorical_mean"))
             else:
-                want = reference_smooth(x, r, w, fitter.config.numeric_smoother,
-                                        order=col.gidx, knots=col.knots)
-            d = fitter.B_tr[k] * fitter._eval(j, want)
+                want, kappa = reference_smooth(x, r, w, fitter.config.numeric_smoother,
+                                               order=col.order, knots=col.knots)
+            # the gain of the reference curve, evaluated at every row
+            d = fitter.B_tr[k] * want(x)
             num = float(np.sum(fitter.rho * fitter.resid * d))
             gain, got = swept[(k, j)]
-            assert gain == num * num / float(np.sum(fitter.rho * d * d))
+            assert gain == pytest.approx(num * num / float(np.sum(fitter.rho * d * d)), rel=1e-9)
             assert type(got) is type(want)
-            assert np.array_equal(got.values, want.values)
             if isinstance(want, Curve):
                 assert np.array_equal(got.knots, want.knots)
+                assert np.max(np.abs(got.values - want.values)) <= 1e-12 * kappa * ts_max
             else:
+                assert np.array_equal(got.values, want.values)
                 assert got.default == want.default
 
 
