@@ -228,8 +228,10 @@ class SmootherSpec:
 
 
 def weight_floor(w: np.ndarray) -> float:
-    """Rows with |w| below this are excluded from a fit: tiny basis weights
-    make the r/w smoothing target blow up."""
+    """Rows with |w| below this (and rows with w = 0) weigh nothing in a
+    fit: they keep their rank among the rows, with omega = rw = 0. A tiny
+    basis weight would otherwise make the r/w smoothing target blow up, and
+    a window holding only such weights rounds its weight to zero."""
     return 1e-6 * float(np.sqrt(np.mean(np.square(w))))
 
 
@@ -276,142 +278,203 @@ def _fit_level_table(x, omega, rw):
 
 
 class SortedColumn:
-    """The part of numeric smoothing that depends only on x and the included
-    rows. ``points`` locates every row on the knot grid once (its interval
-    q and offset dx; the grid is by default the thinned distinct x of the
-    included rows). The included rows in stable x order (``order``
-    restricted to ``mask``) give the rows, distinct-x groups and rank
-    windows that a fit onto the grid reads, and cut the ranks into
-    segments: runs between consecutive window bounds and interval starts.
-    A window is a run of whole segments, and on a segment every curve on
-    the grid is linear in dx. Each excluded row joins a segment per
-    interval that no window reads. ``seg`` holds each row's segment, in row
-    order, and ``seg_q`` each segment's interval. A fitter builds one
-    column per variable for all its training rows and restricts it to a
-    target's rows when the weight floor excludes some; dx is shared."""
+    """The part of numeric smoothing that depends only on x. ``points``
+    locates every row on the knot grid once (its interval q and offset dx;
+    the grid is by default the thinned distinct x). The rows in stable x
+    order (``order``) give the rows, distinct-x groups and rank windows that
+    a fit onto the grid reads, and cut the ranks into segments: runs between
+    consecutive window bounds and interval starts. A window is a run of
+    whole segments, and on a segment every curve on the grid is linear in
+    dx. ``seg`` holds each row's segment, in row order, and ``seg_q`` each
+    segment's interval. Rows that a target weighs zero keep their place, so
+    a fitter builds one column per variable for all its training rows and
+    every target reads it."""
 
-    def __init__(self, points: KnotIndex, order: np.ndarray, knots: np.ndarray | None,
-                 span: float, mask: np.ndarray | None = None):
-        self.points, self.order, self.span = points, order, span
-        gidx = order if mask is None else order[mask[order]]
-        xs = points.x[gidx]
+    def __init__(self, points: KnotIndex, order: np.ndarray, knots: np.ndarray | None, span: float):
+        xs = points.x[order]
         n = len(xs)
         self.knots = thin_knots(np.unique(xs)) if knots is None else knots
         _, self.gaps, q, self.dx = points.locate(self.knots)
         rows, self.offset, start = _knot_rows(xs, self.knots)
         lo, hi = _window_bounds(rows, n, max(2, int(round(span * n))))
-        self.x_rows, self.x_start, self.knot_rows = xs[rows], xs[start], gidx[rows]
+        self.x_rows, self.x_start, self.knot_rows = xs[rows], xs[start], order[rows]
         self.span_x = float(xs[-1] - xs[0])
-        qs = q[gidx]
+        qs = q[order]
         cut = np.concatenate([[True], qs[1:] != qs[:-1]])
         cut[lo] = True
         cut[hi[hi < n - 1] + 1] = True
         bounds = np.flatnonzero(cut)
         self.wlo, self.whi = np.searchsorted(bounds, lo), np.searchsorted(bounds, hi + 1)
-        self.seg_q = np.concatenate([qs[bounds], np.arange(len(self.knots) + 1)])
-        self.origin = self.knots[np.maximum(qs[bounds] - 1, 0)]
-        self.seg = q + len(bounds)
-        self.seg[gidx] = np.repeat(np.arange(len(bounds)), np.diff(np.append(bounds, n)))
-
-    def restrict(self, mask: np.ndarray) -> "SortedColumn":
-        """The column of the rows where ``mask`` holds, on the same knot grid."""
-        return SortedColumn(self.points, self.order, self.knots, self.span, mask)
+        self.seg_q = qs[bounds]
+        self.origin = self.knots[np.maximum(self.seg_q - 1, 0)]
+        self.seg = np.empty(n, dtype=np.intp)
+        self.seg[order] = np.repeat(np.arange(len(bounds)), np.diff(np.append(bounds, n)))
 
 
-def _windows(c: np.ndarray, col: SortedColumn) -> np.ndarray:
-    # each row's sums over the column's windows, from its per-segment sums
+def _starts(sizes) -> np.ndarray:
+    # where each of consecutive blocks of these sizes starts, and the end
+    return np.concatenate([[0], np.cumsum(sizes)])
+
+
+class ColumnSet:
+    """Columns that ``SmoothingTarget.fit`` smooths in one pass. Their
+    segments sit side by side in rows of ``width`` (zero past each column's
+    own), and their window bounds, knot rows and distinct-x groups are
+    concatenated.
+
+    A column's line-search sums run over its segments and then one empty
+    segment per knot interval (``line_q`` holds their intervals): a dot
+    product's rounding depends on its length, and at this length the
+    fitted models of targets that weigh every row keep their last bits."""
+
+    def __init__(self, columns: list[SortedColumn]):
+        self.columns = columns
+        nseg = [len(col.seg_q) for col in columns]
+        self.width = width = max(nseg)
+        self.origin = np.zeros((len(columns), width))
+        for c, col in enumerate(columns):
+            self.origin[c, : nseg[c]] = col.origin
+        # window bounds into the flattened (column, leading 0 + segments)
+        # cumulative sums
+        base = np.arange(len(columns)) * (width + 1)
+        self.wlo = np.concatenate([col.wlo + b for col, b in zip(columns, base)])
+        self.whi = np.concatenate([col.whi + b for col, b in zip(columns, base)])
+        self.x_rows = np.concatenate([col.x_rows for col in columns])
+        self.knot_rows = np.concatenate([col.knot_rows for col in columns])
+        self.min_varx = np.repeat([max(1e-12 * col.span_x * col.span_x, 1e-300) for col in columns],
+                                  [len(col.x_rows) for col in columns])
+        first = _starts([len(col.x_rows) for col in columns])
+        self.offset = np.concatenate([col.offset + f for col, f in zip(columns, first)])
+        self.groups = _starts([len(col.offset) for col in columns])
+        self.line_q = [np.concatenate([col.seg_q, np.arange(len(col.knots) + 1)]) for col in columns]
+        self.line_width = max(map(len, self.line_q))
+
+
+def _windows(c: np.ndarray, cols: ColumnSet) -> np.ndarray:
+    # each row's sums over the columns' windows, from their per-segment sums
     # after a leading 0
-    np.cumsum(c, axis=1, out=c)
-    return np.take(c, col.whi, axis=1) - np.take(c, col.wlo, axis=1)
+    np.cumsum(c, axis=2, out=c)
+    c = c.reshape(len(c), -1)
+    return np.take(c, cols.whi, axis=1) - np.take(c, cols.wlo, axis=1)
 
 
 class SmoothingTarget:
-    """The part of smoothing that depends only on (r, w): the rows the
-    weight floor keeps (``mask``) and, in row order, the weight omega = w^2
-    and rw = r * w. Smoothing fits ts = r / w with weight omega, and every
+    """The part of smoothing that depends only on (r, w), in row order: the
+    weight omega = w^2 and rw = r * w, both 0 on rows below the weight
+    floor. Smoothing fits ts = r / w with weight omega, and every
     omega-weighted sum of ts is a sum of rw, so ts is never formed. Raises
-    ValueError when every row is excluded."""
+    ValueError when every row is below the floor."""
 
     def __init__(self, r: np.ndarray, w: np.ndarray):
-        mask = (np.abs(w) >= weight_floor(w)) & (w != 0.0)
-        if not mask.any():
+        keep = (np.abs(w) >= weight_floor(w)) & (w != 0.0)
+        if not keep.any():
             raise ValueError("all rows excluded by the basis-weight floor")
-        self.mask = mask
-        self.full = bool(mask.all())
+        if not keep.all():
+            w = np.where(keep, w, 0.0)
         self.omega = np.square(w)
         self.rw = r * w
 
     def level_means(self, x: np.ndarray) -> LevelTable:
         """The omega-weighted mean of ts per level of categorical ``x``."""
-        m = self.mask
-        return _fit_level_table(x[m], self.omega[m], self.rw[m])
+        return _fit_level_table(x, self.omega, self.rw)
 
-    def fit(self, col: SortedColumn, method: str) -> tuple[Curve, float, float]:
-        """The rank-window fit f of ts on a column built for exactly this
-        target's included rows (``col.restrict(self.mask)`` unless the mask
-        is full), interpolated at the column's knots, with its line-search
-        sums over every row: sum rw * f and sum omega * f^2.
+    def fit(self, cols: ColumnSet, method: str) -> list[tuple[Curve, float, float] | None]:
+        """Per column of ``cols``, the rank-window fit f of ts interpolated
+        at the column's knots, with its line-search sums over every row:
+        sum rw * f and sum omega * f^2. None for a column none of whose
+        knot groups has weight.
 
-        Both come from five moments per segment, of omega, omega * dx,
+        All come from five moments per segment, of omega, omega * dx,
         omega * dx^2, rw and rw * dx. A segment's moments about its
         interval's left knot a give its sums of omega * x, omega * x^2 and
-        rw * x, and their cumulative sums over segments give every window."""
-        om, rw, dx = self.omega, self.rw, col.dx
-        omdx = om * dx
-        m0, m1, m2, t0, t1 = (np.bincount(col.seg, v, len(col.seg_q))
-                              for v in (om, omdx, omdx * dx, rw, rw * dx))
-        a, k = col.origin, len(col.origin)
-        c = np.empty((2 if method == NEAR_NEIGHBOR else 5, k + 1))
-        c[:, 0] = 0.0
-        c[0, 1:], c[1, 1:] = m0[:k], t0[:k]
+        rw * x, and their cumulative sums over segments give every window.
+        The columns share one cumulative sum, one window gather, one
+        windowed fit and one group mean, all elementwise or per row; the
+        interpolation at the knots and the line search run per column. So
+        each column's result equals that of a set holding it alone, bit for
+        bit. A row whose window has no weight weighs nothing in its group,
+        and a group without weight is interpolated over."""
+        om, rw = self.omega, self.rw
+        mom = np.empty((5, len(cols.columns), cols.line_width))
+        for c, col in enumerate(cols.columns):
+            k = len(cols.line_q[c])
+            omdx = om * col.dx
+            for i, v in enumerate((om, omdx, omdx * col.dx, rw, rw * col.dx)):
+                mom[i, c, :k] = np.bincount(col.seg, v, k)
+            mom[:, c, k:] = 0.0
+        m0, m1, m2, t0, t1 = mom
+        a, n = cols.origin, cols.width
+        s = np.empty((2 if method == NEAR_NEIGHBOR else 5, len(a), n + 1))
+        s[:, :, 0] = 0.0
+        s[0, :, 1:], s[1, :, 1:] = m0[:, :n], t0[:, :n]
         if method == NEAR_NEIGHBOR:
-            s0, st = _windows(c, col)
-            vals = st / s0
+            s0, st = _windows(s, cols)
+            has = s0 > 0.0
+            vals = st / np.where(has, s0, 1.0)
         else:
-            c[2, 1:] = a * m0[:k] + m1[:k]
-            c[3, 1:] = a * (c[2, 1:] + m1[:k]) + m2[:k]
-            c[4, 1:] = a * t0[:k] + t1[:k]
-            s0, st, sx, sxx, sxt = _windows(c, col)
+            s[2, :, 1:] = a * m0[:, :n] + m1[:, :n]
+            s[3, :, 1:] = a * (s[2, :, 1:] + m1[:, :n]) + m2[:, :n]
+            s[4, :, 1:] = a * t0[:, :n] + t1[:, :n]
+            s0, st, sx, sxx, sxt = _windows(s, cols)
+            has = s0 > 0.0
+            s0 = np.where(has, s0, 1.0)
             xbar = sx / s0
             tbar = st / s0
             varx = sxx / s0 - xbar**2
             covxt = sxt / s0 - xbar * tbar
-            good = varx > max(1e-12 * col.span_x * col.span_x, 1e-300)
+            good = varx > cols.min_varx
             slope = np.where(good, covxt / np.where(good, varx, 1.0), 0.0)
-            vals = tbar + slope * (col.x_rows - xbar)
-        om = om[col.knot_rows]
-        gvals = np.add.reduceat(om * vals, col.offset) / np.add.reduceat(om, col.offset)
-        curve = Curve(col.knots, np.interp(col.knots, col.x_start, gvals))
-        slope, base = _pieces(curve.values, col.gaps)
-        sl, v = slope[col.seg_q], base[col.seg_q]
-        return curve, float(v @ t0 + sl @ t1), float((v * v) @ m0 + (2.0 * v * sl) @ m1 + (sl * sl) @ m2)
+            vals = tbar + slope * (cols.x_rows - xbar)
+        om = np.where(has, om[cols.knot_rows], 0.0)
+        gw = np.add.reduceat(om, cols.offset)
+        ok = gw > 0.0
+        gmean = np.add.reduceat(om * vals, cols.offset) / np.where(ok, gw, 1.0)
+        out = []
+        for c, col in enumerate(cols.columns):
+            g = slice(cols.groups[c], cols.groups[c + 1])
+            keep = ok[g]
+            if not keep.any():
+                out.append(None)
+                continue
+            values = np.interp(col.knots, col.x_start[keep], gmean[g][keep])
+            curve = Curve(col.knots, values)
+            slope, base = _pieces(values, col.gaps)
+            q = cols.line_q[c]
+            sl, v, k = slope[q], base[q], len(q)
+            out.append((curve, float(v @ t0[c, :k] + sl @ t1[c, :k]),
+                        float((v * v) @ m0[c, :k] + (2.0 * v * sl) @ m1[c, :k] + (sl * sl) @ m2[c, :k])))
+        return out
 
 
 def smooth(x: np.ndarray, r: np.ndarray, w: np.ndarray, spec: SmootherSpec) -> UnivariateFunction:
     """Estimate the weighted conditional expectation E_{w^2}[ r/w | x ].
 
-    Rows whose basis weight falls below the floor are excluded. For numeric
-    methods the result is a piecewise-linear curve on the distinct sorted x
-    values of the included rows, quantile-thinned past 500 knots.
+    Rows whose basis weight falls below the floor weigh nothing but keep
+    their rank. For numeric methods the result is a piecewise-linear curve
+    on the distinct sorted x values of all rows, quantile-thinned past 500
+    knots.
 
     The curve value at a knot interpolates the w^2-weighted means, per
-    distinct x, of a rank-window fit at each included row. Interpolation
-    reads only the x group equal to the knot, or the two groups around a
-    knot that no included row holds (in a fitter's column, whose knots come
-    from all its rows, rows below the weight floor can remove one). So the
-    windowed fit is computed only at the rows of those groups, from window
-    sums over segments of rows (``SmoothingTarget.fit``). Those sums round
-    differently from cumulative sums over all included rows: against that
-    full-row fit the curve values agree within 1e-12 * kappa * max|r/w|.
-    kappa is 1 for near-neighbour averaging; for local linear fits it is the
-    largest E[x^2] / Var[x] (weighted by w^2) of a window that fits a
-    slope, or 1 if that is smaller. On integer x and r with w in {0, 1, 2,
-    4} every window sum is exact and the two agree bit for bit.
+    distinct x, of a rank-window fit at each row. Interpolation reads only
+    the x group equal to the knot, or the two groups around a knot that no
+    row holds; a group without weight (all its rows below the floor, or
+    their windows without weight) is skipped, so its neighbours among those
+    groups are interpolated over, and ValueError is raised when none has
+    weight. So the windowed fit is computed only at the rows of those
+    groups, from window sums over segments of rows (``SmoothingTarget.fit``).
+    Those sums round differently from cumulative sums over all rows:
+    against that full-row fit the curve values agree within 1e-12 * kappa *
+    max|r/w| over the rows at or above the floor. kappa is 1 for
+    near-neighbour averaging; for local linear fits it is the largest
+    E[x^2] / Var[x] (weighted by w^2) of a window that fits a slope, or 1 if
+    that is smaller. On integer x and r with w in {0, 1, 2, 4} every window
+    sum is exact and the two agree bit for bit.
 
-    This is ``SmoothingTarget(r, w)`` fitted on the ``SortedColumn`` of its
-    included rows; a fitter that smooths many targets against the same
-    columns builds those pieces once each. The returned function is not
-    centred; the fitter recentres its nodes itself.
+    This is ``SmoothingTarget(r, w)`` fitted on a ``ColumnSet`` of the one
+    ``SortedColumn`` of x; a fitter that smooths many targets against the
+    same columns builds those once each, and fits all the columns of a
+    target in one pass. The returned function is not centred; the fitter
+    recentres its nodes itself.
     """
     x = np.asarray(x, dtype=float)
     r = np.asarray(r, dtype=float)
@@ -421,9 +484,11 @@ def smooth(x: np.ndarray, r: np.ndarray, w: np.ndarray, spec: SmootherSpec) -> U
     target = SmoothingTarget(r, w)
     if spec.method == CATEGORICAL_MEAN:
         return target.level_means(x)
-    col = SortedColumn(KnotIndex(x), np.argsort(x, kind="stable"), None, spec.resolved_span(),
-                       None if target.full else target.mask)
-    return target.fit(col, spec.method)[0]
+    col = SortedColumn(KnotIndex(x), np.argsort(x, kind="stable"), None, spec.resolved_span())
+    res = target.fit(ColumnSet([col]), spec.method)[0]
+    if res is None:
+        raise ValueError("no knot group has weight")
+    return res[0]
 
 
 def spline_knots(x: np.ndarray) -> np.ndarray:

@@ -27,6 +27,7 @@ from .data import (
 from .smoothers import (
     CATEGORICAL_MEAN,
     LOCAL_LINEAR,
+    ColumnSet,
     Curve,
     KnotIndex,
     LevelTable,
@@ -427,14 +428,18 @@ class TreeFitter:
         self.sqrt_rho = np.sqrt(self.rho)
         self.n_tr = len(tr)
 
-        # the training rows of each variable, located once per knot vector,
-        # and for numeric variables the sorted column every smoother call
-        # shares (on the knot grid of all training rows)
+        # the training rows of each variable, located once per knot vector;
+        # for numeric variables the sorted column every smoother call shares
+        # (on the knot grid of all training rows), and the column sets of
+        # the variable tuples smoothed together
         self.points = [KnotIndex(col) for col in self.Xtr.T]
         span = config.numeric_smoother.resolved_span()
         self.columns: list[SortedColumn | None] = [
             None if v.is_categorical else SortedColumn(pts, np.argsort(pts.x, kind="stable"), None, span)
             for v, pts in zip(data.variables, self.points)]
+        self._sets: dict[tuple[int, ...], ColumnSet] = {}
+        # the last smoothing target scored and its fit of each variable
+        self._pass: tuple[SmoothingTarget | None, dict] = (None, {})
 
         if tree is None:
             self.b0 = float(np.average(self.ytr, weights=self.rho))
@@ -477,20 +482,26 @@ class TreeFitter:
     def train_sse(self) -> float:
         return float(np.sum(self.rho * self.resid**2))
 
-    def _smooth(self, j: int, target: SmoothingTarget) -> tuple[UnivariateFunction, float, float]:
-        """``smooth`` of variable j on ``target``, from the variable's sorted
-        column, restricted to the target's rows when some are excluded, with
-        the line-search sums sum rw * f and sum omega * f^2 of its result f
-        over the training rows. The candidate sweep and backfitting both
-        smooth through here."""
-        column = self.columns[j]
-        if column is None:
-            f = target.level_means(self.Xtr[:, j])
-            fx = self._eval(j, f)
-            return f, float(target.rw @ fx), float(target.omega @ (fx * fx))
-        if not target.full:
-            column = column.restrict(target.mask)
-        return target.fit(column, self.config.numeric_smoother.method)
+    def _smooth(self, variables: list[int], target: SmoothingTarget) -> dict:
+        """``smooth`` of each of ``variables`` on ``target``, with the
+        line-search sums sum rw * f and sum omega * f^2 of its result f over
+        the training rows: {j: (f, num, den)}, or {j: None} where no knot
+        group has weight. The numeric variables are fitted in one pass over
+        their column set, built on first use. The candidate sweep and
+        backfitting both smooth through here."""
+        out = {}
+        numeric = tuple(j for j in variables if self.columns[j] is not None)
+        for j in variables:
+            if self.columns[j] is None:
+                f = target.level_means(self.Xtr[:, j])
+                fx = self._eval(j, f)
+                out[j] = f, float(target.rw @ fx), float(target.omega @ (fx * fx))
+        if numeric:
+            cols = self._sets.get(numeric)
+            if cols is None:
+                cols = self._sets[numeric] = ColumnSet([self.columns[j] for j in numeric])
+            out.update(zip(numeric, target.fit(cols, self.config.numeric_smoother.method)))
+        return out
 
     def _subtree(self, k: int) -> list[int]:
         out = [k]
@@ -538,18 +549,22 @@ class TreeFitter:
 
     def score_candidate(self, k: int, j: int, target: SmoothingTarget | None):
         """Fit the (parent=k, variable=j) candidate on the parent's smoothing
-        ``target`` (None when the weight floor excludes every row) and
+        ``target`` (None when every row is below the weight floor) and
         line-search its scale against the residual: the target's rw is the
         row weight times the residual times the parent basis, and omega the
-        row weight times that basis squared. Returns (sse_reduction,
-        function, scale) or None. The caller scales only the winning
-        function."""
+        row weight times that basis squared. The first call for a target
+        smooths every admissible variable of k in one pass and the others
+        read their fit from it, so j must be admissible for k. Returns
+        (sse_reduction, function, scale) or None. The caller scales only
+        the winning function."""
         if target is None:
             return None
-        try:
-            f, num, den = self._smooth(j, target)
-        except ValueError:
+        if self._pass[0] is not target:
+            self._pass = (target, self._smooth(self._variables(k), target))
+        res = self._pass[1][j]
+        if res is None:
             return None
+        f, num, den = res
         if den <= 0.0 or not np.isfinite(den):
             return None
         return num * num / den, f, num / den
@@ -636,9 +651,12 @@ class TreeFitter:
             try:
                 target = SmoothingTarget((self.resid + cow * self.fv_tr[k]) * self.sqrt_rho,
                                          cow * self.sqrt_rho)
-                proposal = self._smooth(node.var, target)[0]
             except ValueError:
                 continue
+            res = self._smooth([node.var], target)[node.var]
+            if res is None:
+                continue
+            proposal = res[0]
             direction = combine(proposal, node.func, 1.0, -1.0)
             delta = cow * self._eval(node.var, direction)
             den = float(np.sum(self.rho * delta * delta))

@@ -61,28 +61,27 @@ def random_dataset(rng: np.random.Generator, tree: FunctionTree, n: int = 150) -
 
 
 def reference_smooth(x, r, w, spec, *, order=None, knots=None):
-    """The full-row numeric smoother: the windowed fit at every included
-    row, from cumulative sums over all included rows, one weighted mean per
-    distinct x, then interpolation at the knots (by default the distinct x
-    of the included rows, thinned as ``smooth`` thins them). ``order`` may
-    carry a stable argsort of all of x. Returns the curve and kappa, the
-    scale of the tolerance ``smooth`` states against this fit: 1, or for a
-    local linear fit the largest E[x^2] / Var[x] (weighted by w^2) of a
-    window that fits a slope, if larger. Categorical specs go to
-    ``smooth``, with kappa 1."""
+    """The full-row numeric smoother: the windowed fit at every row, from
+    cumulative sums over all rows, one weighted mean per distinct x, then
+    interpolation at the knots (by default the distinct x, thinned as
+    ``smooth`` thins them). Rows below the weight floor keep their rank and
+    weigh nothing; so does a row whose window has no weight. Interpolation
+    reads the x group at each knot, or the two groups around a knot that no
+    row holds, and skips those of them without weight. ``order`` may carry
+    a stable argsort of x. Returns the curve and kappa, the scale of the
+    tolerance ``smooth`` states against this fit: 1, or for a local linear
+    fit the largest E[x^2] / Var[x] (weighted by w^2) of a window that fits
+    a slope, if larger. Categorical specs go to ``smooth``, with kappa 1."""
     if spec.method == "categorical_mean":
         return smooth(x, r, w, spec), 1.0
     x, r, w = (np.asarray(a, dtype=float) for a in (x, r, w))
-    mask = (np.abs(w) >= weight_floor(w)) & (w != 0.0)
-    if not mask.any():
+    keep = (np.abs(w) >= weight_floor(w)) & (w != 0.0)
+    if not keep.any():
         raise ValueError("all rows excluded by the basis-weight floor")
-    if order is None:
-        sidx = np.argsort(x[mask], kind="stable")
-        xs, rs, ws = x[mask][sidx], r[mask][sidx], w[mask][sidx]
-    else:
-        gidx = order[mask[order]]
-        xs, rs, ws = x[gidx], r[gidx], w[gidx]
-    ts, omega = rs / ws, np.square(ws)
+    sidx = np.argsort(x, kind="stable") if order is None else order
+    xs = x[sidx]
+    omega = np.where(keep, w * w, 0.0)[sidx]
+    rw = np.where(keep, r * w, 0.0)[sidx]
     n = len(xs)
     m = max(2, int(round(spec.resolved_span() * n)))
     i = np.arange(n)
@@ -92,24 +91,37 @@ def reference_smooth(x, r, w, spec, *, order=None, knots=None):
         c = np.concatenate([[0.0], np.cumsum(v)])
         return c[hi + 1] - c[lo]
 
+    s0 = wsum(omega)
+    has = s0 > 0.0
+    s0 = np.where(has, s0, 1.0)
     kappa = 1.0
     if spec.method == "near_neighbor":
-        vals = wsum(omega * ts) / wsum(omega)
+        vals = wsum(rw) / s0
     else:
-        s0 = wsum(omega)
         xbar = wsum(omega * xs) / s0
-        tbar = wsum(omega * ts) / s0
+        tbar = wsum(rw) / s0
         x2bar = wsum(omega * xs * xs) / s0
         varx = x2bar - xbar**2
-        covxt = wsum(omega * xs * ts) / s0 - xbar * tbar
+        covxt = wsum(rw * xs) / s0 - xbar * tbar
         span_x = float(xs[-1] - xs[0])
         good = varx > max(1e-12 * span_x * span_x, 1e-300)
         slope = np.where(good, covxt / np.where(good, varx, 1.0), 0.0)
         vals = tbar + slope * (xs - xbar)
         if good.any():
             kappa = max(1.0, float(np.max(x2bar[good] / varx[good])))
+    omega = np.where(has, omega, 0.0)
     uniq, start = np.unique(xs, return_index=True)
-    uvals = np.add.reduceat(omega * vals, start) / np.add.reduceat(omega, start)
+    gw = np.add.reduceat(omega, start)
+    gsum = np.add.reduceat(omega * vals, start)
     if knots is None:
         knots = thin_knots(uniq)
-    return Curve(knots, np.interp(knots, uniq, uvals)), kappa
+    at = np.searchsorted(uniq, knots)
+    hit = (at < len(uniq)) & (uniq[np.minimum(at, len(uniq) - 1)] == knots)
+    read = np.zeros(len(uniq), dtype=bool)
+    read[at[hit]] = True
+    read[at[~hit & (at > 0)] - 1] = True
+    read[at[~hit & (at < len(uniq))]] = True
+    use = read & (gw > 0.0)
+    if not use.any():
+        raise ValueError("no knot group has weight")
+    return Curve(knots, np.interp(knots, uniq[use], gsum[use] / gw[use])), kappa

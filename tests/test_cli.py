@@ -29,6 +29,11 @@ def workdir(tmp_path_factory):
     return {"root": root, "data": data, "model": model}
 
 
+def csv_rows(path, reader=csv.DictReader) -> list:
+    with open(path, newline="") as fh:
+        return list(reader(fh))
+
+
 def test_gen_schema(workdir):
     with open(workdir["data"], newline="") as fh:
         header = next(csv.reader(fh))
@@ -105,7 +110,7 @@ def test_effects_top_triple_and_pa_agreement(workdir, capsys):
     capsys.readouterr()
     assert run("effects", "--model", workdir["model"], "--data", workdir["data"],
                "--out", out, "--pa", "--log", workdir["root"] / "screen.log") == 0
-    rows = list(csv.DictReader(open(out, newline="")))
+    rows = csv_rows(out)
     triples = [r for r in rows if int(r["order"]) == 3]
     assert triples and set(triples[0]["subset"].split(";")) == {"x4", "x5", "x6"}
     for r in rows:
@@ -122,8 +127,8 @@ def test_effects_no_screen_matches(workdir, tmp_path):
                "--out", a, "--max-order", "2") == 0
     assert run("effects", "--model", workdir["model"], "--data", workdir["data"],
                "--out", b, "--max-order", "2", "--no-screen") == 0
-    rows_a = list(csv.DictReader(open(a, newline="")))
-    rows_b = list(csv.DictReader(open(b, newline="")))
+    rows_a = csv_rows(a)
+    rows_b = csv_rows(b)
     top_a = sorted(rows_a, key=lambda r: -float(r["strength"]))[:5]
     top_b = sorted(rows_b, key=lambda r: -float(r["strength"]))[:5]
     assert [r["subset"] for r in top_a] == [r["subset"] for r in top_b]
@@ -176,7 +181,7 @@ def test_bootstrap_command(workdir, tmp_path, capsys):
                "--patience", "1", "--seed", "3") == 0
     printed = capsys.readouterr().out
     assert printed.splitlines()[-3] == "config,q25,median,q75"
-    rows = list(csv.DictReader(open(out, newline="")))
+    rows = csv_rows(out)
     assert len(rows) == 4  # 2 configs x 2 replicates
 
 
@@ -186,8 +191,7 @@ def test_surrogate_self_fidelity(workdir, tmp_path, capsys):
     assert run("predict", "--model", workdir["model"], "--data", workdir["data"],
                "--out", pred_csv) == 0
     preds = pred_csv.read_text().splitlines()[1:]
-    src = open(workdir["data"], newline="")
-    rows = list(csv.reader(src))
+    rows = csv_rows(workdir["data"], csv.reader)
     rows[0].append("yhat")
     for row, p in zip(rows[1:], preds):
         row.append(p)

@@ -16,6 +16,7 @@ from functree.smoothers import (
     Curve,
     KnotIndex,
     LevelTable,
+    ColumnSet,
     SmootherSpec,
     SmoothingTarget,
     SortedColumn,
@@ -184,6 +185,25 @@ def test_weight_floor_excludes_rows():
     np.testing.assert_allclose(f.values, 1.0, atol=1e-9)
 
 
+def test_sub_floor_row_alone_in_its_window_is_interpolated_over():
+    # with n = 2 the second row's window holds it alone; below the floor it
+    # weighs nothing, so its window has no weight and its group is skipped
+    f = smooth(np.array([0.0, 1.0]), np.array([2.0, 1.0]), np.array([1.0, 1e-9]),
+               spec("local_linear"))
+    np.testing.assert_array_equal(f.values, [2.0, 2.0])
+
+
+def test_no_knot_group_with_weight_errors():
+    # 600 distinct x thin to 500 knots; the one weighted row is not among
+    # the groups the knots read
+    x = np.arange(600.0)
+    w = np.zeros(600)
+    w[3] = 1.0
+    assert 3.0 not in thin_knots(x)
+    with pytest.raises(ValueError, match="no knot group has weight"):
+        smooth(x, np.ones(600), w, spec("near_neighbor"))
+
+
 def test_all_rows_excluded_errors():
     with pytest.raises(ValueError, match="excluded"):
         smooth(np.ones(3), np.ones(3), np.zeros(3), spec("near_neighbor"))
@@ -246,7 +266,7 @@ def test_near_neighbor_rank_equivariance(seed):
 )
 def test_smooth_equals_full_row_reference(seed, n, xkind, weights, method, span, with_order, grid):
     # "public" calls smooth() itself; every other grid smooths the way the
-    # fitter does, on a column of all rows restricted to the target's rows
+    # fitter does, on a column of all rows built once for any target
     rng = np.random.default_rng(seed)
     if xkind == "distinct":
         x = rng.normal(size=n)
@@ -264,7 +284,10 @@ def test_smooth_equals_full_row_reference(seed, n, xkind, weights, method, span,
         w[0] = 1.0
     sp = spec(method, span=span)
     if grid == "public":
-        got, (want, kappa) = smooth(x, r, w, sp), reference_smooth(x, r, w, sp)
+        kw = {}
+
+        def call():
+            return smooth(x, r, w, sp)
     else:
         knots = None
         if grid == "full":
@@ -274,11 +297,21 @@ def test_smooth_equals_full_row_reference(seed, n, xkind, weights, method, span,
         elif grid == "off_data":
             knots = np.unique(rng.normal(scale=2.0, size=int(rng.integers(1, 50))))
         order = np.argsort(x, kind="stable")
-        target = SmoothingTarget(r, w)
-        col = SortedColumn(KnotIndex(x), order, knots, sp.resolved_span()).restrict(target.mask)
-        got = target.fit(col, method)[0]
-        kw = {"order": order} if with_order else {}
-        want, kappa = reference_smooth(x, r, w, sp, knots=col.knots, **kw)
+        col = SortedColumn(KnotIndex(x), order, knots, sp.resolved_span())
+        kw = {"knots": col.knots, **({"order": order} if with_order else {})}
+
+        def call():
+            res = SmoothingTarget(r, w).fit(ColumnSet([col]), method)[0]
+            if res is None:
+                raise ValueError("no knot group has weight")
+            return res[0]
+    try:
+        want, kappa = reference_smooth(x, r, w, sp, **kw)
+    except ValueError:
+        with pytest.raises(ValueError, match="no knot group has weight"):
+            call()
+        return
+    got = call()
     assert np.array_equal(got.knots, want.knots)
     # the tolerance smooth() states against the full-row fit
     included = (w != 0.0) & (np.abs(w) >= weight_floor(w))
@@ -311,32 +344,84 @@ def test_smooth_is_exact_on_integer_data(seed, n, levels, method, span):
     assert np.array_equal(got.values, want.values)
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 800),
+    p=st.integers(2, 5),
+    weights=st.sampled_from(["ones", "positive", "zeros", "sub_floor"]),
+    method=st.sampled_from(["near_neighbor", "local_linear"]),
+    span=st.floats(0.01, 1.0),
+)
+def test_column_set_pass_equals_one_column_calls(seed, n, p, weights, method, span):
+    # columns of distinct, tied and rounded x on default, full, thinned and
+    # off-data knot grids, smoothed all together and as a strict subset
+    rng = np.random.default_rng(seed)
+    cols = []
+    for j in range(p):
+        kind = j % 3
+        if kind == 0:
+            x = rng.normal(size=n)
+        elif kind == 1:
+            x = rng.integers(0, int(rng.integers(1, 30)), n).astype(float)
+        else:
+            x = np.round(rng.normal(size=n), 1)
+        grid = rng.integers(4)
+        knots = [None, np.unique(x), thin_knots(np.unique(x), int(rng.integers(2, 600))),
+                 np.unique(rng.normal(scale=2.0, size=int(rng.integers(1, 50))))][grid]
+        cols.append(SortedColumn(KnotIndex(x), np.argsort(x, kind="stable"), knots, span))
+    r = rng.normal(size=n)
+    w = np.ones(n) if weights == "ones" else rng.uniform(0.1, 2.0, n)
+    if weights == "zeros":
+        w[rng.random(n) < 0.5] = 0.0
+    elif weights == "sub_floor":
+        w[rng.random(n) < 0.2] = 1e-9
+    if not (w != 0.0).any():
+        w[0] = 1.0
+    target = SmoothingTarget(r, w)
+    subset = sorted(rng.choice(p, int(rng.integers(1, p)), replace=False))
+    for chosen in (range(p), subset):
+        got = target.fit(ColumnSet([cols[j] for j in chosen]), method)
+        assert len(got) == len(chosen)
+        for j, res in zip(chosen, got):
+            alone = target.fit(ColumnSet([cols[j]]), method)[0]
+            assert (res is None) == (alone is None)
+            if res is not None:
+                assert np.array_equal(res[0].knots, alone[0].knots)
+                assert np.array_equal(res[0].values, alone[0].values)
+                assert res[1:] == alone[1:]
+
+
 def test_fit_with_reference_smoother_gives_same_model(monkeypatch):
     data = ft.gen_friedman(600, seed=5)
     config = ft.FitConfig(max_nodes=6, patience=6)
     fast = ft.fit(data, config)
     callers = []
 
-    # the fitter smooths from per-variable columns and per-target pieces and
-    # line-searches from segment moments; here every candidate and every
-    # backfit update is smoothed from the raw (r, w) that each target
-    # records, and its line-search sums are evaluated at every row
+    # the fitter smooths all of a parent's variables in one pass over
+    # per-variable columns and per-target pieces, and line-searches from
+    # segment moments; here every variable of every pass (the sweep's and
+    # each backfit update's) is smoothed from the raw (r, w) that each
+    # target records, and its line-search sums are evaluated at every row
     class RecordingTarget(SmoothingTarget):
         def __init__(self, r, w):
             super().__init__(r, w)
             self.r, self.w = r, w
 
-    def reference(self, j, target):
+    def reference(self, variables, target):
         callers.append(sys._getframe(1).f_code.co_name)
-        column = self.columns[j]
-        x = self.Xtr[:, j]
-        if column is None:
-            f = reference_smooth(x, target.r, target.w, spec("categorical_mean"))[0]
-        else:
-            f = reference_smooth(x, target.r, target.w, self.config.numeric_smoother,
-                                 order=column.order, knots=column.knots)[0]
-        fx = f(x)
-        return f, float(np.sum(target.r * target.w * fx)), float(np.sum(target.w**2 * fx * fx))
+        out = {}
+        for j in variables:
+            column = self.columns[j]
+            x = self.Xtr[:, j]
+            if column is None:
+                f = reference_smooth(x, target.r, target.w, spec("categorical_mean"))[0]
+            else:
+                f = reference_smooth(x, target.r, target.w, self.config.numeric_smoother,
+                                     knots=column.knots)[0]
+            fx = f(x)
+            out[j] = f, float(np.sum(target.r * target.w * fx)), float(np.sum(target.w**2 * fx * fx))
+        return out
 
     monkeypatch.setattr("functree.tree.SmoothingTarget", RecordingTarget)
     monkeypatch.setattr(TreeFitter, "_smooth", reference)
@@ -347,7 +432,8 @@ def test_fit_with_reference_smoother_gives_same_model(monkeypatch):
         [(h["parent"], h["var"]) for h in fast.fit_history]
     gap = np.max(np.abs(slow.predict(data.X) - fast.predict(data.X)))
     assert gap <= 1e-9 * np.std(data.y)
-    assert callers.count("score_candidate") > 6 * data.p
+    # one pass per parent scored at each step
+    assert callers.count("score_candidate") == sum(len(h["rescored"]) for h in slow.fit_history)
     assert callers.count("backfit_pass") > 0
 
 

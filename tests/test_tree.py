@@ -1,6 +1,7 @@
 """Function-tree structure, fitting, backfitting, and serialization."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,14 @@ from hypothesis import strategies as st
 
 import functree as ft
 from functree.data import Dataset, SplitSpec, Variable, rmse, split_indices
-from functree.smoothers import SORTED_INTERP_POINTS, Curve, LevelTable, SmootherSpec, SmoothingTarget
+from functree.smoothers import (
+    SORTED_INTERP_POINTS,
+    Curve,
+    LevelTable,
+    SmootherSpec,
+    SmoothingTarget,
+    SortedColumn,
+)
 from functree.tree import (
     QUEUE_TOP,
     FitConfig,
@@ -296,7 +304,7 @@ def test_parent_queue_test_rmse_within_one_percent_of_exact(name, seed):
 def _friedman_with_group(n, seed, zero_weights):
     """Friedman rows plus a 3-level categorical column that shifts y; with
     ``zero_weights`` a fifth of the rows weigh 0, so every parent's
-    smoothing target excludes some rows."""
+    smoothing target weighs some rows zero."""
     base = ft.gen_friedman(n, seed=seed)
     rng = np.random.default_rng(seed)
     g = rng.integers(0, 3, n).astype(float)
@@ -319,16 +327,15 @@ def test_candidate_sweep_equals_smooth(method, zero_weights):
     r = fitter.resid * fitter.sqrt_rho
     for k in range(len(fitter.nodes)):
         w = fitter.B_tr[k] * fitter.sqrt_rho
-        assert SmoothingTarget(r, w).full == (not zero_weights)
-        included = SmoothingTarget(r, w).mask
-        ts_max = np.max(np.abs(r[included] / w[included]))
+        assert (SmoothingTarget(r, w).omega == 0.0).any() == zero_weights
+        weighed = SmoothingTarget(r, w).omega > 0.0
+        ts_max = np.max(np.abs(r[weighed] / w[weighed]))
         for j in range(data.p):
             x, col = fitter.Xtr[:, j], fitter.columns[j]
             if col is None:
                 want, kappa = reference_smooth(x, r, w, SmootherSpec("categorical_mean"))
             else:
-                want, kappa = reference_smooth(x, r, w, fitter.config.numeric_smoother,
-                                               order=col.order, knots=col.knots)
+                want, kappa = reference_smooth(x, r, w, fitter.config.numeric_smoother, knots=col.knots)
             # the gain of the reference curve, evaluated at every row
             d = fitter.B_tr[k] * want(x)
             num = float(np.sum(fitter.rho * fitter.resid * d))
@@ -341,6 +348,37 @@ def test_candidate_sweep_equals_smooth(method, zero_weights):
             else:
                 assert np.array_equal(got.values, want.values)
                 assert got.default == want.default
+
+
+@pytest.mark.parametrize("case", ["friedman_zero_weights", "hu_sub_floor"])
+def test_fit_builds_one_column_per_numeric_variable(monkeypatch, case):
+    # every smoothing target reads the fit's columns: none is rebuilt for a
+    # target that weighs rows zero, and no pass warns (a NaN knot would
+    # make Curve raise)
+    if case == "friedman_zero_weights":
+        data, config = _friedman_with_group(400, 3, zero_weights=True), FitConfig()
+    else:
+        data, config = ft.gen_hu(2000, seed=1), FitConfig(max_nodes=20, patience=20)
+    built, sub_floor = [], []
+    column_init, target_init = SortedColumn.__init__, SmoothingTarget.__init__
+
+    def counting(self, *args):
+        built.append(self)
+        column_init(self, *args)
+
+    def recording(self, r, w):
+        target_init(self, r, w)
+        sub_floor.append(bool(((self.omega == 0.0) & (w != 0.0)).any()))
+
+    monkeypatch.setattr(SortedColumn, "__init__", counting)
+    monkeypatch.setattr(SmoothingTarget, "__init__", recording)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fitter = TreeFitter(data, config)
+        fitter.run()
+    assert sorted(map(id, built)) == sorted(id(c) for c in fitter.columns if c is not None)
+    # some targets weigh zero a row of nonzero weight below their floor
+    assert any(sub_floor)
 
 
 def test_fit_constant_outcome_gives_root_only():
