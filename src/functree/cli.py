@@ -175,8 +175,7 @@ def cmd_predict(args) -> int:
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["prediction"])
-        for v in pred:
-            writer.writerow([repr(float(v))])
+        writer.writerows(zip(map(repr, pred.tolist())))
     _progress(f"wrote {len(pred)} predictions to {args.out}")
     return 0
 

@@ -6,6 +6,7 @@ import csv
 import math
 import warnings
 from dataclasses import dataclass, replace
+from itertools import repeat
 
 import numpy as np
 
@@ -15,6 +16,7 @@ NUMERIC = "numeric"
 CATEGORICAL = "categorical"
 
 _MISSING_TOKENS = {"", "na", "nan", "null", "none"}
+_WRITE_BLOCK = 256
 
 
 class DataError(ValueError):
@@ -178,22 +180,11 @@ def _sorted_levels(tokens: list[str]) -> tuple[str, ...]:
         return tuple(distinct)
 
 
-def load_csv(
-    path,
-    target: str,
-    categorical_override: tuple[str, ...] | list[str] = (),
-    cat_threshold: int = 10,
-    exclude: tuple[str, ...] | list[str] = (),
-) -> Dataset:
-    """Load a headed CSV into a typed Dataset.
-
-    Columns parse as numeric unless a non-numeric token appears, the column
-    name is listed in ``categorical_override``, or the number of distinct
-    values is at most ``cat_threshold``. A column named ``__truth__`` becomes
-    the hidden noiseless target; columns in ``exclude`` are dropped. Missing
-    cells are rejected; predictor columns with a single distinct value are
-    dropped with a warning, and categorical ones with a level per row warn.
-    """
+def _read_cells(path, target: str):
+    """The stripped header and a cell getter for every column of a headed
+    CSV, read cell by cell through csv.reader. Raises DataError on a missing
+    target, a duplicate name, no data rows, a ragged row or a missing cell,
+    the first in file order."""
     # utf-8-sig drops a byte-order mark, which would otherwise join the first
     # column name
     with open(path, newline="", encoding="utf-8-sig") as fh:
@@ -216,67 +207,160 @@ def load_csv(
         for name, tok in zip(header, row):
             if _is_missing(tok):
                 raise DataError(f"column {name!r}, row {i + 1}: missing value")
-
     columns = {name: [row[j].strip() for row in rows] for j, name in enumerate(header)}
-    y = _parse_numeric_column(columns.pop(target), target)
+    return header, columns.__getitem__, {}
+
+
+def _is_number(token: str) -> bool:
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
+
+
+def _read_numbers(path, target: str):
+    """What _read_cells returns, plus the floats of every column whose first
+    cell is a number, parsed in one np.loadtxt pass. None for a file on which
+    that pass could differ from float() per cell, or which _read_cells
+    rejects: a quote or NUL anywhere, text that does not decode, a blank line,
+    a ragged row, a missing cell, a number np.loadtxt cannot parse or a NaN,
+    or a header without the target or with a repeated name."""
+    try:
+        # universal newlines: csv.reader also ends a row at a lone CR
+        with open(path, encoding="utf-8-sig") as fh:
+            text = fh.read()
+    except UnicodeDecodeError:
+        return None
+    if '"' in text or "\0" in text:
+        return None
+    head, _, body = text.partition("\n")
+    header = [h.strip() for h in next(csv.reader([head]))]
+    lines = body.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    commas = {len(header) - 1}
+    if (target not in header or len(set(header)) != len(header) or not lines
+            or set(map(str.count, lines, repeat(","))) != commas):
+        return None
+
+    def field(j: int) -> list[str]:
+        # split off the fewest cells: those before j, or those after it
+        after = len(header) - 1 - j
+        if j <= after:
+            return [line.split(",", j + 1)[j].strip() for line in lines]
+        return [line.rsplit(",", after + 1)[1].strip() for line in lines]
+
+    numeric = [j for j, tok in enumerate(lines[0].split(",")) if _is_number(tok)]
+    strings = {header[j]: field(j) for j in range(len(header)) if j not in numeric}
+    if any(_is_missing(tok) for col in strings.values() for tok in set(col)):
+        return None
+    floats = {}
+    if numeric:
+        try:
+            table = np.loadtxt(lines, delimiter=",", comments=None, usecols=numeric, ndmin=2)
+        except ValueError:
+            return None
+        # a missing cell fails to parse or reads as NaN; np.loadtxt skips a
+        # line it reads as blank, which would shift every later row
+        if len(table) != len(lines) or np.isnan(table).any():
+            return None
+        floats = {header[j]: table[:, i] for i, j in enumerate(numeric)}
+    index = {name: j for j, name in enumerate(header)}
+    return header, lambda name: strings[name] if name in strings else field(index[name]), floats
+
+
+def load_csv(
+    path,
+    target: str,
+    categorical_override: tuple[str, ...] | list[str] = (),
+    cat_threshold: int = 10,
+    exclude: tuple[str, ...] | list[str] = (),
+) -> Dataset:
+    """Load a headed CSV into a typed Dataset.
+
+    Columns parse as numeric unless a non-numeric token appears, the column
+    name is listed in ``categorical_override``, or the number of distinct
+    values is at most ``cat_threshold``. A column named ``__truth__`` becomes
+    the hidden noiseless target; columns in ``exclude`` are dropped. Missing
+    cells are rejected; predictor columns with a single distinct value are
+    dropped with a warning, and categorical ones with a level per row warn.
+    """
+    table = _read_numbers(path, target)
+    header, cells, floats = table if table is not None else _read_cells(path, target)
+
+    def numbers(name: str) -> np.ndarray:
+        values = floats.get(name)
+        return _parse_numeric_column(cells(name), name) if values is None else values
+
+    y = numbers(target)
+    names = [name for name in header if name != target]
     truth = None
-    if TRUTH_COLUMN in columns:
-        truth = _parse_numeric_column(columns.pop(TRUTH_COLUMN), TRUTH_COLUMN)
-    for name in exclude:
-        columns.pop(name, None)
+    if TRUTH_COLUMN in names:
+        names.remove(TRUTH_COLUMN)
+        truth = numbers(TRUTH_COLUMN)
+    excluded = set(exclude)
+    names = [name for name in names if name not in excluded]
 
     override = set(categorical_override)
-    unknown = override - set(columns)
+    unknown = override - set(names)
     if unknown:
         raise DataError(f"categorical_override names unknown columns: {sorted(unknown)}")
 
     variables: list[Variable] = []
     cols: list[np.ndarray] = []
-    for name in (c for c in header if c in columns):
-        cells = columns[name]
-        distinct = set(cells)
-        if len(distinct) == 1:
-            warnings.warn(f"column {name!r} has a single distinct value; dropped", stacklevel=2)
-            continue
-        numeric = name not in override
-        if numeric:
-            try:
-                values = _parse_numeric_column(cells, name)
-            except DataError:
-                numeric = False
-        if numeric and len(distinct) > cat_threshold:
-            variables.append(Variable(name, NUMERIC, observed_range=(values.min(), values.max())))
-            cols.append(values)
-        else:
-            if len(distinct) == len(cells):
-                warnings.warn(f"categorical column {name!r} has a distinct level on every row; "
-                              "a level table cannot predict unseen rows", stacklevel=2)
-            levels = _sorted_levels(cells)
-            lut = {lev: float(i) for i, lev in enumerate(levels)}
-            variables.append(Variable(name, CATEGORICAL, levels=levels))
-            cols.append(np.array([lut[c] for c in cells]))
+    for name in names:
+        values = None if name in override else floats.get(name)
+        # more distinct floats than the threshold means at least as many
+        # distinct tokens, so only a column short of them needs its tokens
+        if values is None or len(np.unique(values)) <= max(cat_threshold, 1):
+            tokens = cells(name)
+            distinct = set(tokens)
+            if len(distinct) == 1:
+                warnings.warn(f"column {name!r} has a single distinct value; dropped", stacklevel=2)
+                continue
+            if values is None and name not in override:
+                try:
+                    values = _parse_numeric_column(tokens, name)
+                except DataError:
+                    pass
+            if values is None or len(distinct) <= cat_threshold:
+                if len(distinct) == len(tokens):
+                    warnings.warn(f"categorical column {name!r} has a distinct level on every row; "
+                                  "a level table cannot predict unseen rows", stacklevel=2)
+                levels = _sorted_levels(tokens)
+                lut = {lev: float(i) for i, lev in enumerate(levels)}
+                variables.append(Variable(name, CATEGORICAL, levels=levels))
+                cols.append(np.array([lut[c] for c in tokens]))
+                continue
+        variables.append(Variable(name, NUMERIC, observed_range=(values.min(), values.max())))
+        cols.append(values)
     if not variables:
         raise DataError("no usable predictor columns")
     return Dataset(tuple(variables), np.column_stack(cols), y, target_name=target, truth=truth)
 
 
+def _format_cells(values: np.ndarray, levels: tuple[str, ...] | None) -> list[str]:
+    if levels is None:
+        return list(map(repr, values.tolist()))
+    return list(map(levels.__getitem__, values.astype(int).tolist()))
+
+
 def write_csv(data: Dataset, path) -> None:
     """Write a dataset back to CSV; load_csv(write_csv(d)) reproduces d."""
+    header = [v.name for v in data.variables] + [data.target_name]
+    columns = [(data.X[:, j], v.levels) for j, v in enumerate(data.variables)] + [(data.y, None)]
+    if data.truth is not None:
+        header.append(TRUTH_COLUMN)
+        columns.append((data.truth, None))
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        header = [v.name for v in data.variables] + [data.target_name]
-        if data.truth is not None:
-            header.append(TRUTH_COLUMN)
         writer.writerow(header)
-        for i in range(data.n):
-            row = []
-            for j, v in enumerate(data.variables):
-                cell = data.X[i, j]
-                row.append(v.levels[int(cell)] if v.is_categorical else repr(float(cell)))
-            row.append(repr(float(data.y[i])))
-            if data.truth is not None:
-                row.append(repr(float(data.truth[i])))
-            writer.writerow(row)
+        # a block of rows at a time, formatted column by column: the strings
+        # of a whole 10,000 x 11 table would raise the peak by about 7 MB
+        for lo in range(0, data.n, _WRITE_BLOCK):
+            block = [_format_cells(col[lo:lo + _WRITE_BLOCK], levels) for col, levels in columns]
+            writer.writerows(zip(*block))
 
 
 # ---------------------------------------------------------------------------

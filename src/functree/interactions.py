@@ -30,7 +30,7 @@ from .pdengine import (
     resolve_points,
 )
 from .smoothers import Curve, LevelTable
-from .tree import FitConfig, FunctionTree, TreeFitter
+from .tree import FitConfig, FunctionTree, fit
 
 __all__ = [
     "EffectEngine",
@@ -408,7 +408,6 @@ def bootstrap_compare(data: Dataset, configs: list[FitConfig], reps: int, seed: 
         boot = take_rows(data, idx)
         held = take_rows(data, oob)
         for c, config in enumerate(configs):
-            fitter = TreeFitter(boot, config)
-            model = fitter.run()
+            model = fit(boot, config)
             out[c, rep] = rmse(held.y, model.predict(held.X), held.weight)
     return BootstrapResult(list(labels), out)

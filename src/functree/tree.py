@@ -337,9 +337,9 @@ def _numbers(entry: dict, key: str, where: str) -> np.ndarray:
 
 def save(tree: FunctionTree, path) -> None:
     """Write a tree as a versioned JSON document."""
+    # json.dumps runs the C encoder; json.dump streams through the Python one
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(tree.to_dict(), fh)
-        fh.write("\n")
+        fh.write(json.dumps(tree.to_dict()) + "\n")
 
 
 def load(path) -> FunctionTree:

@@ -185,6 +185,15 @@ def test_bootstrap_command(workdir, tmp_path, capsys):
     assert len(rows) == 4  # 2 configs x 2 replicates
 
 
+def test_bootstrap_refuses_the_rows_fit_refuses(tmp_path, capsys):
+    data = tmp_path / "small.csv"
+    assert run("gen", "--example", "friedman", "--n", "12", "--seed", "1", "--out", data) == 0
+    for argv in (["fit"], ["bootstrap", "--reps", "2"]):
+        capsys.readouterr()
+        assert run(*argv, "--data", data, "--out", tmp_path / "out") == 3
+        assert "need at least 20 rows" in capsys.readouterr().err
+
+
 def test_surrogate_self_fidelity(workdir, tmp_path, capsys):
     # predictions of a saved tree, fit again by a tree: near-perfect fidelity
     pred_csv = tmp_path / "pred.csv"

@@ -521,6 +521,13 @@ def test_roundtrip_categorical_nodes(tmp_path):
     np.testing.assert_allclose(ft.load(path).predict(X), tree.predict(X), atol=1e-12)
 
 
+def test_save_writes_the_json_text_of_the_document(tmp_path):
+    tree = random_tree(np.random.default_rng(9), p=4, max_nodes=10, categorical=(1, 3))
+    path = tmp_path / "m.json"
+    ft.save(tree, path)
+    assert path.read_text(encoding="utf-8") == json.dumps(tree.to_dict()) + "\n"
+
+
 def mixed_kind_tree_doc():
     variables = (
         Variable("n", "numeric", observed_range=(-1.0, 1.0)),
