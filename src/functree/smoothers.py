@@ -8,6 +8,7 @@ total for any finite input.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -20,6 +21,12 @@ LOCAL_LINEAR = "local_linear"
 _DEFAULT_SPANS = {NEAR_NEIGHBOR: 0.1, LOCAL_LINEAR: 0.2}
 
 MAX_CURVE_KNOTS = 500
+
+# spline_fit refines once more, on B'r summed exactly, when its float64
+# refinement step exceeds this fraction of the largest coefficient: about
+# 450 eps. On 480 random draws of unclustered x the step stayed below
+# 2.3e-14; on the clustered draw whose fit fell short of its bound it was 7e-11
+REFINE_TOL = 1e-13
 
 # np.interp bisects afresh for each point that leaves the previous point's
 # knot interval, so on sorted points its search is nearly free. Sorting first
@@ -537,6 +544,28 @@ def _bspline_times(bounds, basis, beta) -> np.ndarray:
     return out
 
 
+def _two_product(a, b) -> tuple[np.ndarray, np.ndarray]:
+    # a * b as the unevaluated sum p + e of two float arrays, exactly
+    # (Dekker's splitting)
+    p = a * b
+    c = 134217729.0 * a
+    ah = c - (c - a)
+    c = 134217729.0 * b
+    bh = c - (c - b)
+    al, bl = a - ah, b - bh
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+def _bspline_rhs_exact(bounds, basis, r) -> np.ndarray:
+    # B'r, each entry the correctly rounded sum of the exact products b * r
+    terms = np.stack(_two_product(basis, r), axis=1)
+    parts = [[] for _ in range(len(bounds) + 2)]
+    for s in range(len(bounds) - 1):
+        for a in range(4):
+            parts[s + a] += terms[a, :, bounds[s] : bounds[s + 1]].ravel().tolist()
+    return np.array([math.fsum(part) for part in parts])
+
+
 def _bspline_gram(bounds, basis, v) -> tuple[np.ndarray, np.ndarray]:
     # B'B and B'v, one 4 x 4 block per knot interval (three more B-splines
     # than intervals)
@@ -580,7 +609,13 @@ def spline_fit(x: np.ndarray, t: np.ndarray) -> Curve:
     values, so the Gram matrix is banded and is accumulated knot interval by
     knot interval from rows sorted by x. With its diagonal scaled to one it
     is solved by Cholesky, and one step of iterative refinement on the
-    residual recovers the accuracy that forming the Gram matrix loses.
+    residual recovers the accuracy that forming the Gram matrix loses. Where
+    a B-spline has almost no data under it (clustered x, a Gram diagonal
+    entry of 1e-16), its coefficient dwarfs the fit, and the rounding of
+    B'r, whose terms nearly cancel at the solution, is amplified into an
+    error of 1e-11 relative to the fitted values. When the refinement step
+    exceeds ``REFINE_TOL`` times the largest coefficient, one more step
+    takes B'r summed exactly from exact products and removes that error.
 
     Tied x can leave too few distinct sites for the basis, and the fit is
     then not identified between the sites. When Cholesky fails or a pivot
@@ -622,5 +657,8 @@ def spline_fit(x: np.ndarray, t: np.ndarray) -> Curve:
         return inv * np.linalg.solve(chol.T, np.linalg.solve(chol, inv * v))
 
     beta = solve(rhs)
-    beta += solve(_bspline_gram(bounds, basis, ts - _bspline_times(bounds, basis, beta))[1])
+    step = solve(_bspline_gram(bounds, basis, ts - _bspline_times(bounds, basis, beta))[1])
+    beta += step
+    if np.max(np.abs(step)) > REFINE_TOL * np.max(np.abs(beta)):
+        beta += solve(_bspline_rhs_exact(bounds, basis, ts - _bspline_times(bounds, basis, beta)))
     return Curve(grid, _bspline_times(*_bspline_basis(grid, breaks), beta))
