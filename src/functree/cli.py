@@ -349,7 +349,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--snr", type=_snr, default=2.0, help="signal/noise ratio (friedman; 0 = noiseless)")
     p.add_argument("--sd-x", dest="sd_x", type=_scale, default=0.5, help="predictor scale (friedman)")
-    p.add_argument("--mode", choices=["regression", "classification"], default="regression")
+    p.add_argument("--mode", choices=["regression", "classification"], default="regression",
+                   help="hu outcome: target plus noise, or a 0/1 draw with the target as log-odds")
     p.set_defaults(func=cmd_gen)
 
     p = add_parser("fit", help="fit a function tree to a CSV dataset")

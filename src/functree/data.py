@@ -15,7 +15,8 @@ TRUTH_COLUMN = "__truth__"
 NUMERIC = "numeric"
 CATEGORICAL = "categorical"
 
-_MISSING_TOKENS = {"", "na", "nan", "null", "none"}
+# compared lower-cased; float() reads a signed nan as NaN too
+_MISSING_TOKENS = {"", "na", "nan", "+nan", "-nan", "null", "none"}
 _WRITE_BLOCK = 256
 
 

@@ -295,7 +295,12 @@ class SortedColumn:
     dx. ``seg`` holds each row's segment, in row order, and ``seg_q`` each
     segment's interval. Rows that a target weighs zero keep their place, so
     a fitter builds one column per variable for all its training rows and
-    every target reads it."""
+    every target reads it.
+
+    The line-search sums run over the segments and then one empty segment
+    per knot interval (``line_q`` holds their intervals): a dot product's
+    rounding depends on its length, and at this length the fitted models of
+    targets that weigh every row keep their last bits."""
 
     def __init__(self, points: KnotIndex, order: np.ndarray, knots: np.ndarray | None, span: float):
         xs = points.x[order]
@@ -305,7 +310,9 @@ class SortedColumn:
         rows, self.offset, start = _knot_rows(xs, self.knots)
         lo, hi = _window_bounds(rows, n, max(2, int(round(span * n))))
         self.x_rows, self.x_start, self.knot_rows = xs[rows], xs[start], order[rows]
-        self.span_x = float(xs[-1] - xs[0])
+        span_x = float(xs[-1] - xs[0])
+        # a window fits a slope only where its x variance exceeds this
+        self.min_varx = max(1e-12 * span_x * span_x, 1e-300)
         qs = q[order]
         cut = np.concatenate([[True], qs[1:] != qs[:-1]])
         cut[lo] = True
@@ -313,56 +320,10 @@ class SortedColumn:
         bounds = np.flatnonzero(cut)
         self.wlo, self.whi = np.searchsorted(bounds, lo), np.searchsorted(bounds, hi + 1)
         self.seg_q = qs[bounds]
+        self.line_q = np.concatenate([self.seg_q, np.arange(len(self.knots) + 1)])
         self.origin = self.knots[np.maximum(self.seg_q - 1, 0)]
         self.seg = np.empty(n, dtype=np.intp)
         self.seg[order] = np.repeat(np.arange(len(bounds)), np.diff(np.append(bounds, n)))
-
-
-def _starts(sizes) -> np.ndarray:
-    # where each of consecutive blocks of these sizes starts, and the end
-    return np.concatenate([[0], np.cumsum(sizes)])
-
-
-class ColumnSet:
-    """Columns that ``SmoothingTarget.fit`` smooths in one pass. Their
-    segments sit side by side in rows of ``width`` (zero past each column's
-    own), and their window bounds, knot rows and distinct-x groups are
-    concatenated.
-
-    A column's line-search sums run over its segments and then one empty
-    segment per knot interval (``line_q`` holds their intervals): a dot
-    product's rounding depends on its length, and at this length the
-    fitted models of targets that weigh every row keep their last bits."""
-
-    def __init__(self, columns: list[SortedColumn]):
-        self.columns = columns
-        nseg = [len(col.seg_q) for col in columns]
-        self.width = width = max(nseg)
-        self.origin = np.zeros((len(columns), width))
-        for c, col in enumerate(columns):
-            self.origin[c, : nseg[c]] = col.origin
-        # window bounds into the flattened (column, leading 0 + segments)
-        # cumulative sums
-        base = np.arange(len(columns)) * (width + 1)
-        self.wlo = np.concatenate([col.wlo + b for col, b in zip(columns, base)])
-        self.whi = np.concatenate([col.whi + b for col, b in zip(columns, base)])
-        self.x_rows = np.concatenate([col.x_rows for col in columns])
-        self.knot_rows = np.concatenate([col.knot_rows for col in columns])
-        self.min_varx = np.repeat([max(1e-12 * col.span_x * col.span_x, 1e-300) for col in columns],
-                                  [len(col.x_rows) for col in columns])
-        first = _starts([len(col.x_rows) for col in columns])
-        self.offset = np.concatenate([col.offset + f for col, f in zip(columns, first)])
-        self.groups = _starts([len(col.offset) for col in columns])
-        self.line_q = [np.concatenate([col.seg_q, np.arange(len(col.knots) + 1)]) for col in columns]
-        self.line_width = max(map(len, self.line_q))
-
-
-def _windows(c: np.ndarray, cols: ColumnSet) -> np.ndarray:
-    # each row's sums over the columns' windows, from their per-segment sums
-    # after a leading 0
-    np.cumsum(c, axis=2, out=c)
-    c = c.reshape(len(c), -1)
-    return np.take(c, cols.whi, axis=1) - np.take(c, cols.wlo, axis=1)
 
 
 class SmoothingTarget:
@@ -385,72 +346,58 @@ class SmoothingTarget:
         """The omega-weighted mean of ts per level of categorical ``x``."""
         return _fit_level_table(x, self.omega, self.rw)
 
-    def fit(self, cols: ColumnSet, method: str) -> list[tuple[Curve, float, float] | None]:
-        """Per column of ``cols``, the rank-window fit f of ts interpolated
-        at the column's knots, with its line-search sums over every row:
-        sum rw * f and sum omega * f^2. None for a column none of whose
-        knot groups has weight.
+    def fit(self, col: SortedColumn, method: str) -> tuple[Curve, float, float] | None:
+        """The rank-window fit f of ts on ``col``, interpolated at the
+        column's knots, with its line-search sums over every row: sum rw * f
+        and sum omega * f^2. None when none of the column's knot groups has
+        weight.
 
         All come from five moments per segment, of omega, omega * dx,
         omega * dx^2, rw and rw * dx. A segment's moments about its
         interval's left knot a give its sums of omega * x, omega * x^2 and
         rw * x, and their cumulative sums over segments give every window.
-        The columns share one cumulative sum, one window gather, one
-        windowed fit and one group mean, all elementwise or per row; the
-        interpolation at the knots and the line search run per column. So
-        each column's result equals that of a set holding it alone, bit for
-        bit. A row whose window has no weight weighs nothing in its group,
-        and a group without weight is interpolated over."""
-        om, rw = self.omega, self.rw
-        mom = np.empty((5, len(cols.columns), cols.line_width))
-        for c, col in enumerate(cols.columns):
-            k = len(cols.line_q[c])
-            omdx = om * col.dx
-            for i, v in enumerate((om, omdx, omdx * col.dx, rw, rw * col.dx)):
-                mom[i, c, :k] = np.bincount(col.seg, v, k)
-            mom[:, c, k:] = 0.0
-        m0, m1, m2, t0, t1 = mom
-        a, n = cols.origin, cols.width
-        s = np.empty((2 if method == NEAR_NEIGHBOR else 5, len(a), n + 1))
-        s[:, :, 0] = 0.0
-        s[0, :, 1:], s[1, :, 1:] = m0[:, :n], t0[:, :n]
+        A row whose window has no weight weighs nothing in its group, and a
+        group without weight is interpolated over."""
+        om, rw, dx = self.omega, self.rw, col.dx
+        omdx = om * dx
+        m0, m1, m2, t0, t1 = (np.bincount(col.seg, v, len(col.line_q))
+                              for v in (om, omdx, omdx * dx, rw, rw * dx))
+        a, n = col.origin, len(col.origin)
+        c = np.empty((2 if method == NEAR_NEIGHBOR else 5, n + 1))
+        c[:, 0] = 0.0
+        c[0, 1:], c[1, 1:] = m0[:n], t0[:n]
+        if method != NEAR_NEIGHBOR:
+            c[2, 1:] = a * m0[:n] + m1[:n]
+            c[3, 1:] = a * (c[2, 1:] + m1[:n]) + m2[:n]
+            c[4, 1:] = a * t0[:n] + t1[:n]
+        # each row's sums over its window, from the per-segment sums after a
+        # leading 0
+        np.cumsum(c, axis=1, out=c)
+        s0, st, *sums = np.take(c, col.whi, axis=1) - np.take(c, col.wlo, axis=1)
+        has = s0 > 0.0
         if method == NEAR_NEIGHBOR:
-            s0, st = _windows(s, cols)
-            has = s0 > 0.0
             vals = st / np.where(has, s0, 1.0)
         else:
-            s[2, :, 1:] = a * m0[:, :n] + m1[:, :n]
-            s[3, :, 1:] = a * (s[2, :, 1:] + m1[:, :n]) + m2[:, :n]
-            s[4, :, 1:] = a * t0[:, :n] + t1[:, :n]
-            s0, st, sx, sxx, sxt = _windows(s, cols)
-            has = s0 > 0.0
+            sx, sxx, sxt = sums
             s0 = np.where(has, s0, 1.0)
             xbar = sx / s0
             tbar = st / s0
             varx = sxx / s0 - xbar**2
             covxt = sxt / s0 - xbar * tbar
-            good = varx > cols.min_varx
+            good = varx > col.min_varx
             slope = np.where(good, covxt / np.where(good, varx, 1.0), 0.0)
-            vals = tbar + slope * (cols.x_rows - xbar)
-        om = np.where(has, om[cols.knot_rows], 0.0)
-        gw = np.add.reduceat(om, cols.offset)
+            vals = tbar + slope * (col.x_rows - xbar)
+        om = np.where(has, om[col.knot_rows], 0.0)
+        gw = np.add.reduceat(om, col.offset)
         ok = gw > 0.0
-        gmean = np.add.reduceat(om * vals, cols.offset) / np.where(ok, gw, 1.0)
-        out = []
-        for c, col in enumerate(cols.columns):
-            g = slice(cols.groups[c], cols.groups[c + 1])
-            keep = ok[g]
-            if not keep.any():
-                out.append(None)
-                continue
-            values = np.interp(col.knots, col.x_start[keep], gmean[g][keep])
-            curve = Curve(col.knots, values)
-            slope, base = _pieces(values, col.gaps)
-            q = cols.line_q[c]
-            sl, v, k = slope[q], base[q], len(q)
-            out.append((curve, float(v @ t0[c, :k] + sl @ t1[c, :k]),
-                        float((v * v) @ m0[c, :k] + (2.0 * v * sl) @ m1[c, :k] + (sl * sl) @ m2[c, :k])))
-        return out
+        if not ok.any():
+            return None
+        gmean = np.add.reduceat(om * vals, col.offset)[ok] / gw[ok]
+        values = np.interp(col.knots, col.x_start[ok], gmean)
+        slope, base = _pieces(values, col.gaps)
+        sl, v = slope[col.line_q], base[col.line_q]
+        return (Curve(col.knots, values), float(v @ t0 + sl @ t1),
+                float((v * v) @ m0 + (2.0 * v * sl) @ m1 + (sl * sl) @ m2))
 
 
 def smooth(x: np.ndarray, r: np.ndarray, w: np.ndarray, spec: SmootherSpec) -> UnivariateFunction:
@@ -477,11 +424,10 @@ def smooth(x: np.ndarray, r: np.ndarray, w: np.ndarray, spec: SmootherSpec) -> U
     that is smaller. On integer x and r with w in {0, 1, 2, 4} every window
     sum is exact and the two agree bit for bit.
 
-    This is ``SmoothingTarget(r, w)`` fitted on a ``ColumnSet`` of the one
-    ``SortedColumn`` of x; a fitter that smooths many targets against the
-    same columns builds those once each, and fits all the columns of a
-    target in one pass. The returned function is not centred; the fitter
-    recentres its nodes itself.
+    This is ``SmoothingTarget(r, w)`` fitted on the ``SortedColumn`` of x; a
+    fitter that smooths many targets against the same columns builds those
+    once each. The returned function is not centred; the fitter recentres
+    its nodes itself.
     """
     x = np.asarray(x, dtype=float)
     r = np.asarray(r, dtype=float)
@@ -492,7 +438,7 @@ def smooth(x: np.ndarray, r: np.ndarray, w: np.ndarray, spec: SmootherSpec) -> U
     if spec.method == CATEGORICAL_MEAN:
         return target.level_means(x)
     col = SortedColumn(KnotIndex(x), np.argsort(x, kind="stable"), None, spec.resolved_span())
-    res = target.fit(ColumnSet([col]), spec.method)[0]
+    res = target.fit(col, spec.method)
     if res is None:
         raise ValueError("no knot group has weight")
     return res[0]

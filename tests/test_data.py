@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import functree as ft
 import functree.data as ftdata
+from functree.cli import main
 from functree.data import (
     DataError,
     Dataset,
@@ -62,6 +63,22 @@ def test_missing_cell_rejected(tmp_path):
     p = _write(tmp_path / "d.csv", "a,y\n1,2\n,4\n")
     with pytest.raises(DataError, match="missing"):
         load_csv(p, target="y")
+
+
+@pytest.mark.parametrize("token", ["-nan", "+NaN"])
+@pytest.mark.parametrize("kind", ["string_levels", "few_valued", "numeric"])
+def test_signed_nan_is_a_missing_value(tmp_path, token, kind):
+    # float() reads a signed nan as NaN, so it is a missing cell wherever it
+    # sits: in a column of string levels, of few numbers (categorical by
+    # the threshold) or of many numbers
+    values = {"string_levels": ["u", "u", "u", "v"], "few_valued": ["1", "1", "1", "2"],
+              "numeric": [f"{i}.5" for i in range(12)]}[kind]
+    values[1] = token
+    rows = "".join(f"{i},{v}\n" for i, v in enumerate(values, 1))
+    p = _write(tmp_path / "d.csv", "y,a\n" + rows)
+    with pytest.raises(DataError, match="^column 'a', row 2: missing value$"):
+        load_csv(p, target="y")
+    assert main(["fit", "--data", str(p), "--out", str(tmp_path / "m.json")]) == 3
 
 
 def test_missing_file_errors(tmp_path):

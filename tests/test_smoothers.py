@@ -16,7 +16,6 @@ from functree.smoothers import (
     Curve,
     KnotIndex,
     LevelTable,
-    ColumnSet,
     SmootherSpec,
     SmoothingTarget,
     SortedColumn,
@@ -301,7 +300,7 @@ def test_smooth_equals_full_row_reference(seed, n, xkind, weights, method, span,
         kw = {"knots": col.knots, **({"order": order} if with_order else {})}
 
         def call():
-            res = SmoothingTarget(r, w).fit(ColumnSet([col]), method)[0]
+            res = SmoothingTarget(r, w).fit(col, method)
             if res is None:
                 raise ValueError("no knot group has weight")
             return res[0]
@@ -344,84 +343,33 @@ def test_smooth_is_exact_on_integer_data(seed, n, levels, method, span):
     assert np.array_equal(got.values, want.values)
 
 
-@settings(max_examples=100, deadline=None)
-@given(
-    seed=st.integers(0, 2**32 - 1),
-    n=st.integers(2, 800),
-    p=st.integers(2, 5),
-    weights=st.sampled_from(["ones", "positive", "zeros", "sub_floor"]),
-    method=st.sampled_from(["near_neighbor", "local_linear"]),
-    span=st.floats(0.01, 1.0),
-)
-def test_column_set_pass_equals_one_column_calls(seed, n, p, weights, method, span):
-    # columns of distinct, tied and rounded x on default, full, thinned and
-    # off-data knot grids, smoothed all together and as a strict subset
-    rng = np.random.default_rng(seed)
-    cols = []
-    for j in range(p):
-        kind = j % 3
-        if kind == 0:
-            x = rng.normal(size=n)
-        elif kind == 1:
-            x = rng.integers(0, int(rng.integers(1, 30)), n).astype(float)
-        else:
-            x = np.round(rng.normal(size=n), 1)
-        grid = rng.integers(4)
-        knots = [None, np.unique(x), thin_knots(np.unique(x), int(rng.integers(2, 600))),
-                 np.unique(rng.normal(scale=2.0, size=int(rng.integers(1, 50))))][grid]
-        cols.append(SortedColumn(KnotIndex(x), np.argsort(x, kind="stable"), knots, span))
-    r = rng.normal(size=n)
-    w = np.ones(n) if weights == "ones" else rng.uniform(0.1, 2.0, n)
-    if weights == "zeros":
-        w[rng.random(n) < 0.5] = 0.0
-    elif weights == "sub_floor":
-        w[rng.random(n) < 0.2] = 1e-9
-    if not (w != 0.0).any():
-        w[0] = 1.0
-    target = SmoothingTarget(r, w)
-    subset = sorted(rng.choice(p, int(rng.integers(1, p)), replace=False))
-    for chosen in (range(p), subset):
-        got = target.fit(ColumnSet([cols[j] for j in chosen]), method)
-        assert len(got) == len(chosen)
-        for j, res in zip(chosen, got):
-            alone = target.fit(ColumnSet([cols[j]]), method)[0]
-            assert (res is None) == (alone is None)
-            if res is not None:
-                assert np.array_equal(res[0].knots, alone[0].knots)
-                assert np.array_equal(res[0].values, alone[0].values)
-                assert res[1:] == alone[1:]
-
-
 def test_fit_with_reference_smoother_gives_same_model(monkeypatch):
     data = ft.gen_friedman(600, seed=5)
     config = ft.FitConfig(max_nodes=6, patience=6)
     fast = ft.fit(data, config)
     callers = []
 
-    # the fitter smooths all of a parent's variables in one pass over
-    # per-variable columns and per-target pieces, and line-searches from
-    # segment moments; here every variable of every pass (the sweep's and
-    # each backfit update's) is smoothed from the raw (r, w) that each
-    # target records, and its line-search sums are evaluated at every row
+    # the fitter smooths each candidate on per-variable columns and
+    # per-target pieces, and line-searches from segment moments; here every
+    # smoothing call (each candidate's and each backfit update's) is
+    # smoothed from the raw (r, w) that each target records, and its
+    # line-search sums are evaluated at every row
     class RecordingTarget(SmoothingTarget):
         def __init__(self, r, w):
             super().__init__(r, w)
             self.r, self.w = r, w
 
-    def reference(self, variables, target):
+    def reference(self, j, target):
         callers.append(sys._getframe(1).f_code.co_name)
-        out = {}
-        for j in variables:
-            column = self.columns[j]
-            x = self.Xtr[:, j]
-            if column is None:
-                f = reference_smooth(x, target.r, target.w, spec("categorical_mean"))[0]
-            else:
-                f = reference_smooth(x, target.r, target.w, self.config.numeric_smoother,
-                                     knots=column.knots)[0]
-            fx = f(x)
-            out[j] = f, float(np.sum(target.r * target.w * fx)), float(np.sum(target.w**2 * fx * fx))
-        return out
+        column = self.columns[j]
+        x = self.Xtr[:, j]
+        if column is None:
+            f = reference_smooth(x, target.r, target.w, spec("categorical_mean"))[0]
+        else:
+            f = reference_smooth(x, target.r, target.w, self.config.numeric_smoother,
+                                 knots=column.knots)[0]
+        fx = f(x)
+        return f, float(np.sum(target.r * target.w * fx)), float(np.sum(target.w**2 * fx * fx))
 
     monkeypatch.setattr("functree.tree.SmoothingTarget", RecordingTarget)
     monkeypatch.setattr(TreeFitter, "_smooth", reference)
@@ -432,8 +380,8 @@ def test_fit_with_reference_smoother_gives_same_model(monkeypatch):
         [(h["parent"], h["var"]) for h in fast.fit_history]
     gap = np.max(np.abs(slow.predict(data.X) - fast.predict(data.X)))
     assert gap <= 1e-9 * np.std(data.y)
-    # one pass per parent scored at each step
-    assert callers.count("score_candidate") == sum(len(h["rescored"]) for h in slow.fit_history)
+    # one smoothing call per scored candidate
+    assert callers.count("score_candidate") == sum(h["candidates"] for h in slow.fit_history)
     assert callers.count("backfit_pass") > 0
 
 

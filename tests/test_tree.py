@@ -232,62 +232,96 @@ def test_fit_best_first_choice_matches_exhaustive_rescoring():
         assert fitter.step() == winners[0]
 
 
-class _ExactFitter(TreeFitter):
-    """The fitter with every parent rescored at every step: the exact sweep."""
+class _NoMemoryFitter(TreeFitter):
+    """The fitter with every rescored parent scoring every variable."""
+
+    def _plan(self, parents, full=False):
+        return super()._plan(parents, True)
+
+
+class _ExactFitter(_NoMemoryFitter):
+    """The fitter with every variable of every parent scored at every step:
+    the exact sweep."""
 
     def _queue(self):
         return list(range(len(self.nodes)))
 
 
 class _CheckedFitter(TreeFitter):
-    """Runs the exact sweep before every step and checks the queue's choice
+    """Runs the exact sweep before every step and checks the step's choice
     against it. With ``floor`` the gain threshold sits at the best gain of
-    any parent but the exact winner's, so a queue that misses that parent
-    finds no gain above it and must rescore every parent."""
+    any candidate but the exact winner, so a step whose plan misses that
+    (parent, variable) finds no gain above it and must rescan every parent."""
 
     def __init__(self, data, config, floor):
         super().__init__(data, config)
-        self.floor, self.noise, self.misses = floor, self.min_gain, 0
+        self.floor, self.noise, self.scored = floor, self.min_gain, None
+        self.misses = self.variable_misses = 0
+
+    def score_candidate(self, k, j, target):
+        if self.scored is not None:
+            self.scored.append((k, j))
+        return super().score_candidate(k, j, target)
 
     def step(self):
         exact = list(self.score_all_candidates())
         best = max(exact, key=lambda cand: cand[0], default=None)
         if self.floor and best is not None:
-            self.min_gain = max([self.noise] + [c[0] for c in exact if c[1] != best[1]])
-        missed = best is not None and best[1] not in self._queue()
+            self.min_gain = max([self.noise] + [c[0] for c in exact if c[1:3] != best[1:3]])
+        plan = dict(self._plan(self._queue()))
+        missed = best is not None and best[2] not in plan.get(best[1], ())
         n_parents = len(self.nodes)
+        self.scored = []
         got = super().step()
-        rescored = self.last_step["rescored"]
-        assert self.last_step["candidates"] == len(rescored) * self.data.p
+        scored, self.scored = self.scored, None
+        assert self.last_step["candidates"] == len(scored)
+        assert set(self.last_step["rescored"]) == {k for k, _ in scored}
         if got is None:
-            assert rescored == list(range(n_parents))
-        elif best[1] in rescored:
+            assert {(k, j) for k in range(n_parents) for j in self._variables(k)} <= set(scored)
+            assert self.last_step["rescanned"] == list(range(n_parents))
+        elif best[1:3] in scored:
             assert got == best[1:3]
             assert self.last_step["gain"] == best[0]
         self.misses += missed
+        self.variable_misses += missed and best[1] in plan
         return got
 
 
 def _queue_case(name, seed):
     if name == "friedman":
         return ft.gen_friedman(2000, seed=seed), FitConfig()
-    return ft.gen_hu(3000, seed=seed), FitConfig(max_nodes=20, patience=20)
+    mode = "classification" if name == "hu_classification" else "regression"
+    return ft.gen_hu(3000, seed=seed, mode=mode), FitConfig(max_nodes=20, patience=20)
 
 
 @pytest.mark.parametrize("floor", [False, True])
 def test_parent_queue_matches_exact_sweep(floor):
-    misses = 0
-    for name, seed in [("friedman", 1), ("friedman", 2), ("hu", 1), ("hu", 3)]:
+    misses = variable_misses = 0
+    for name, seed in [("friedman", 1), ("friedman", 2), ("hu", 1), ("hu", 3), ("hu_classification", 1)]:
         fitter = _CheckedFitter(*_queue_case(name, seed), floor)
         history = fitter.run().fit_history
         misses += fitter.misses
+        variable_misses += fitter.variable_misses
         # every parent on the first steps, then the newest node on each step
         assert [h["rescored"] for h in history[:QUEUE_TOP + 1]] == [
             list(range(k + 1)) for k in range(min(len(history), QUEUE_TOP + 1))]
         assert all(h["n_nodes"] - 1 in h["rescored"] for h in history)
-    # the queue missed the exact winner's parent (and, with the floor, fell
-    # back to every parent) on some step
+        assert all(set(h["rescanned"]) <= set(h["rescored"]) for h in history)
+    # the plan missed the exact winner (and, with the floor, fell back to
+    # every variable of every parent) on some step, and on some step it
+    # held the winner's parent but not its variable
     assert misses > 0
+    assert variable_misses > 0
+
+
+def test_variable_memory_leaves_fits_of_few_variables_unchanged():
+    # a parent with at most QUEUE_TOP admissible variables scores them all
+    # whenever it is rescored, so the memory changes nothing
+    data = ft.gen_friedman(2000, seed=1)
+    assert data.p <= QUEUE_TOP
+    fast, full = TreeFitter(data, FitConfig()).run(), _NoMemoryFitter(data, FitConfig()).run()
+    assert json.dumps(fast.to_dict()) == json.dumps(full.to_dict())
+    assert fast.fit_history == full.fit_history
 
 
 @pytest.mark.parametrize("name,seed", [("friedman", 3), ("hu", 2), ("hu", 4)])
