@@ -81,12 +81,17 @@ def _progress(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
+def _column_names(text: str) -> tuple[str, ...]:
+    """A comma list of column names, each stripped; empty names are
+    dropped."""
+    return tuple(name for name in (tok.strip() for tok in text.split(",")) if name)
+
+
 def _load_data(args, target: str | None = None, exclude: tuple[str, ...] = ()) -> Dataset:
-    cats = tuple(args.categorical.split(",")) if args.categorical else ()
     return load_csv(
         args.data,
         target=target if target is not None else args.target,
-        categorical_override=cats,
+        categorical_override=_column_names(args.categorical),
         cat_threshold=args.cat_threshold,
         exclude=exclude,
     )
@@ -148,11 +153,19 @@ def _print_fit_summary(tree: FunctionTree, data: Dataset) -> None:
 
 
 def cmd_gen(args) -> int:
-    if args.example == "friedman":
-        snr = math.inf if args.snr == 0 else args.snr
-        data = gen_friedman(args.n, seed=args.seed, sd_x=args.sd_x, snr=snr)
-    else:
-        data = gen_hu(args.n, seed=args.seed, mode=args.mode)
+    # a flag left out keeps its generator's default; one the chosen example
+    # does not read is an error
+    read = ("snr", "sd_x") if args.example == "friedman" else ("mode",)
+    kwargs = {}
+    for dest in ("snr", "sd_x", "mode"):
+        value = getattr(args, dest)
+        if value is None:
+            continue
+        if dest not in read:
+            flag = "--" + dest.replace("_", "-")
+            raise argparse.ArgumentTypeError(f"argument {flag}: not read by --example {args.example}")
+        kwargs[dest] = math.inf if dest == "snr" and value == 0 else value
+    data = (gen_friedman if args.example == "friedman" else gen_hu)(args.n, seed=args.seed, **kwargs)
     write_csv(data, args.out)
     _progress(f"wrote {data.n} rows x {data.p} predictors to {args.out}")
     return 0
@@ -288,8 +301,7 @@ def cmd_bootstrap(args) -> int:
 
 
 def cmd_surrogate(args) -> int:
-    exclude = tuple(tok for tok in (args.exclude.split(",") if args.exclude else []) if tok)
-    data = _load_data(args, target=args.pred, exclude=exclude)
+    data = _load_data(args, target=args.pred, exclude=_column_names(args.exclude))
     config = _fit_config(args, data.variables)
     _progress(f"fitting surrogate to column {args.pred!r}")
     tree = fit(data, config)
@@ -347,10 +359,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--example", choices=["friedman", "hu"], required=True)
     p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--snr", type=_snr, default=2.0, help="signal/noise ratio (friedman; 0 = noiseless)")
-    p.add_argument("--sd-x", dest="sd_x", type=_scale, default=0.5, help="predictor scale (friedman)")
-    p.add_argument("--mode", choices=["regression", "classification"], default="regression",
-                   help="hu outcome: target plus noise, or a 0/1 draw with the target as log-odds")
+    p.add_argument("--snr", type=_snr, help="signal/noise ratio (friedman only; default 2, 0 = noiseless)")
+    p.add_argument("--sd-x", dest="sd_x", type=_scale, help="predictor scale (friedman only; default 0.5)")
+    p.add_argument("--mode", choices=["regression", "classification"],
+                   help="hu outcome (hu only): target plus noise (regression, the default), "
+                        "or a 0/1 draw with the target as log-odds")
     p.set_defaults(func=cmd_gen)
 
     p = add_parser("fit", help="fit a function tree to a CSV dataset")

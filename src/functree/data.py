@@ -283,7 +283,9 @@ def load_csv(
     Columns parse as numeric unless a non-numeric token appears, the column
     name is listed in ``categorical_override``, or the number of distinct
     values is at most ``cat_threshold``. A column named ``__truth__`` becomes
-    the hidden noiseless target; columns in ``exclude`` are dropped. Missing
+    the hidden noiseless target; columns in ``exclude`` are dropped. A name
+    in ``exclude`` that is no column, or in ``categorical_override`` that is
+    no kept predictor, raises DataError. Missing
     cells are rejected; predictor columns with a single distinct value are
     dropped with a warning, and categorical ones with a level per row warn.
     """
@@ -301,6 +303,9 @@ def load_csv(
         names.remove(TRUTH_COLUMN)
         truth = numbers(TRUTH_COLUMN)
     excluded = set(exclude)
+    unknown = excluded - set(header)
+    if unknown:
+        raise DataError(f"exclude names unknown columns: {sorted(unknown)}")
     names = [name for name in names if name not in excluded]
 
     override = set(categorical_override)

@@ -90,7 +90,7 @@ class LevelTable:
         out = np.where(valid, self.values[np.clip(idx, 0, len(self.values) - 1)], self.default)
         return float(out[0]) if scalar else out
 
-    def at(self, points: SortedPoints | KnotIndex) -> np.ndarray:
+    def at(self, points: SortedPoints | SortedColumn) -> np.ndarray:
         return self(points.x)
 
     def shift(self, c: float) -> "LevelTable":
@@ -112,7 +112,7 @@ class Curve:
         k = np.asarray(self.knots, dtype=float)
         v = np.asarray(self.values, dtype=float)
         if k.ndim != 1 or len(k) == 0 or k.shape != v.shape:
-            raise ValueError("knots and values must be equal-length 1-d vectors")
+            raise ValueError("knots and values must be equal-length nonempty 1-d vectors")
         if len(k) > 1 and not (k[1:] > k[:-1]).all():
             raise ValueError("knots must be strictly increasing")
         if not (np.isfinite(k).all() and np.isfinite(v).all()):
@@ -126,7 +126,7 @@ class Curve:
         out = self.at(SortedPoints(xa)) if xa.ndim == 1 else np.interp(xa, self.knots, self.values)
         return float(out[0]) if scalar else out
 
-    def at(self, points: SortedPoints | KnotIndex) -> np.ndarray:
+    def at(self, points: SortedPoints | SortedColumn) -> np.ndarray:
         return points.interp(self.knots, self.values)
 
     def shift(self, c: float) -> "Curve":
@@ -136,42 +136,9 @@ class Curve:
         return Curve(self.knots, self.values * s)
 
 
-class KnotIndex:
-    """Fixed finite 1-d points x, located once per knot vector: each point's
-    knot interval q (0 below the first knot, len(knots) at or past the last)
-    and its offset dx from the interval's left knot (the first knot for
-    q = 0). A curve on those knots is linear in dx on each interval and
-    constant outside them, so it costs a gather, a multiply and an add,
-    slope[q] * dx + base[q] (``_pieces``): ``np.interp``'s arithmetic bit for
-    bit, while no slope overflows. It pays when many curves share a few knot
-    vectors, as in a fitter. An entry is keyed by its knot array's id and
-    holds the array, so the id is not reused."""
-
-    __slots__ = ("x", "_located")
-
-    def __init__(self, x: np.ndarray):
-        self.x = x
-        self._located: dict[int, tuple] = {}
-
-    def locate(self, knots: np.ndarray) -> tuple:
-        """(knots, their gaps, q, dx) of every point."""
-        entry = self._located.get(id(knots))
-        if entry is None:
-            q = np.searchsorted(knots, self.x, side="right")
-            entry = (knots, np.diff(knots), q, self.x - knots[np.maximum(q - 1, 0)])
-            self._located[id(knots)] = entry
-        return entry
-
-    def interp(self, knots: np.ndarray, values: np.ndarray) -> np.ndarray:
-        """``np.interp(self.x, knots, values)``, bit for bit."""
-        _, gaps, q, dx = self.locate(knots)
-        slope, base = _pieces(values, gaps)
-        return slope[q] * dx + base[q]
-
-
 def _pieces(values: np.ndarray, gaps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # a curve's slope and left-end value on each knot interval q of KnotIndex;
-    # both outer intervals are flat
+    # a curve's slope and left-end value on each knot interval q of a
+    # SortedColumn; both outer intervals are flat
     slope = np.zeros(len(values) + 1)
     slope[1:-1] = np.diff(values) / gaps
     return slope, np.concatenate([values[:1], values])
@@ -242,33 +209,6 @@ def weight_floor(w: np.ndarray) -> float:
     return 1e-6 * float(np.sqrt(np.mean(np.square(w))))
 
 
-def _window_bounds(rows: np.ndarray, n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
-    # symmetric rank windows of the given sorted rows, shrunk (not shifted)
-    # at the edges
-    lo = np.maximum(rows - (m - 1) // 2, 0)
-    hi = np.minimum(rows + m // 2, n - 1)
-    return lo, hi
-
-
-def _knot_rows(xs: np.ndarray, knots: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The rows of sorted ``xs`` that linear interpolation at ``knots``
-    reads, as whole distinct-x groups: the group equal to a knot, or the
-    groups on either side of a knot that ``xs`` lacks. Returns those rows
-    (the groups concatenated), where each group starts among them and where
-    it starts in ``xs``."""
-    n = len(xs)
-    at = np.searchsorted(xs, knots)
-    present = (at < n) & (xs[np.minimum(at, n - 1)] == knots)
-    absent = at[~present]
-    anchors = np.concatenate([at[present], absent[absent > 0] - 1, absent[absent < n]])
-    gx = np.unique(xs[anchors])
-    start = np.searchsorted(xs, gx)
-    size = np.searchsorted(xs, gx, side="right") - start
-    offset = np.cumsum(size) - size
-    rows = np.arange(int(size.sum())) + np.repeat(start - offset, size)
-    return rows, offset, start
-
-
 def _fit_level_table(x, omega, rw):
     # levels without weight take the global mean
     idx = np.rint(x).astype(int)
@@ -285,11 +225,13 @@ def _fit_level_table(x, omega, rw):
 
 
 class SortedColumn:
-    """The part of numeric smoothing that depends only on x. ``points``
-    locates every row on the knot grid once (its interval q and offset dx;
-    the grid is by default the thinned distinct x). The rows in stable x
-    order (``order``) give the rows, distinct-x groups and rank windows that
-    a fit onto the grid reads, and cut the ranks into segments: runs between
+    """The part of numeric smoothing that depends only on x, for every row
+    of a column. Its knot grid is the distinct x, quantile-thinned past 500
+    knots, so every knot is a data value. Each row is located on the grid
+    once: its knot interval q (len(knots) at the last knot) and its offset
+    dx from the interval's left knot. The rows in stable x order give the
+    distinct-x groups at the knots and their rank windows, which a fit onto
+    the grid reads, and cut the ranks into segments: runs between
     consecutive window bounds and interval starts. A window is a run of
     whole segments, and on a segment every curve on the grid is linear in
     dx. ``seg`` holds each row's segment, in row order, and ``seg_q`` each
@@ -302,18 +244,29 @@ class SortedColumn:
     rounding depends on its length, and at this length the fitted models of
     targets that weigh every row keep their last bits."""
 
-    def __init__(self, points: KnotIndex, order: np.ndarray, knots: np.ndarray | None, span: float):
-        xs = points.x[order]
+    def __init__(self, x: np.ndarray, span: float):
+        order = np.argsort(x, kind="stable")
+        xs = x[order]
         n = len(xs)
-        self.knots = thin_knots(np.unique(xs)) if knots is None else knots
-        _, self.gaps, q, self.dx = points.locate(self.knots)
-        rows, self.offset, start = _knot_rows(xs, self.knots)
-        lo, hi = _window_bounds(rows, n, max(2, int(round(span * n))))
-        self.x_rows, self.x_start, self.knot_rows = xs[rows], xs[start], order[rows]
+        self.x = x
+        self.knots = thin_knots(np.unique(xs))
+        self.gaps = np.diff(self.knots)
+        self.q = np.searchsorted(self.knots, x, side="right")
+        self.dx = x - self.knots[self.q - 1]
+        # the rows of every knot's x group in xs, concatenated; ``offset``
+        # says where each group starts among them
+        start = np.searchsorted(xs, self.knots)
+        size = np.searchsorted(xs, self.knots, side="right") - start
+        self.offset = np.cumsum(size) - size
+        rows = np.arange(int(size.sum())) + np.repeat(start - self.offset, size)
+        # their symmetric rank windows, shrunk (not shifted) at the edges
+        m = max(2, int(round(span * n)))
+        lo, hi = np.maximum(rows - (m - 1) // 2, 0), np.minimum(rows + m // 2, n - 1)
+        self.x_rows, self.knot_rows = xs[rows], order[rows]
         span_x = float(xs[-1] - xs[0])
         # a window fits a slope only where its x variance exceeds this
         self.min_varx = max(1e-12 * span_x * span_x, 1e-300)
-        qs = q[order]
+        qs = self.q[order]
         cut = np.concatenate([[True], qs[1:] != qs[:-1]])
         cut[lo] = True
         cut[hi[hi < n - 1] + 1] = True
@@ -321,9 +274,20 @@ class SortedColumn:
         self.wlo, self.whi = np.searchsorted(bounds, lo), np.searchsorted(bounds, hi + 1)
         self.seg_q = qs[bounds]
         self.line_q = np.concatenate([self.seg_q, np.arange(len(self.knots) + 1)])
-        self.origin = self.knots[np.maximum(self.seg_q - 1, 0)]
+        self.origin = self.knots[self.seg_q - 1]
         self.seg = np.empty(n, dtype=np.intp)
         self.seg[order] = np.repeat(np.arange(len(bounds)), np.diff(np.append(bounds, n)))
+
+    def interp(self, knots: np.ndarray, values: np.ndarray) -> np.ndarray:
+        """``np.interp(self.x, knots, values)``, bit for bit. A curve on the
+        column's own knots (the same array) is linear in dx on each interval
+        and flat past the last knot, so it costs a gather, a multiply and an
+        add, slope[q] * dx + base[q]: ``np.interp``'s arithmetic, while no
+        slope overflows. Any other knots go to ``np.interp``."""
+        if knots is not self.knots:
+            return np.interp(self.x, knots, values)
+        slope, base = _pieces(values, self.gaps)
+        return slope[self.q] * self.dx + base[self.q]
 
 
 class SmoothingTarget:
@@ -393,7 +357,7 @@ class SmoothingTarget:
         if not ok.any():
             return None
         gmean = np.add.reduceat(om * vals, col.offset)[ok] / gw[ok]
-        values = np.interp(col.knots, col.x_start[ok], gmean)
+        values = np.interp(col.knots, col.knots[ok], gmean)
         slope, base = _pieces(values, col.gaps)
         sl, v = slope[col.line_q], base[col.line_q]
         return (Curve(col.knots, values), float(v @ t0 + sl @ t1),
@@ -410,12 +374,12 @@ def smooth(x: np.ndarray, r: np.ndarray, w: np.ndarray, spec: SmootherSpec) -> U
 
     The curve value at a knot interpolates the w^2-weighted means, per
     distinct x, of a rank-window fit at each row. Interpolation reads only
-    the x group equal to the knot, or the two groups around a knot that no
-    row holds; a group without weight (all its rows below the floor, or
-    their windows without weight) is skipped, so its neighbours among those
-    groups are interpolated over, and ValueError is raised when none has
-    weight. So the windowed fit is computed only at the rows of those
-    groups, from window sums over segments of rows (``SmoothingTarget.fit``).
+    the x groups equal to the knots; a group without weight (all its rows
+    below the floor, or their windows without weight) is skipped, so its
+    neighbours among those groups are interpolated over, and ValueError is
+    raised when none has weight. So the windowed fit is computed only at
+    the rows of those groups, from window sums over segments of rows
+    (``SmoothingTarget.fit``).
     Those sums round differently from cumulative sums over all rows:
     against that full-row fit the curve values agree within 1e-12 * kappa *
     max|r/w| over the rows at or above the floor. kappa is 1 for
@@ -437,7 +401,7 @@ def smooth(x: np.ndarray, r: np.ndarray, w: np.ndarray, spec: SmootherSpec) -> U
     target = SmoothingTarget(r, w)
     if spec.method == CATEGORICAL_MEAN:
         return target.level_means(x)
-    col = SortedColumn(KnotIndex(x), np.argsort(x, kind="stable"), None, spec.resolved_span())
+    col = SortedColumn(x, spec.resolved_span())
     res = target.fit(col, spec.method)
     if res is None:
         raise ValueError("no knot group has weight")

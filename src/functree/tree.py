@@ -28,7 +28,6 @@ from .smoothers import (
     CATEGORICAL_MEAN,
     LOCAL_LINEAR,
     Curve,
-    KnotIndex,
     LevelTable,
     SmootherSpec,
     SmoothingTarget,
@@ -98,9 +97,9 @@ class FunctionTree:
             raise ValueError("nodes[0] must be the bare root")
         for k, node in enumerate(self.nodes):
             if node.id != k:
-                raise ValueError("node ids must be consecutive")
+                raise ValueError(f"node {node.id}: node ids must be consecutive, expected {k}")
             if k > 0 and not 0 <= node.parent < k:
-                raise ValueError("parent id must precede the node (topological order)")
+                raise ValueError(f"node {k}: parent {node.parent} must precede the node (topological order)")
 
     # -- structure ---------------------------------------------------------
 
@@ -276,9 +275,12 @@ class FunctionTree:
                         f"{where}: level table has {len(values)} values but variable "
                         f"{variables[var].name!r} has {n_levels} levels"
                     )
-                func: UnivariateFunction = LevelTable(values, default)
             else:
-                func = Curve(_numbers(entry, "knots", where), values)
+                knots = _numbers(entry, "knots", where)
+            try:
+                func = LevelTable(values, default) if kind == "levels" else Curve(knots, values)
+            except ValueError as exc:
+                raise ValueError(f"{where}: {exc}") from None
             infl = entry.get("influence")
             if infl is not None and not _finite_number(infl):
                 raise ValueError(f"{where}: 'influence' must be null or a finite number")
@@ -433,14 +435,12 @@ class TreeFitter:
         self.sqrt_rho = np.sqrt(self.rho)
         self.n_tr = len(tr)
 
-        # the training rows of each variable, located once per knot vector;
-        # for numeric variables the sorted column every smoother call shares
-        # (on the knot grid of all training rows)
-        self.points = [KnotIndex(col) for col in self.Xtr.T]
+        # each numeric variable's training rows on its knot grid, which
+        # every smoothing call and every evaluation of its curves shares
         span = config.numeric_smoother.resolved_span()
         self.columns: list[SortedColumn | None] = [
-            None if v.is_categorical else SortedColumn(pts, np.argsort(pts.x, kind="stable"), None, span)
-            for v, pts in zip(data.variables, self.points)]
+            None if v.is_categorical else SortedColumn(x, span)
+            for v, x in zip(data.variables, self.Xtr.T)]
 
         if tree is None:
             self.b0 = float(np.average(self.ytr, weights=self.rho))
@@ -473,7 +473,8 @@ class TreeFitter:
 
     def _eval(self, j: int, func: UnivariateFunction) -> np.ndarray:
         """``func`` of variable j at the training rows."""
-        return func.at(self.points[j])
+        col = self.columns[j]
+        return func(self.Xtr[:, j]) if col is None else func.at(col)
 
     def _register(self, node: TreeNode) -> None:
         j = node.var

@@ -60,25 +60,25 @@ def random_dataset(rng: np.random.Generator, tree: FunctionTree, n: int = 150) -
     return Dataset(tree.variables, X, y)
 
 
-def reference_smooth(x, r, w, spec, *, order=None, knots=None):
+def reference_smooth(x, r, w, spec, *, knots=None):
     """The full-row numeric smoother: the windowed fit at every row, from
     cumulative sums over all rows, one weighted mean per distinct x, then
     interpolation at the knots (by default the distinct x, thinned as
     ``smooth`` thins them). Rows below the weight floor keep their rank and
     weigh nothing; so does a row whose window has no weight. Interpolation
     reads the x group at each knot, or the two groups around a knot that no
-    row holds, and skips those of them without weight. ``order`` may carry
-    a stable argsort of x. Returns the curve and kappa, the scale of the
-    tolerance ``smooth`` states against this fit: 1, or for a local linear
-    fit the largest E[x^2] / Var[x] (weighted by w^2) of a window that fits
-    a slope, if larger. Categorical specs go to ``smooth``, with kappa 1."""
+    row holds, and skips those of them without weight. Returns the curve
+    and kappa, the scale of the tolerance ``smooth`` states against this
+    fit: 1, or for a local linear fit the largest E[x^2] / Var[x] (weighted
+    by w^2) of a window that fits a slope, if larger. Categorical specs go
+    to ``smooth``, with kappa 1."""
     if spec.method == "categorical_mean":
         return smooth(x, r, w, spec), 1.0
     x, r, w = (np.asarray(a, dtype=float) for a in (x, r, w))
     keep = (np.abs(w) >= weight_floor(w)) & (w != 0.0)
     if not keep.any():
         raise ValueError("all rows excluded by the basis-weight floor")
-    sidx = np.argsort(x, kind="stable") if order is None else order
+    sidx = np.argsort(x, kind="stable")
     xs = x[sidx]
     omega = np.where(keep, w * w, 0.0)[sidx]
     rw = np.where(keep, r * w, 0.0)[sidx]

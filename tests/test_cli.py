@@ -40,6 +40,19 @@ def test_gen_schema(workdir):
     assert header == [f"x{j}" for j in range(1, 9)] + ["y", "__truth__"]
 
 
+@pytest.mark.parametrize("example, flag, value", [
+    ("friedman", "--mode", "classification"),
+    ("hu", "--snr", "0"),
+    ("hu", "--sd-x", "1"),
+])
+def test_gen_rejects_a_flag_the_example_does_not_read(tmp_path, capsys, example, flag, value):
+    out = tmp_path / "g.csv"
+    capsys.readouterr()
+    assert run("gen", "--example", example, "--n", "30", flag, value, "--out", out) == 2
+    assert capsys.readouterr().err == f"error: argument {flag}: not read by --example {example}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("snr", ["0", "inf"])
 def test_gen_snr_zero_or_inf_is_noiseless(tmp_path, snr):
     out = tmp_path / "f.csv"
@@ -370,6 +383,22 @@ def _small_csv(root):
     return data
 
 
+def test_column_name_flags_are_stripped_and_checked(tmp_path, capsys):
+    # --exclude and --categorical read names as --vars does, and an
+    # --exclude name that is no column is a data error, not ignored
+    data = _small_csv(tmp_path)
+    out = tmp_path / "s.json"
+    argv = ("surrogate", "--data", data, "--pred", "y", "--max-nodes", "2", "--out", out)
+    assert run(*argv, "--exclude", " n", "--categorical", "c ") == 0
+    assert [v["name"] for v in json.loads(out.read_text())["variables"]] == ["c"]
+    out.unlink()
+    capsys.readouterr()
+    for name in ("N", "nosuch"):
+        assert run(*argv, "--exclude", name) == 3
+        assert capsys.readouterr().err == f"error: exclude names unknown columns: ['{name}']\n"
+        assert not out.exists()
+
+
 def test_predict_rejects_malformed_model_files(tmp_path, capsys):
     data = _small_csv(tmp_path)
     variables = [{"name": "n", "kind": "numeric", "range": [0.0, 2.9]},
@@ -411,6 +440,7 @@ def test_predict_rejects_malformed_model_files(tmp_path, capsys):
     # or an integer is expected
     valid = {"format_version": 1, "b0": 0.0, "variables": variables, "nodes": [node]}
     numeric = {"name": "n", "kind": "numeric"}
+    numeric_node = {"id": 1, "parent": 0, "var": 0, "influence": None, **curve}
     for doc, message in (
         ({**valid, "nodes": [[1, 0]]}, "error: node entry 0: expected a JSON object"),
         ({**valid, "variables": [["n", "numeric"], variables[1]]},
@@ -422,6 +452,17 @@ def test_predict_rejects_malformed_model_files(tmp_path, capsys):
         ({**valid, "nodes": {}}, "error: model file: 'nodes' must be a list"),
         ({**valid, "nodes": [{**node, "id": 1.0}]}, "error: node entry 0: 'id' must be an integer"),
         ([valid], "error: model file: expected a JSON object"),
+        # node contents that only the node's own checks see, named by id
+        ({**valid, "nodes": [{**numeric_node, "knots": [3.0, 0.0]}]},
+         "error: node 1: knots must be strictly increasing"),
+        ({**valid, "nodes": [{**numeric_node, "knots": [0.0, 1.0, 3.0]}]},
+         "error: node 1: knots and values must be equal-length nonempty 1-d vectors"),
+        ({**valid, "nodes": [{**numeric_node, "knots": [], "values": []}]},
+         "error: node 1: knots and values must be equal-length nonempty 1-d vectors"),
+        ({**valid, "nodes": [node, {**numeric_node, "id": 3}]},
+         "error: node 3: node ids must be consecutive, expected 2"),
+        ({**valid, "nodes": [node, {**numeric_node, "id": 2, "parent": 2}]},
+         "error: node 2: parent 2 must precede the node"),
     ):
         model.write_text(json.dumps(doc), encoding="utf-8")
         assert run("predict", "--model", model, "--data", data, "--out", tmp_path / "p.csv") == 3

@@ -115,6 +115,9 @@ def test_exclude_drops_columns(tmp_path):
     p = _write(tmp_path / "d.csv", "a,b,y\n1,5,1\n2,6,2\n3,7,3\n")
     ds = load_csv(p, target="y", cat_threshold=0, exclude=("b",))
     assert ds.names == ("a",)
+    # a name that is no column is an error, not ignored
+    with pytest.raises(DataError, match=r"exclude names unknown columns: \['B', 'c'\]"):
+        load_csv(p, target="y", cat_threshold=0, exclude=("a", "c", "B"))
 
 
 def test_roundtrip_identity(tmp_path):

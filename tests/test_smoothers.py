@@ -14,7 +14,6 @@ import functree as ft
 from functree.smoothers import (
     SORTED_INTERP_POINTS,
     Curve,
-    KnotIndex,
     LevelTable,
     SmootherSpec,
     SmoothingTarget,
@@ -59,7 +58,7 @@ def test_curve_rejects_unsorted_knots():
 
 @settings(max_examples=100, deadline=None)
 @given(st.data())
-def test_knot_index_equals_interp(data):
+def test_sorted_column_interp_equals_interp(data):
     start = data.draw(st.floats(-100.0, 100.0))
     n_gaps = data.draw(st.integers(0, 599))  # one knot to 600, on both sides of Curve's cutoff
     gaps = data.draw(st.lists(st.floats(1e-6, 10.0), min_size=n_gaps, max_size=n_gaps))
@@ -69,13 +68,17 @@ def test_knot_index_equals_interp(data):
                                                  max_size=len(knots))))
     x = np.concatenate([knots, (knots[:-1] + knots[1:]) / 2, knots[:-1] + 0.3 * np.diff(knots),
                         [knots[-1], knots[0] - 1.0, knots[-1] + 1.0, -1e9, 1e9]])
-    # one index, located on a second knot vector between two evaluations on
-    # the first: each curve reads its own knots' location
-    index = KnotIndex(x)
+    # the column's own grid (thinned past 500 knots) takes the gather, and
+    # an equal copy of it, the drawn knots and a second knot vector take
+    # np.interp, each in either order
+    col = SortedColumn(x, 0.2)
+    own = scale * np.sin(np.arange(len(col.knots)))
     knots2 = np.unique(np.concatenate([knots[::2] - 0.5, [knots[-1] + 2.0]]))
     values2 = np.cos(knots2)
-    for k, v in ((knots, values), (knots2, values2), (knots, -values), (knots2, 2.0 * values2)):
-        assert np.array_equal(index.interp(k, v), np.interp(x, k, v))
+    for k, v in ((col.knots, own), (col.knots.copy(), -own), (knots, values),
+                 (col.knots, 2.0 * own), (knots2, values2)):
+        assert np.array_equal(col.interp(k, v), np.interp(x, k, v))
+    assert np.array_equal(Curve(col.knots, own).at(col), np.interp(x, col.knots, own))
     # Curve sorts long inputs before np.interp and scatters the values back;
     # a shuffled draw with ties, on either side of the cutoff, must match
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
@@ -260,12 +263,12 @@ def test_near_neighbor_rank_equivariance(seed):
     weights=st.sampled_from(["ones", "positive", "zeros", "sub_floor"]),
     method=st.sampled_from(["near_neighbor", "local_linear"]),
     span=st.one_of(st.none(), st.floats(0.01, 1.0)),
-    with_order=st.booleans(),
-    grid=st.sampled_from(["public", "none", "full", "thinned", "off_data"]),
+    via=st.sampled_from(["smooth", "column"]),
 )
-def test_smooth_equals_full_row_reference(seed, n, xkind, weights, method, span, with_order, grid):
-    # "public" calls smooth() itself; every other grid smooths the way the
-    # fitter does, on a column of all rows built once for any target
+def test_smooth_equals_full_row_reference(seed, n, xkind, weights, method, span, via):
+    # "smooth" calls smooth() itself; "column" smooths the way the fitter
+    # does, on a column of all rows built once for any target. Draws with
+    # more than 500 distinct x are fitted on a thinned grid
     rng = np.random.default_rng(seed)
     if xkind == "distinct":
         x = rng.normal(size=n)
@@ -282,22 +285,11 @@ def test_smooth_equals_full_row_reference(seed, n, xkind, weights, method, span,
     if not (w != 0.0).any():
         w[0] = 1.0
     sp = spec(method, span=span)
-    if grid == "public":
-        kw = {}
-
+    if via == "smooth":
         def call():
             return smooth(x, r, w, sp)
     else:
-        knots = None
-        if grid == "full":
-            knots = np.unique(x)
-        elif grid == "thinned":
-            knots = thin_knots(np.unique(x), int(rng.integers(2, 600)))
-        elif grid == "off_data":
-            knots = np.unique(rng.normal(scale=2.0, size=int(rng.integers(1, 50))))
-        order = np.argsort(x, kind="stable")
-        col = SortedColumn(KnotIndex(x), order, knots, sp.resolved_span())
-        kw = {"knots": col.knots, **({"order": order} if with_order else {})}
+        col = SortedColumn(x, sp.resolved_span())
 
         def call():
             res = SmoothingTarget(r, w).fit(col, method)
@@ -305,7 +297,7 @@ def test_smooth_equals_full_row_reference(seed, n, xkind, weights, method, span,
                 raise ValueError("no knot group has weight")
             return res[0]
     try:
-        want, kappa = reference_smooth(x, r, w, sp, **kw)
+        want, kappa = reference_smooth(x, r, w, sp)
     except ValueError:
         with pytest.raises(ValueError, match="no knot group has weight"):
             call()

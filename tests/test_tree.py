@@ -415,6 +415,22 @@ def test_fit_builds_one_column_per_numeric_variable(monkeypatch, case):
     assert any(sub_floor)
 
 
+@pytest.mark.parametrize("method", ["near_neighbor", "local_linear"])
+def test_fit_evaluates_its_curves_by_the_column_gather(monkeypatch, method):
+    # every curve a fit makes, scaled, shifted or combined, keeps its
+    # column's knot array, so no evaluation falls back to np.interp
+    own, interp = [], SortedColumn.interp
+
+    def recording(self, knots, values):
+        own.append(knots is self.knots)
+        return interp(self, knots, values)
+
+    monkeypatch.setattr(SortedColumn, "interp", recording)
+    data = _friedman_with_group(400, 3, zero_weights=False)
+    ft.fit(data, FitConfig(numeric_smoother=SmootherSpec(method)))
+    assert own and all(own)
+
+
 def test_fit_constant_outcome_gives_root_only():
     X = np.random.default_rng(2).normal(size=(50, 2))
     data = Dataset(two_numeric_vars(), X, np.full(50, 4.5))
