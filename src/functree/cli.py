@@ -15,6 +15,8 @@ import math
 import sys
 from dataclasses import replace
 
+import numpy as np
+
 from .data import (
     Dataset,
     SplitSpec,
@@ -25,10 +27,10 @@ from .data import (
     split_indices,
     write_csv,
 )
-from .interactions import (bootstrap_compare, conditional_interaction, pure_interaction,
+from .interactions import (MAX_ORDER, bootstrap_compare, conditional_interaction, pure_interaction,
                            pure_interaction_brute, search_effects)
+from .pdengine import MAX_PA_VARS, pd_brute, pd_fast, write_effect_csv
 from .pdengine import pa as pa_effect
-from .pdengine import pd_brute, pd_fast, write_effect_csv
 from .smoothers import SmootherSpec
 from .tree import (
     FitConfig,
@@ -61,7 +63,7 @@ def _checked(kind, ok, what: str):
 
 _positive_int = _checked(int, lambda v: v >= 1, "a positive integer")
 _nonnegative_int = _checked(int, lambda v: v >= 0, "a nonnegative integer")
-_replicates = _checked(int, lambda v: v >= 2, "an integer of at least 2")
+_two_or_more = _checked(int, lambda v: v >= 2, "an integer of at least 2")
 _span = _checked(float, lambda v: 0.0 < v <= 1.0, "a number in (0, 1]")
 _fraction = _checked(float, lambda v: 0.0 < v < 1.0, "a number strictly between 0 and 1")
 _snr = _checked(float, lambda v: v >= 0.0, "a nonnegative number")
@@ -105,9 +107,10 @@ def _model_and_data(args) -> tuple[FunctionTree, Dataset]:
     return tree, data
 
 
-def _var_indices(names_arg: str, variables, flag: str) -> tuple[int, ...]:
+def _var_indices(names_arg: str, variables, flag: str, limit: int | None = None) -> tuple[int, ...]:
     """The indices of a comma list of variable names; an unknown or repeated
-    name raises ArgumentTypeError naming ``flag``."""
+    name, or more than ``limit`` names, raises ArgumentTypeError naming
+    ``flag``."""
     lut = {v.name: j for j, v in enumerate(variables)}
     out = []
     for name in names_arg.split(","):
@@ -116,6 +119,9 @@ def _var_indices(names_arg: str, variables, flag: str) -> tuple[int, ...]:
             problem = "repeated" if name in lut else "unknown"
             raise argparse.ArgumentTypeError(f"argument {flag}: {problem} variable {name!r}")
         out.append(lut[name])
+    if limit is not None and len(out) > limit:
+        raise argparse.ArgumentTypeError(
+            f"argument {flag}: expected at most {limit} variables, got {len(out)}")
     return tuple(out)
 
 
@@ -133,13 +139,19 @@ def _fit_config(args, variables) -> FitConfig:
     )
 
 
+def _varies(truth) -> bool:
+    """Whether a hidden truth is present with the variance that the
+    truth-based summary lines divide by; without it they are left out."""
+    return truth is not None and float(np.var(truth)) > 0.0
+
+
 def _print_fit_summary(tree: FunctionTree, data: Dataset) -> None:
     stats = tree.train_stats or {}
     print(f"nodes: {tree.n_nodes}")
     print(f"max interaction order: {tree.max_interaction_order()}")
     print(f"train rmse: {stats.get('train_rmse', float('nan')):.6g}")
     print(f"test rmse: {stats.get('test_rmse', float('nan')):.6g}")
-    if data.truth is not None:
+    if _varies(data.truth):
         r2 = 1.0 - rmse_target(data.truth, tree.predict(data.X)) ** 2
         print(f"target variance explained: {r2:.6g}")
     print("node influences:")
@@ -219,7 +231,7 @@ def cmd_effects(args) -> int:
 
 def cmd_pd(args) -> int:
     tree, data = _model_and_data(args)
-    subset = _var_indices(args.vars, data.variables, "--vars")
+    subset = _var_indices(args.vars, data.variables, "--vars", MAX_PA_VARS if args.pa else None)
     if args.pa:
         grid = pa_effect(tree, subset, None, data, resolution=args.grid)
     elif args.brute:
@@ -261,7 +273,9 @@ def _pinned_values(pairs, variables, subset) -> dict[int, float]:
 
 def cmd_interact(args) -> int:
     tree, data = _model_and_data(args)
-    subset = _var_indices(args.vars, data.variables, "--vars")
+    # pure and conditional interactions are capped; brute-force pure ones not
+    limit = None if args.brute and not args.cond else MAX_ORDER
+    subset = _var_indices(args.vars, data.variables, "--vars", limit)
     method = "brute" if args.brute else "fast"
     if args.cond:
         cond = _pinned_values(args.cond, data.variables, subset)
@@ -309,9 +323,10 @@ def cmd_surrogate(args) -> int:
     _print_fit_summary(tree, data)
     stats = tree.train_stats or {}
     print(f"fidelity rmse (vs predictions): {stats.get('test_rmse', float('nan')):.6g}")
-    if data.truth is not None:
-        _, te = split_indices(data.n, config.split)
-        fidelity = rmse_target(data.truth[te], tree.predict(data.X[te]))
+    _, te = split_indices(data.n, config.split)
+    truth = None if data.truth is None else data.truth[te]
+    if _varies(truth):
+        fidelity = rmse_target(truth, tree.predict(data.X[te]))
         print(f"target rmse (vs truth, test rows): {fidelity:.6g}")
     _progress(f"surrogate model written to {args.out}")
     return 0
@@ -357,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_parser("gen", help="write a synthetic benchmark dataset")
     p.add_argument("--example", choices=["friedman", "hu"], required=True)
-    p.add_argument("--n", type=_positive_int, required=True)
+    p.add_argument("--n", type=_two_or_more, required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--snr", type=_snr, help="signal/noise ratio (friedman only; default 2, 0 = noiseless)")
     p.add_argument("--sd-x", dest="sd_x", type=_scale, help="predictor scale (friedman only; default 0.5)")
@@ -382,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     _add_data_flags(p)
     p.add_argument("--out", required=True)
-    p.add_argument("--max-order", dest="max_order", type=int, default=3, choices=[1, 2, 3, 4])
+    p.add_argument("--max-order", dest="max_order", type=int, default=3, choices=range(1, MAX_ORDER + 1))
     p.add_argument("--no-screen", dest="no_screen", action="store_true")
     p.add_argument("--pa", action="store_true", help="add a partial-association strength column")
     p.add_argument("--strength-rows", dest="strength_rows", type=_positive_int, default=None,
@@ -422,7 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add_parser("bootstrap", help="compare constrained refits over bootstrap replicates")
     _add_data_flags(p)
     _add_fit_flags(p)
-    p.add_argument("--reps", type=_replicates, default=20)
+    p.add_argument("--reps", type=_two_or_more, default=20)
     p.add_argument("--max-orders", dest="max_orders", type=_orders, default="0,2,1",
                    help="comma list of interaction-order caps, one config each")
     p.add_argument("--out", required=True)

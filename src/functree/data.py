@@ -183,18 +183,21 @@ def _sorted_levels(tokens: list[str]) -> tuple[str, ...]:
 
 def _read_cells(path, target: str):
     """The stripped header and a cell getter for every column of a headed
-    CSV, read cell by cell through csv.reader. Raises DataError on a missing
-    target, a duplicate name, no data rows, a ragged row or a missing cell,
-    the first in file order."""
+    CSV, read cell by cell through csv.reader. Raises DataError on text that
+    is not UTF-8 or that csv.reader rejects (such as a cell past its field
+    size limit), a missing target, a duplicate name, no data rows, a ragged
+    row or a missing cell, the first in file order."""
     # utf-8-sig drops a byte-order mark, which would otherwise join the first
     # column name
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
+            rows = [row for row in reader if row]
         except StopIteration:
             raise DataError(f"{path}: empty file") from None
-        rows = [row for row in reader if row]
+        except (UnicodeDecodeError, csv.Error) as exc:
+            raise DataError(f"{path}: not a readable CSV file ({exc})") from None
     header = [h.strip() for h in header]
     if target not in header:
         raise DataError(f"target column {target!r} not found")
@@ -392,8 +395,8 @@ def gen_friedman(n: int, seed: int, sd_x: float = 0.5, snr: float = 2.0) -> Data
     so that snr=2 yields a 2/1 signal/noise ratio. Pass ``snr=math.inf`` for
     a noiseless outcome. The noiseless target is stored as hidden truth.
     """
-    if not (n >= 1 and 0 < sd_x < math.inf and snr > 0):
-        raise ValueError("need n >= 1, finite sd_x > 0, snr > 0")
+    if not (n >= 2 and 0 < sd_x < math.inf and snr > 0):
+        raise ValueError("need n >= 2, finite sd_x > 0, snr > 0")
     rng = np.random.default_rng(seed)
     X = rng.normal(0.0, sd_x, size=(n, 8))
     f = friedman_function(X)
@@ -437,8 +440,8 @@ def gen_hu(n: int, seed: int, mode: str = "regression") -> Dataset:
     N(0, 0.5^2) noise; classification mode draws a binary outcome with
     log-odds equal to the target.
     """
-    if n < 1:
-        raise ValueError("need n >= 1")
+    if n < 2:
+        raise ValueError("need n >= 2")
     if mode not in ("regression", "classification"):
         raise ValueError(f"unknown mode {mode!r}")
     rng = np.random.default_rng(seed)

@@ -54,15 +54,18 @@ __all__ = [
 # Public effect operations
 # ---------------------------------------------------------------------------
 
+# the largest subset whose pure or conditional interaction or strength is
+# computed, and the highest order the effect search reaches
+MAX_ORDER = 4
+
 def pure_interaction(tree: FunctionTree, s, points=None, data: Dataset | None = None,
                      resolution: int = 50) -> EffectGrid:
     """Partial dependence of the subset with all lower-order sub-effects
     recursively subtracted; identically zero when the model has no
     interaction among the subset's variables, and returned as exact zeros
     without evaluation when no root path contains the subset."""
-    s = check_subset(s, data, 4)
+    s, pts, axes = resolve_points(data, s, points, resolution, MAX_ORDER)
     eng = EffectEngine(tree, data)
-    pts, axes = resolve_points(data, s, points, resolution)
     values = eng.i_at(s, pts)
     return EffectGrid(
         subset=s,
@@ -80,7 +83,7 @@ def pure_interaction(tree: FunctionTree, s, points=None, data: Dataset | None = 
 def strength(tree: FunctionTree, s, data: Dataset) -> float:
     """Interaction strength: sd of the pure interaction over the data rows
     divided by the sd of the model predictions."""
-    s = check_subset(s, data, 4)
+    s = check_subset(s, data, MAX_ORDER)
     return EffectEngine(tree, data).strength(s)
 
 
@@ -106,11 +109,12 @@ def conditional_interaction(tree: FunctionTree, s, cond, points=None,
                             data: Dataset | None = None, resolution: int = 50,
                             method: str = "fast") -> EffectGrid:
     """Pure interaction of the subset with other variables pinned to fixed
-    values. The pinned model is still a function tree, so the fast path gives
+    values, ``cond`` mapping each pinned variable's index to its value. The
+    pinned model is still a function tree, so the fast path gives
     exactly what brute-force averaging of the restricted predictor gives.
     """
-    s = check_subset(s, data, 4)
-    cond_map = {int(v): float(val) for v, val in (cond.items() if isinstance(cond, dict) else cond)}
+    s = check_subset(s, data, MAX_ORDER)
+    cond_map = {int(v): float(val) for v, val in cond.items()}
     if cond_map:
         check_subset(cond_map, data)
     if set(cond_map) & set(s):
@@ -143,8 +147,7 @@ def pure_interaction_brute(predict_fn, s, points=None, data: Dataset | None = No
                            resolution: int = 50) -> EffectGrid:
     """Pure interaction of a black-box predictor via brute-force partial
     dependences (reference path: N * N_z evaluations per subset)."""
-    s = check_subset(s, data)
-    pts, axes = resolve_points(data, s, points, resolution)
+    s, pts, axes = resolve_points(data, s, points, resolution)
     evals = 0.0
 
     def centred_pd(u: tuple) -> np.ndarray:
@@ -321,8 +324,9 @@ class EffectReport:
 def search_effects(tree: FunctionTree, data: Dataset, max_order: int = 3,
                    use_screens: bool = True, with_pa: bool = False,
                    strength_rows: int | None = None, seed: int = 0) -> EffectReport:
-    """Enumerate variable subsets up to ``max_order`` (at most 4), rank them
-    by interaction strength, and report the screening path.
+    """Enumerate variable subsets up to ``max_order`` (at most
+    ``MAX_ORDER``), rank them by interaction strength, and report the
+    screening path.
 
     With screening on, main effects are searched over variables carrying any
     influence mass, and order-n subsets over the interacting variables that
@@ -330,8 +334,8 @@ def search_effects(tree: FunctionTree, data: Dataset, max_order: int = 3,
     of rows used for the strength variance (seeded subsample). A subset that
     no root path contains is reported with strength 0.0 at no cost.
     """
-    if not 1 <= max_order <= 4:
-        raise ValueError("max_order must be between 1 and 4")
+    if not 1 <= max_order <= MAX_ORDER:
+        raise ValueError(f"max_order must be between 1 and {MAX_ORDER}")
     rows = None
     if strength_rows is not None and strength_rows < data.n:
         rows = np.sort(np.random.default_rng(seed).choice(data.n, strength_rows, replace=False))

@@ -28,6 +28,9 @@ PA = "pa"
 PURE_INTERACTION = "pure_interaction"
 CONDITIONAL = "conditional"
 
+# the largest subset ``pa`` takes
+MAX_PA_VARS = 2
+
 
 @dataclass
 class EffectGrid:
@@ -107,25 +110,27 @@ def product_points(axes) -> np.ndarray:
     return np.column_stack([m.ravel() for m in mesh])
 
 
-def resolve_points(data: Dataset, subset, points, resolution: int = 50):
-    """Normalize a points argument to (points_matrix, axes_or_None).
+def resolve_points(data: Dataset, subset, points, resolution: int = 50,
+                   max_size: int | None = None):
+    """The subset, checked by ``check_subset``, and a points argument
+    normalized: (subset, points_matrix, axes_or_None).
 
     ``points`` may be None (default product grid), a list of per-variable
     1-d arrays (product grid), or an explicit (n, |subset|) matrix.
     """
-    subset = tuple(subset)
+    subset = check_subset(subset, data, max_size)
     if points is None:
         axes = tuple(default_axis(data, j, resolution) for j in subset)
-        return product_points(axes), axes
+        return subset, product_points(axes), axes
     if isinstance(points, (list, tuple)) and len(points) == len(subset):
         axes = tuple(np.asarray(a, dtype=float).ravel() for a in points)
-        return product_points(axes), axes
+        return subset, product_points(axes), axes
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1 and len(subset) == 1:
         pts = pts[:, None]
     if pts.ndim != 2 or pts.shape[1] != len(subset):
         raise ValueError("points must have one column per subset variable")
-    return pts, None
+    return subset, pts, None
 
 
 # ---------------------------------------------------------------------------
@@ -154,13 +159,13 @@ def _pure_effect(subset: tuple, total, memo: dict) -> np.ndarray:
 
 class _Term(NamedTuple):
     """One basis function split against a subset: path nodes inside the
-    subset, path nodes outside it, and the data mean of the outside product."""
+    subset, path nodes outside it (none when the whole path is inside), and
+    the data mean of the outside product."""
 
     node_id: int
     z_nodes: tuple[int, ...]
     comp_nodes: tuple[int, ...]
     gbar: float
-    inside: bool
 
 
 class _Split(NamedTuple):
@@ -271,8 +276,7 @@ class EffectEngine:
             path = self.paths[idx]
             z_nodes = tuple(m for m, var in path if var in key)
             comp_nodes = tuple(m for m, var in path if var not in key)
-            inside = not comp_nodes
-            if inside:
+            if not comp_nodes:
                 gbar = 1.0
             else:
                 n_mixed += 1
@@ -281,7 +285,7 @@ class EffectEngine:
                     gbar = float(_mean(_product(self.node_values, comp_nodes),
                                        self.data.weight, self._data_w_sum))
                     self._gbar[comp_nodes] = gbar
-            terms.append(_Term(node_id, z_nodes, comp_nodes, gbar, inside))
+            terms.append(_Term(node_id, z_nodes, comp_nodes, gbar))
         total = len(self.pathvars)
         out = _Split(abar, terms, n_mixed / total if total else 0.0)
         self._splits[key] = out
@@ -290,14 +294,14 @@ class EffectEngine:
     def _term_f_rows(self, term: _Term) -> np.ndarray:
         """The term's z-side product at the engine's rows (read-only: it may
         be a node column itself)."""
-        if term.inside:
+        if not term.comp_nodes:
             return self._basis_at_rows[term.node_id]
         return _product(self._values_at_rows, term.z_nodes)
 
     def _term_value(self, term: _Term, f: np.ndarray) -> np.ndarray:
         """f * g for the term's z-side product f: g is the complement mean
         or, with ``use_pa``, its coefficient at f."""
-        if self.use_pa and not term.inside:
+        if self.use_pa and term.comp_nodes:
             return f * self._coeff(term)(f)
         return term.gbar * f
 
@@ -415,9 +419,8 @@ def check_subset(subset, data: Dataset | None, max_size: int | None = None) -> t
 def _split_grid(tree: FunctionTree, subset, points, data: Dataset | None, resolution: int,
                 use_pa: bool) -> EffectGrid:
     """A centred PD (or PA) grid read off one engine's split of the tree;
-    partial association takes subsets of at most two variables."""
-    subset = check_subset(subset, data, 2 if use_pa else None)
-    pts, axes = resolve_points(data, subset, points, resolution)
+    partial association takes subsets of at most ``MAX_PA_VARS`` variables."""
+    subset, pts, axes = resolve_points(data, subset, points, resolution, MAX_PA_VARS if use_pa else None)
     eng = EffectEngine(tree, data, use_pa=use_pa)
     key = frozenset(subset)
     split = eng.split(key)
@@ -455,8 +458,7 @@ def pd_brute(predict_fn, subset, points=None, data: Dataset | None = None,
     on a numeric column, whatever the grid size. ``eval_count`` carries the
     total N * (N_z + U).
     """
-    subset = check_subset(subset, data)
-    pts, axes = resolve_points(data, subset, points, resolution)
+    subset, pts, axes = resolve_points(data, subset, points, resolution)
     cols = list(subset)
 
     def averaged(at_points: np.ndarray) -> np.ndarray:

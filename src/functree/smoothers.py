@@ -18,8 +18,6 @@ CATEGORICAL_MEAN = "categorical_mean"
 NEAR_NEIGHBOR = "near_neighbor"
 LOCAL_LINEAR = "local_linear"
 
-_DEFAULT_SPANS = {NEAR_NEIGHBOR: 0.1, LOCAL_LINEAR: 0.2}
-
 MAX_CURVE_KNOTS = 500
 
 # spline_fit refines once more, on B'r summed exactly, when its float64
@@ -181,24 +179,18 @@ def thin_knots(knots: np.ndarray, cap: int = MAX_CURVE_KNOTS) -> np.ndarray:
 class SmootherSpec:
     """Choice of estimator plus its neighborhood fraction.
 
-    ``span`` is the fraction of observations per neighborhood; when omitted
-    it defaults to 0.1 for near-neighbor averaging and 0.2 for local linear
-    fits.
+    ``span`` is the fraction of observations per neighborhood, 0.15 for
+    either numeric method unless given.
     """
 
     method: str = NEAR_NEIGHBOR
-    span: float | None = None
+    span: float = 0.15
 
     def __post_init__(self):
         if self.method not in (CATEGORICAL_MEAN, NEAR_NEIGHBOR, LOCAL_LINEAR):
             raise ValueError(f"unknown smoother method {self.method!r}")
-        if self.span is not None and not 0.0 < self.span <= 1.0:
+        if not 0.0 < self.span <= 1.0:
             raise ValueError("span must lie in (0, 1]")
-
-    def resolved_span(self) -> float:
-        if self.span is not None:
-            return self.span
-        return _DEFAULT_SPANS.get(self.method, 0.1)
 
 
 def weight_floor(w: np.ndarray) -> float:
@@ -207,21 +199,6 @@ def weight_floor(w: np.ndarray) -> float:
     basis weight would otherwise make the r/w smoothing target blow up, and
     a window holding only such weights rounds its weight to zero."""
     return 1e-6 * float(np.sqrt(np.mean(np.square(w))))
-
-
-def _fit_level_table(x, omega, rw):
-    # levels without weight take the global mean
-    idx = np.rint(x).astype(int)
-    if np.any(idx < 0):
-        raise ValueError("categorical values must be nonnegative level indices")
-    size = int(idx.max()) + 1
-    sw = np.bincount(idx, weights=omega, minlength=size)
-    swt = np.bincount(idx, weights=rw, minlength=size)
-    gmean = float(swt.sum() / sw.sum())
-    values = np.full(size, gmean)
-    ok = sw > 0
-    values[ok] = swt[ok] / sw[ok]
-    return LevelTable(values, gmean)
 
 
 class SortedColumn:
@@ -307,8 +284,19 @@ class SmoothingTarget:
         self.rw = r * w
 
     def level_means(self, x: np.ndarray) -> LevelTable:
-        """The omega-weighted mean of ts per level of categorical ``x``."""
-        return _fit_level_table(x, self.omega, self.rw)
+        """The omega-weighted mean of ts per level of categorical ``x``;
+        levels without weight take the global mean."""
+        idx = np.rint(x).astype(int)
+        if np.any(idx < 0):
+            raise ValueError("categorical values must be nonnegative level indices")
+        size = int(idx.max()) + 1
+        sw = np.bincount(idx, weights=self.omega, minlength=size)
+        swt = np.bincount(idx, weights=self.rw, minlength=size)
+        gmean = float(swt.sum() / sw.sum())
+        values = np.full(size, gmean)
+        ok = sw > 0
+        values[ok] = swt[ok] / sw[ok]
+        return LevelTable(values, gmean)
 
     def fit(self, col: SortedColumn, method: str) -> tuple[Curve, float, float] | None:
         """The rank-window fit f of ts on ``col``, interpolated at the
@@ -401,7 +389,7 @@ def smooth(x: np.ndarray, r: np.ndarray, w: np.ndarray, spec: SmootherSpec) -> U
     target = SmoothingTarget(r, w)
     if spec.method == CATEGORICAL_MEAN:
         return target.level_means(x)
-    col = SortedColumn(x, spec.resolved_span())
+    col = SortedColumn(x, spec.span)
     res = target.fit(col, spec.method)
     if res is None:
         raise ValueError("no knot group has weight")

@@ -395,7 +395,7 @@ class FitConfig:
     max_nodes: int = 200
     max_order: int = 0
     forbidden_subsets: tuple[frozenset[int], ...] = ()
-    numeric_smoother: SmootherSpec = SmootherSpec(LOCAL_LINEAR, span=0.15)
+    numeric_smoother: SmootherSpec = SmootherSpec(LOCAL_LINEAR)
     split: SplitSpec = SplitSpec()
     backfit_passes: int = 2
     patience: int = 5
@@ -437,7 +437,7 @@ class TreeFitter:
 
         # each numeric variable's training rows on its knot grid, which
         # every smoothing call and every evaluation of its curves shares
-        span = config.numeric_smoother.resolved_span()
+        span = config.numeric_smoother.span
         self.columns: list[SortedColumn | None] = [
             None if v.is_categorical else SortedColumn(x, span)
             for v, x in zip(data.variables, self.Xtr.T)]
@@ -507,12 +507,6 @@ class TreeFitter:
             i += 1
         return out
 
-    def _refresh_subtree(self, k: int) -> None:
-        for m in self._subtree(k):
-            if m == ROOT:
-                continue
-            self.B_tr[m] = self.B_tr[self.nodes[m].parent] * self.fv_tr[m]
-
     def _set_functions(self, top: int, funcs: dict[int, UnivariateFunction]) -> None:
         """Give each node in ``funcs``, all in the subtree of ``top``, its new
         function evaluated afresh, then refresh the bases below ``top``."""
@@ -520,7 +514,8 @@ class TreeFitter:
             node = self.nodes[k]
             node.func = func
             self.fv_tr[k] = self._eval(node.var, func)
-        self._refresh_subtree(top)
+        for m in self._subtree(top):
+            self.B_tr[m] = self.B_tr[self.nodes[m].parent] * self.fv_tr[m]
 
     def _coweight(self, k: int) -> np.ndarray:
         """Sum over all bases containing node k of the path product with
@@ -543,16 +538,13 @@ class TreeFitter:
             return False
         return not any(s <= pv for s in self.config.forbidden_subsets)
 
-    def score_candidate(self, k: int, j: int, target: SmoothingTarget | None):
+    def score_candidate(self, k: int, j: int, target: SmoothingTarget):
         """Fit the (parent=k, variable=j) candidate on the parent's smoothing
-        ``target`` (None when every row is below the weight floor) and
-        line-search its scale against the residual: the target's rw is the
-        row weight times the residual times the parent basis, and omega the
-        row weight times that basis squared. Each call smooths variable j
-        alone. Returns (sse_reduction, function, scale) or None. The caller
-        scales only the winning function."""
-        if target is None:
-            return None
+        ``target`` and line-search its scale against the residual: the
+        target's rw is the row weight times the residual times the parent
+        basis, and omega the row weight times that basis squared. Each call
+        smooths variable j alone. Returns (sse_reduction, function, scale) or
+        None. The caller scales only the winning function."""
         res = self._smooth(j, target)
         if res is None:
             return None
@@ -569,7 +561,8 @@ class TreeFitter:
         candidates of ``plan``, (parent, variables) pairs in the order given;
         by default every admissible candidate of every node, parents then
         variables in index order. Each parent's smoothing target is built
-        once for all its variables."""
+        once for all its variables; a parent whose basis has no row above
+        the weight floor has no candidates."""
         r = self.resid * self.sqrt_rho
         for k, variables in self._plan(range(len(self.nodes)), True) if plan is None else plan:
             if not variables:
@@ -577,7 +570,7 @@ class TreeFitter:
             try:
                 target = SmoothingTarget(r, self.B_tr[k] * self.sqrt_rho)
             except ValueError:
-                target = None
+                continue
             for j in variables:
                 res = self.score_candidate(k, j, target)
                 if res is not None:

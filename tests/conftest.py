@@ -83,7 +83,7 @@ def reference_smooth(x, r, w, spec, *, knots=None):
     omega = np.where(keep, w * w, 0.0)[sidx]
     rw = np.where(keep, r * w, 0.0)[sidx]
     n = len(xs)
-    m = max(2, int(round(spec.resolved_span() * n)))
+    m = max(2, int(round(spec.span * n)))
     i = np.arange(n)
     lo, hi = np.maximum(i - (m - 1) // 2, 0), np.minimum(i + m // 2, n - 1)
 

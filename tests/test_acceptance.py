@@ -176,7 +176,7 @@ def test_criterion_5_pure_interaction_soundness(friedman_bench):
     for _ in range(50):
         size = int(rng.integers(1, 5))
         subset = tuple(sorted(rng.choice(8, size, replace=False)))
-        pts, _ = resolve_points(data, subset, None, {1: 25, 2: 8, 3: 5, 4: 4}[size])
+        _, pts, _ = resolve_points(data, subset, None, {1: 25, 2: 8, 3: 5, 4: 4}[size])
         total = np.zeros(len(pts))
         for k in range(1, size + 1):
             for u in combinations(subset, k):

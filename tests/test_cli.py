@@ -245,6 +245,7 @@ def test_exit_code_2_on_bad_flags():
     ("bootstrap", "--max-orders", "a"),
     ("bootstrap", "--reps", "1"),
     ("gen", "--n", "0"),
+    ("gen", "--n", "1"),
     ("gen", "--snr", "nan"),
     ("gen", "--snr", "-1"),
     ("gen", "--sd-x", "nan"),
@@ -254,18 +255,111 @@ def test_exit_code_2_on_bad_flags():
     ("fit", "--cat-threshold", "2.5"),
     ("fit", "--seed", "-1"),
     ("effects", "--strength-rows", "0"),
+    # partial association takes at most 2 variables, a pure interaction 4
+    ("pd", "--vars", "x1,x2,x3"),
+    ("interact", "--vars", "x1,x2,x3,x4,x5"),
 ])
 def test_bad_flag_values_exit_2_naming_the_flag(workdir, tmp_path, capsys, command, flag, value):
     out = tmp_path / "out"
+    inputs = ["--model", workdir["model"], "--data", workdir["data"]]
     rest = {
         "gen": ["--example", "friedman"],
-        "effects": ["--model", workdir["model"], "--data", workdir["data"]],
+        "effects": inputs,
+        "pd": inputs + ["--pa"],
+        "interact": inputs,
     }.get(command, ["--data", workdir["data"]])
-    with pytest.raises(SystemExit) as exc:
-        run(command, *rest, flag, value, "--out", out)
-    assert exc.value.code == 2
+    # argparse exits on a value it parses; a command exits 2 on a value it
+    # checks against the loaded data
+    try:
+        code = run(command, *rest, flag, value, "--out", out)
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
     assert f"argument {flag}: expected" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def small(tmp_path_factory):
+    """A 300-row dataset, small enough for the brute-force paths, a model
+    fitted on it and two variables that some root path of the model holds."""
+    root = tmp_path_factory.mktemp("small")
+    data, model = root / "small.csv", root / "small.json"
+    assert run("gen", "--example", "friedman", "--n", "300", "--seed", "4", "--out", data) == 0
+    assert run("fit", "--data", data, "--out", model, "--max-nodes", "12", "--patience", "12") == 0
+    tree = ft.load(model)
+    pair = next(vs for vs in map(tree.path_vars, range(1, len(tree.nodes))) if len(vs) > 1)
+    names = [tree.variables[j].name for j in sorted(pair)[:2]]
+    return {"root": root, "inputs": ["--model", model, "--data", data], "pair": names}
+
+
+def _effect_values(path) -> np.ndarray:
+    rows = [row for row in csv_rows(path, csv.reader) if not row[0].startswith("#")]
+    return np.array([float(row[-1]) for row in rows[1:]])
+
+
+@pytest.mark.parametrize("command, size", [("pd", 1), ("pd", 2), ("interact", 2)])
+def test_brute_force_command_matches_the_fast_path(small, command, size):
+    fast, brute = small["root"] / "fast.csv", small["root"] / "brute.csv"
+    grid = (command, *small["inputs"], "--vars", ",".join(small["pair"][:size]), "--grid", "7")
+    assert run(*grid, "--out", fast) == 0
+    assert run(*grid, "--brute", "--out", brute) == 0
+    want, got = _effect_values(fast), _effect_values(brute)
+    assert len(got) == len(want) == 7 ** size
+    assert np.max(np.abs(want)) > 0.0
+    assert np.max(np.abs(got - want)) <= 1e-8 * np.max(np.abs(want))
+
+
+def test_pd_pa_command_writes_the_partial_association_grid(small):
+    out = small["root"] / "pa.csv"
+    pair = ",".join(small["pair"])
+    assert run("pd", *small["inputs"], "--vars", pair, "--grid", "6", "--pa", "--out", out) == 0
+    assert out.read_text().startswith("# kind: pa\n")
+    tree = ft.load(small["inputs"][1])
+    data = ft.load_csv(small["inputs"][3], target="y")
+    grid = ft.pa(tree, tuple(data.names.index(name) for name in small["pair"]), None, data,
+                 resolution=6)
+    np.testing.assert_array_equal(_effect_values(out), grid.values)
+
+
+@pytest.mark.parametrize("flags, code", [
+    (("pd", "--vars", "x1,x2,x3", "--grid", "2"), 0),
+    (("pd", "--vars", "x1,x2,x3", "--grid", "2", "--brute"), 0),
+    (("interact", "--vars", "x1,x2,x3,x4,x5", "--grid", "2", "--brute"), 0),
+    (("interact", "--vars", "x1,x2,x3,x4,x5", "--grid", "2", "--brute", "--cond", "x6=0"), 2),
+    (("interact", "--vars", "x1,x2,x3,x4,x5", "--grid", "2", "--cond", "x6=0"), 2),
+], ids=["pd", "pd_brute", "pure_brute", "conditional_brute", "conditional"])
+def test_vars_limit_follows_the_selected_function(small, capsys, flags, code):
+    # PD and brute-force pure interactions take any number of variables;
+    # conditional interactions, brute or fast, take at most 4
+    command, *rest = flags
+    capsys.readouterr()
+    assert run(command, *small["inputs"], *rest, "--out", small["root"] / "limit.csv") == code
+    if code == 2:
+        assert capsys.readouterr().err == "error: argument --vars: expected at most 4 variables, got 5\n"
+
+
+def test_constant_truth_leaves_out_the_truth_lines(workdir, tmp_path, capsys):
+    # the truth-based lines divide by the truth's variance; without it both
+    # commands print the rest of their summary and exit 0
+    rows = csv_rows(workdir["data"], csv.reader)[:300]
+    truth, y = rows[0].index("__truth__"), rows[0].index("y")
+    rows[0].append("yhat")
+    for row in rows[1:]:
+        row[truth] = "1.5"
+        row.append(row[y])
+    data = tmp_path / "const.csv"
+    with open(data, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    for argv, kept in ((("fit",), "node influences:"),
+                       (("surrogate", "--pred", "yhat", "--exclude", "y"), "fidelity rmse")):
+        model = tmp_path / f"{argv[0]}.json"
+        capsys.readouterr()
+        assert run(*argv, "--data", data, "--max-nodes", "3", "--out", model) == 0
+        out = capsys.readouterr().out
+        assert kept in out
+        assert "variance explained" not in out and "vs truth" not in out
+        assert ft.load(model).n_nodes >= 1
 
 
 @pytest.mark.parametrize("command", ["pd", "interact"])

@@ -86,6 +86,24 @@ def test_missing_file_errors(tmp_path):
         load_csv(tmp_path / "nope.csv", target="y")
 
 
+@pytest.mark.parametrize("body, message", [
+    # a quoted cell past csv's default field size limit of 131,072 characters
+    (('a,b,y\n1,"' + "x" * 140_000 + '",2\n3,z,4\n').encode(), "field larger than field limit"),
+    # Latin-1 text, which is not UTF-8
+    ("a,b,y\n1,caf\xe9,2\n3,z,4\n".encode("latin-1"), "can't decode byte 0xe9"),
+], ids=["field_limit", "not_utf8"])
+def test_unreadable_csv_is_a_data_error_naming_the_file(tmp_path, capsys, body, message):
+    p = tmp_path / "d.csv"
+    p.write_bytes(body)
+    with pytest.raises(DataError, match=message):
+        load_csv(p, target="y")
+    capsys.readouterr()
+    assert main(["fit", "--data", str(p), "--out", str(tmp_path / "m.json")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {p}: not a readable CSV file (") and message in err
+    assert err.count("\n") == 1
+
+
 def test_few_valued_integer_column_becomes_categorical(tmp_path):
     # 3 distinct values, threshold 10: treated as a factor
     rows = "\n".join(f"{i % 3},{i * 0.37},{i}" for i in range(30))

@@ -82,7 +82,7 @@ def test_bilinear_tree_recovers_product():
 def test_inclusion_exclusion_identity(friedman_data, friedman_model):
     eng = EffectEngine(friedman_model, friedman_data)
     for s in [(0, 1), (3, 4, 5), (2, 6, 7), (0, 2, 5, 7)]:
-        pts, _ = resolve_points(friedman_data, s, None, 5)
+        _, pts, _ = resolve_points(friedman_data, s, None, 5)
         total = np.zeros(len(pts))
         for size in range(1, len(s) + 1):
             for u in combinations(s, size):
@@ -249,7 +249,7 @@ def _assert_dead_subsets_give_exact_zeros(tree, sample):
                 eng.strength(s)
         else:
             assert eng.strength(s) == 0.0
-        pts, _ = resolve_points(sample, s, None, 3)
+        _, pts, _ = resolve_points(sample, s, None, 3)
         assert np.all(pure_interaction(tree, s, pts, sample).values == 0.0)
         rest = [j for j in range(p) if j not in s]
         if rest:
@@ -497,13 +497,13 @@ def _uncentred_at_rows(eng, key, cols):
     split = eng.split(key)
     out = np.full(len(eng.rows), split.abar)
     for t in split.terms:
-        if t.inside:
+        if not t.comp_nodes:
             f = basis[t.node_id][eng.rows]
         else:
             f = values[t.z_nodes[0]][eng.rows]
             for m in t.z_nodes[1:]:
                 f = f * values[m][eng.rows]
-        out += f * eng._coeff(t)(f) if eng.use_pa and not t.inside else t.gbar * f
+        out += f * eng._coeff(t)(f) if eng.use_pa and t.comp_nodes else t.gbar * f
     return out
 
 

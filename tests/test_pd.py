@@ -39,7 +39,7 @@ def test_decompose_full_subset_has_no_complement():
     split = EffectEngine(tree, data).split(frozenset(range(4)))
     assert split.alpha == 0.0
     assert len(split.terms) == tree.n_nodes
-    assert all(t.inside and not t.comp_nodes for t in split.terms)
+    assert not any(t.comp_nodes for t in split.terms)
     np.testing.assert_allclose([t.gbar for t in split.terms], 1.0)
 
 
@@ -290,14 +290,20 @@ def test_default_axis_quantiles_and_levels():
 
 
 def test_resolve_points_forms(friedman_data):
-    pts, axes = resolve_points(friedman_data, (0, 1), None, resolution=5)
+    subset, pts, axes = resolve_points(friedman_data, [0, 1], None, resolution=5)
+    assert subset == (0, 1)
     assert pts.shape == (25, 2) and len(axes) == 2
     explicit = np.array([[0.0, 1.0], [2.0, 3.0]])
-    pts2, axes2 = resolve_points(friedman_data, (0, 1), explicit)
+    _, pts2, axes2 = resolve_points(friedman_data, (0, 1), explicit)
     np.testing.assert_array_equal(pts2, explicit)
     assert axes2 is None
     with pytest.raises(ValueError, match="one column"):
         resolve_points(friedman_data, (0, 1), np.zeros((4, 3)))
+    # the subset is checked first, against the caller's size limit
+    with pytest.raises(ValueError, match="size <= 2"):
+        resolve_points(friedman_data, (0, 1, 2), None, 5, max_size=2)
+    with pytest.raises(ValueError, match="distinct"):
+        resolve_points(friedman_data, (0, 0), None, 5)
 
 
 def test_effect_csv_export(tmp_path, friedman_data, friedman_model):

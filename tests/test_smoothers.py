@@ -30,7 +30,7 @@ from functree.tree import TreeFitter
 from conftest import reference_smooth
 
 
-def spec(method, span=None):
+def spec(method, span=0.15):
     return SmootherSpec(method, span=span)
 
 
@@ -155,7 +155,7 @@ def test_constant_ratio_gives_constant_then_zero(method):
     x = rng.normal(size=80)
     w = rng.uniform(0.5, 2.0, size=80)
     r = 3.25 * w
-    raw = smooth(x, r, w, spec(method))
+    raw = smooth(x, r, w, spec(method, span=0.1 if method == "near_neighbor" else 0.2))
     np.testing.assert_allclose(raw.values, 3.25, atol=1e-12)
 
 
@@ -191,7 +191,7 @@ def test_sub_floor_row_alone_in_its_window_is_interpolated_over():
     # with n = 2 the second row's window holds it alone; below the floor it
     # weighs nothing, so its window has no weight and its group is skipped
     f = smooth(np.array([0.0, 1.0]), np.array([2.0, 1.0]), np.array([1.0, 1e-9]),
-               spec("local_linear"))
+               spec("local_linear", span=0.2))
     np.testing.assert_array_equal(f.values, [2.0, 2.0])
 
 
@@ -203,18 +203,18 @@ def test_no_knot_group_with_weight_errors():
     w[3] = 1.0
     assert 3.0 not in thin_knots(x)
     with pytest.raises(ValueError, match="no knot group has weight"):
-        smooth(x, np.ones(600), w, spec("near_neighbor"))
+        smooth(x, np.ones(600), w, spec("near_neighbor", span=0.1))
 
 
 def test_all_rows_excluded_errors():
     with pytest.raises(ValueError, match="excluded"):
-        smooth(np.ones(3), np.ones(3), np.zeros(3), spec("near_neighbor"))
+        smooth(np.ones(3), np.ones(3), np.zeros(3), spec("near_neighbor", span=0.1))
 
 
 def test_output_finite_far_outside_range():
     rng = np.random.default_rng(3)
     x = rng.normal(size=50)
-    f = smooth(x, rng.normal(size=50), np.ones(50), spec("near_neighbor"))
+    f = smooth(x, rng.normal(size=50), np.ones(50), spec("near_neighbor", span=0.1))
     assert np.isfinite(f(np.array([-1e9, 1e9]))).all()
 
 
@@ -223,8 +223,8 @@ def test_smooth_is_deterministic():
     x = rng.normal(size=70)
     r = rng.normal(size=70)
     w = rng.uniform(0.2, 1.0, 70)
-    a = smooth(x, r, w, spec("local_linear"))
-    b = smooth(x, r, w, spec("local_linear"))
+    a = smooth(x, r, w, spec("local_linear", span=0.2))
+    b = smooth(x, r, w, spec("local_linear", span=0.2))
     np.testing.assert_array_equal(a.knots, b.knots)
     np.testing.assert_array_equal(a.values, b.values)
 
@@ -232,7 +232,7 @@ def test_smooth_is_deterministic():
 def test_knot_cap_by_quantile_thinning():
     rng = np.random.default_rng(5)
     x = rng.normal(size=2000)
-    f = smooth(x, rng.normal(size=2000), np.ones(2000), spec("near_neighbor"))
+    f = smooth(x, rng.normal(size=2000), np.ones(2000), spec("near_neighbor", span=0.1))
     assert len(f.knots) <= 500
 
 
@@ -262,7 +262,7 @@ def test_near_neighbor_rank_equivariance(seed):
     xkind=st.sampled_from(["distinct", "tied", "rounded"]),
     weights=st.sampled_from(["ones", "positive", "zeros", "sub_floor"]),
     method=st.sampled_from(["near_neighbor", "local_linear"]),
-    span=st.one_of(st.none(), st.floats(0.01, 1.0)),
+    span=st.one_of(st.sampled_from([0.1, 0.15, 0.2]), st.floats(0.01, 1.0)),
     via=st.sampled_from(["smooth", "column"]),
 )
 def test_smooth_equals_full_row_reference(seed, n, xkind, weights, method, span, via):
@@ -289,7 +289,7 @@ def test_smooth_equals_full_row_reference(seed, n, xkind, weights, method, span,
         def call():
             return smooth(x, r, w, sp)
     else:
-        col = SortedColumn(x, sp.resolved_span())
+        col = SortedColumn(x, sp.span)
 
         def call():
             res = SmoothingTarget(r, w).fit(col, method)
@@ -316,7 +316,7 @@ def test_smooth_equals_full_row_reference(seed, n, xkind, weights, method, span,
     n=st.integers(2, 600),
     levels=st.integers(1, 40),
     method=st.sampled_from(["near_neighbor", "local_linear"]),
-    span=st.one_of(st.none(), st.floats(0.01, 1.0)),
+    span=st.one_of(st.sampled_from([0.1, 0.15, 0.2]), st.floats(0.01, 1.0)),
 )
 def test_smooth_is_exact_on_integer_data(seed, n, levels, method, span):
     # on integer x and r with w in {0, 1, 2, 4}, r / w is exact and every

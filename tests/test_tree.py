@@ -83,6 +83,21 @@ def test_basis_values_consistency():
     assert len(values) == len(basis) == len(tree.nodes)
 
 
+def test_single_row_predict_equals_the_batch_row():
+    # a 1-d row is read as a one-row matrix; the batch of 200 rows takes the
+    # sorted evaluation, the single row the direct one, bit for bit the same
+    rng = np.random.default_rng(4)
+    tree = random_tree(rng, p=5, max_nodes=12)
+    X = random_dataset(rng, tree, n=200).X
+    fitted = ft.fit(ft.gen_friedman(300, seed=2), FitConfig(max_nodes=8))
+    Xf = ft.gen_friedman(200, seed=3).X
+    for model, rows in ((tree, X), (fitted, Xf)):
+        batch = model.predict(rows)
+        for i in range(0, len(rows), 7):
+            single = model.predict(rows[i])
+            assert single.shape == (1,) and single[0] == batch[i]
+
+
 def test_single_node_basis_is_function_column():
     nodes = [TreeNode(0, -1, None, None), TreeNode(1, 0, 0, identity_curve())]
     tree = FunctionTree(two_numeric_vars(), 0.0, nodes)
@@ -427,7 +442,8 @@ def test_fit_evaluates_its_curves_by_the_column_gather(monkeypatch, method):
 
     monkeypatch.setattr(SortedColumn, "interp", recording)
     data = _friedman_with_group(400, 3, zero_weights=False)
-    ft.fit(data, FitConfig(numeric_smoother=SmootherSpec(method)))
+    span = 0.1 if method == "near_neighbor" else 0.2
+    ft.fit(data, FitConfig(numeric_smoother=SmootherSpec(method, span=span)))
     assert own and all(own)
 
 
