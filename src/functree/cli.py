@@ -3,8 +3,9 @@ model differencing, bootstrap comparison, and surrogate fitting.
 
 All randomness flows from --seed, and every command writes byte-identical
 outputs for identical flags and inputs. Progress goes to stderr, results to
-stdout and the requested files. Exit codes: 0 success, 2 bad flags, 3 data
-or model-file errors.
+stdout and the requested files. Exit codes: 0 success, 1 stdout closed
+before the output was written (as by ``| head``), 2 bad flags, 3 data or
+model-file errors.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import math
+import os
 import sys
 from dataclasses import replace
 
@@ -42,8 +44,8 @@ from .tree import (
 )
 
 # DataError, SchemaMismatchError and FormatVersionError are ValueErrors; any
-# OSError is a file that cannot be read or written
-_DATA_ERRORS = (OSError, KeyError, ValueError)
+# other OSError than a closed stdout is a file that cannot be read or written
+_DATA_ERRORS = (OSError, ValueError)
 
 
 def _checked(kind, ok, what: str):
@@ -411,10 +413,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vars", required=True, help="comma list of variable names")
     p.add_argument("--grid", type=_positive_int, default=50, help="points per numeric variable")
     p.add_argument("--out", required=True)
-    p.add_argument("--pa", action="store_true", help="partial association instead of dependence")
-    p.add_argument("--brute", action="store_true",
-                   help="brute-force averaging instead of the fast path: N x (grid points + "
-                        "distinct data values) model evaluations, about N^2 on a numeric column")
+    how = p.add_mutually_exclusive_group()
+    how.add_argument("--pa", action="store_true", help="partial association instead of dependence")
+    how.add_argument("--brute", action="store_true",
+                     help="brute-force averaging instead of the fast path: N x (grid points + "
+                          "distinct data values) model evaluations, about N^2 on a numeric column")
     p.set_defaults(func=cmd_pd)
 
     p = add_parser("interact", help="export a pure-interaction grid")
@@ -458,10 +461,17 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except argparse.ArgumentTypeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader of stdout has gone (as ``head`` does); stdout now points
+        # at devnull so that the flush at shutdown stays silent
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except _DATA_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -63,6 +63,10 @@ class SortedPoints:
         return out
 
 
+class InvalidFunctionError(ValueError):
+    """Values that a level table or a curve cannot hold."""
+
+
 @dataclass(frozen=True)
 class LevelTable:
     """Per-level values for a categorical variable; unseen levels map to a
@@ -74,9 +78,9 @@ class LevelTable:
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
         if v.ndim != 1 or len(v) == 0 or not np.all(np.isfinite(v)):
-            raise ValueError("level table needs a finite 1-d value vector")
+            raise InvalidFunctionError("level table needs a finite 1-d value vector")
         if not np.isfinite(self.default):
-            raise ValueError("default value must be finite")
+            raise InvalidFunctionError("default value must be finite")
         object.__setattr__(self, "values", v)
         object.__setattr__(self, "default", float(self.default))
 
@@ -110,11 +114,11 @@ class Curve:
         k = np.asarray(self.knots, dtype=float)
         v = np.asarray(self.values, dtype=float)
         if k.ndim != 1 or len(k) == 0 or k.shape != v.shape:
-            raise ValueError("knots and values must be equal-length nonempty 1-d vectors")
+            raise InvalidFunctionError("knots and values must be equal-length nonempty 1-d vectors")
         if len(k) > 1 and not (k[1:] > k[:-1]).all():
-            raise ValueError("knots must be strictly increasing")
+            raise InvalidFunctionError("knots must be strictly increasing")
         if not (np.isfinite(k).all() and np.isfinite(v).all()):
-            raise ValueError("knots and values must be finite")
+            raise InvalidFunctionError("knots and values must be finite")
         object.__setattr__(self, "knots", k)
         object.__setattr__(self, "values", v)
 
@@ -271,45 +275,51 @@ class SmoothingTarget:
     """The part of smoothing that depends only on (r, w), in row order: the
     weight omega = w^2 and rw = r * w, both 0 on rows below the weight
     floor. Smoothing fits ts = r / w with weight omega, and every
-    omega-weighted sum of ts is a sum of rw, so ts is never formed. Raises
-    ValueError when every row is below the floor."""
+    omega-weighted sum of ts is a sum of rw, so ts is never formed. A target
+    may weigh every row zero; its fits then return None."""
 
     def __init__(self, r: np.ndarray, w: np.ndarray):
         keep = (np.abs(w) >= weight_floor(w)) & (w != 0.0)
-        if not keep.any():
-            raise ValueError("all rows excluded by the basis-weight floor")
         if not keep.all():
             w = np.where(keep, w, 0.0)
         self.omega = np.square(w)
         self.rw = r * w
 
-    def level_means(self, x: np.ndarray) -> LevelTable:
-        """The omega-weighted mean of ts per level of categorical ``x``;
-        levels without weight take the global mean."""
-        idx = np.rint(x).astype(int)
+    def level_means(self, points: SortedPoints) -> tuple[LevelTable, float, float] | None:
+        """``fit`` on categorical ``points`` (level indices): f is the
+        omega-weighted mean of ts per level, or the global mean for a level
+        without weight."""
+        idx = np.rint(points.x).astype(int)
         if np.any(idx < 0):
             raise ValueError("categorical values must be nonnegative level indices")
         size = int(idx.max()) + 1
         sw = np.bincount(idx, weights=self.omega, minlength=size)
+        if not sw.any():
+            return None
         swt = np.bincount(idx, weights=self.rw, minlength=size)
         gmean = float(swt.sum() / sw.sum())
         values = np.full(size, gmean)
         ok = sw > 0
         values[ok] = swt[ok] / sw[ok]
-        return LevelTable(values, gmean)
+        f = LevelTable(values, gmean)
+        fx = f.at(points)
+        return f, float(self.rw @ fx), float(self.omega @ (fx * fx))
 
-    def fit(self, col: SortedColumn, method: str) -> tuple[Curve, float, float] | None:
-        """The rank-window fit f of ts on ``col``, interpolated at the
-        column's knots, with its line-search sums over every row: sum rw * f
-        and sum omega * f^2. None when none of the column's knot groups has
-        weight.
+    def fit(self, col: SortedColumn | SortedPoints, method: str) -> tuple[UnivariateFunction, float, float] | None:
+        """The fit f of ts on a variable's column, with its line-search sums
+        over every row, sum rw * f and sum omega * f^2: (f, num, den), or
+        None when no row the fit reads has weight. ``SortedPoints`` of level
+        indices get ``level_means``, a ``SortedColumn`` the rank-window fit
+        by ``method`` at its knots.
 
-        All come from five moments per segment, of omega, omega * dx,
-        omega * dx^2, rw and rw * dx. A segment's moments about its
-        interval's left knot a give its sums of omega * x, omega * x^2 and
-        rw * x, and their cumulative sums over segments give every window.
-        A row whose window has no weight weighs nothing in its group, and a
-        group without weight is interpolated over."""
+        That fit and its sums come from five moments per segment, of omega,
+        omega * dx, omega * dx^2, rw and rw * dx. A segment's moments about
+        its interval's left knot a give its sums of omega * x, omega * x^2
+        and rw * x, and their cumulative sums over segments give every
+        window. A row whose window has no weight weighs nothing in its
+        group, and a group without weight is interpolated over."""
+        if isinstance(col, SortedPoints):
+            return self.level_means(col)
         om, rw, dx = self.omega, self.rw, col.dx
         omdx = om * dx
         m0, m1, m2, t0, t1 = (np.bincount(col.seg, v, len(col.line_q))
@@ -376,10 +386,10 @@ def smooth(x: np.ndarray, r: np.ndarray, w: np.ndarray, spec: SmootherSpec) -> U
     that is smaller. On integer x and r with w in {0, 1, 2, 4} every window
     sum is exact and the two agree bit for bit.
 
-    This is ``SmoothingTarget(r, w)`` fitted on the ``SortedColumn`` of x; a
-    fitter that smooths many targets against the same columns builds those
-    once each. The returned function is not centred; the fitter recentres
-    its nodes itself.
+    This is ``SmoothingTarget(r, w)`` fitted on the ``SortedColumn`` of x,
+    or on its ``SortedPoints`` for categorical means; a fitter that smooths
+    many targets against the same columns builds those once each. The
+    returned function is not centred; the fitter recentres its nodes itself.
     """
     x = np.asarray(x, dtype=float)
     r = np.asarray(r, dtype=float)
@@ -387,9 +397,9 @@ def smooth(x: np.ndarray, r: np.ndarray, w: np.ndarray, spec: SmootherSpec) -> U
     if not (len(x) == len(r) == len(w)):
         raise ValueError("x, r, w must have equal lengths")
     target = SmoothingTarget(r, w)
-    if spec.method == CATEGORICAL_MEAN:
-        return target.level_means(x)
-    col = SortedColumn(x, spec.span)
+    if not target.omega.any():
+        raise ValueError("all rows excluded by the basis-weight floor")
+    col = SortedPoints(x) if spec.method == CATEGORICAL_MEAN else SortedColumn(x, spec.span)
     res = target.fit(col, spec.method)
     if res is None:
         raise ValueError("no knot group has weight")

@@ -28,6 +28,7 @@ from .smoothers import (
     CATEGORICAL_MEAN,
     LOCAL_LINEAR,
     Curve,
+    InvalidFunctionError,
     LevelTable,
     SmootherSpec,
     SmoothingTarget,
@@ -279,7 +280,7 @@ class FunctionTree:
                 knots = _numbers(entry, "knots", where)
             try:
                 func = LevelTable(values, default) if kind == "levels" else Curve(knots, values)
-            except ValueError as exc:
+            except InvalidFunctionError as exc:
                 raise ValueError(f"{where}: {exc}") from None
             infl = entry.get("influence")
             if infl is not None and not _finite_number(infl):
@@ -435,11 +436,12 @@ class TreeFitter:
         self.sqrt_rho = np.sqrt(self.rho)
         self.n_tr = len(tr)
 
-        # each numeric variable's training rows on its knot grid, which
-        # every smoothing call and every evaluation of its curves shares
+        # each variable's training rows, which every smoothing call and
+        # every evaluation of its functions shares: a numeric one on its
+        # knot grid, a categorical one as its level indices
         span = config.numeric_smoother.span
-        self.columns: list[SortedColumn | None] = [
-            None if v.is_categorical else SortedColumn(x, span)
+        self.columns: list[SortedColumn | SortedPoints] = [
+            SortedPoints(x) if v.is_categorical else SortedColumn(x, span)
             for v, x in zip(data.variables, self.Xtr.T)]
 
         if tree is None:
@@ -473,8 +475,7 @@ class TreeFitter:
 
     def _eval(self, j: int, func: UnivariateFunction) -> np.ndarray:
         """``func`` of variable j at the training rows."""
-        col = self.columns[j]
-        return func(self.Xtr[:, j]) if col is None else func.at(col)
+        return func.at(self.columns[j])
 
     def _register(self, node: TreeNode) -> None:
         j = node.var
@@ -486,18 +487,6 @@ class TreeFitter:
 
     def train_sse(self) -> float:
         return float(np.sum(self.rho * self.resid**2))
-
-    def _smooth(self, j: int, target: SmoothingTarget) -> tuple[UnivariateFunction, float, float] | None:
-        """``smooth`` of variable j on ``target``, with the line-search sums
-        sum rw * f and sum omega * f^2 of its result f over the training
-        rows: (f, num, den), or None where no knot group has weight. The
-        candidate sweep and backfitting both smooth through here."""
-        col = self.columns[j]
-        if col is not None:
-            return target.fit(col, self.config.numeric_smoother.method)
-        f = target.level_means(self.Xtr[:, j])
-        fx = self._eval(j, f)
-        return f, float(target.rw @ fx), float(target.omega @ (fx * fx))
 
     def _subtree(self, k: int) -> list[int]:
         out = [k]
@@ -545,7 +534,7 @@ class TreeFitter:
         basis, and omega the row weight times that basis squared. Each call
         smooths variable j alone. Returns (sse_reduction, function, scale) or
         None. The caller scales only the winning function."""
-        res = self._smooth(j, target)
+        res = target.fit(self.columns[j], self.config.numeric_smoother.method)
         if res is None:
             return None
         f, num, den = res
@@ -567,10 +556,7 @@ class TreeFitter:
         for k, variables in self._plan(range(len(self.nodes)), True) if plan is None else plan:
             if not variables:
                 continue
-            try:
-                target = SmoothingTarget(r, self.B_tr[k] * self.sqrt_rho)
-            except ValueError:
-                continue
+            target = SmoothingTarget(r, self.B_tr[k] * self.sqrt_rho)
             for j in variables:
                 res = self.score_candidate(k, j, target)
                 if res is not None:
@@ -655,12 +641,9 @@ class TreeFitter:
         for k in range(1, len(self.nodes)):
             node = self.nodes[k]
             cow = self._coweight(k)
-            try:
-                target = SmoothingTarget((self.resid + cow * self.fv_tr[k]) * self.sqrt_rho,
-                                         cow * self.sqrt_rho)
-            except ValueError:
-                continue
-            res = self._smooth(node.var, target)
+            target = SmoothingTarget((self.resid + cow * self.fv_tr[k]) * self.sqrt_rho,
+                                     cow * self.sqrt_rho)
+            res = target.fit(self.columns[node.var], self.config.numeric_smoother.method)
             if res is None:
                 continue
             proposal = res[0]

@@ -4,6 +4,8 @@ import copy
 import csv
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -145,6 +147,47 @@ def test_effects_no_screen_matches(workdir, tmp_path):
     top_a = sorted(rows_a, key=lambda r: -float(r["strength"]))[:5]
     top_b = sorted(rows_b, key=lambda r: -float(r["strength"]))[:5]
     assert [r["subset"] for r in top_a] == [r["subset"] for r in top_b]
+
+
+def test_effects_no_screen_log_says_screening_is_disabled(workdir, tmp_path):
+    log = tmp_path / "screen.log"
+    assert run("effects", "--model", workdir["model"], "--data", workdir["data"],
+               "--out", tmp_path / "e.csv", "--max-order", "1", "--no-screen", "--log", log) == 0
+    assert log.read_text() == "screening disabled\n"
+
+
+def test_pd_pa_and_brute_are_mutually_exclusive(workdir, tmp_path, capsys):
+    # no brute-force partial association exists, so the pair is a flag error
+    out = tmp_path / "pd.csv"
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        run("pd", "--model", workdir["model"], "--data", workdir["data"], "--vars", "x1",
+            "--pa", "--brute", "--out", out)
+    assert exc.value.code == 2
+    assert "argument --brute: not allowed with argument --pa" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("case", ["after_one_line", "before_any_output"])
+def test_closed_stdout_exits_1_without_an_error_line(workdir, tmp_path, case):
+    # a reader that stops early (as head does) closes the pipe: the command
+    # stops with exit 1, as Python's SIGPIPE recipe does, and is no data error
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(ft.__file__))}
+    if case == "after_one_line":
+        # some 0.9 MB of CSV: far more than a pipe holds, so the writer is
+        # still writing when the pipe is closed after the header
+        argv = ["gen", "--example", "friedman", "--n", "5000", "--out", "/dev/stdout"]
+    else:
+        argv = ["fit", "--data", str(workdir["data"]), "--max-nodes", "3",
+                "--out", str(tmp_path / "m.json")]
+    proc = subprocess.Popen([sys.executable, "-m", "functree.cli", *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    if case == "after_one_line":
+        assert proc.stdout.readline().startswith("x1,x2,")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=120) == 1
+    assert "error:" not in err and "Exception" not in err and "Traceback" not in err
 
 
 def test_pd_grid_size_and_centering(workdir, tmp_path):

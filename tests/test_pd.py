@@ -306,6 +306,15 @@ def test_resolve_points_forms(friedman_data):
         resolve_points(friedman_data, (0, 0), None, 5)
 
 
+def test_pd_fast_takes_one_variable_points_as_a_vector(friedman_data, friedman_model):
+    # on a one-variable subset a 1-d points array is the (n, 1) matrix
+    pts = np.linspace(-1.0, 1.0, 9)
+    flat = pd_fast(friedman_model, (3,), pts, friedman_data)
+    column = pd_fast(friedman_model, (3,), pts[:, None], friedman_data)
+    np.testing.assert_array_equal(flat.points, column.points)
+    np.testing.assert_array_equal(flat.values, column.values)
+
+
 def test_effect_csv_export(tmp_path, friedman_data, friedman_model):
     grid = pd_fast(friedman_model, (6, 7), None, friedman_data, resolution=4)
     out = tmp_path / "g.csv"

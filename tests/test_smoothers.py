@@ -18,6 +18,7 @@ from functree.smoothers import (
     SmootherSpec,
     SmoothingTarget,
     SortedColumn,
+    SortedPoints,
     combine,
     smooth,
     spline_fit,
@@ -25,7 +26,6 @@ from functree.smoothers import (
     thin_knots,
     weight_floor,
 )
-from functree.tree import TreeFitter
 
 from conftest import reference_smooth
 
@@ -211,6 +211,33 @@ def test_all_rows_excluded_errors():
         smooth(np.ones(3), np.ones(3), np.zeros(3), spec("near_neighbor", span=0.1))
 
 
+@pytest.mark.parametrize("kind", ["numeric", "categorical"])
+def test_fit_on_a_target_without_weight_returns_none(kind):
+    # a target that weighs every row zero is built without error, and each
+    # column kind's fit returns None: there is nothing to fit
+    rng = np.random.default_rng(4)
+    target = SmoothingTarget(rng.normal(size=50), np.zeros(50))
+    assert not target.omega.any()
+    if kind == "numeric":
+        col = SortedColumn(rng.normal(size=50), 0.15)
+        for method in ("near_neighbor", "local_linear"):
+            assert target.fit(col, method) is None
+    else:
+        assert target.fit(SortedPoints(rng.integers(0, 4, 50).astype(float)), "categorical_mean") is None
+
+
+def test_level_means_return_their_line_search_sums():
+    # the categorical fit returns (f, num, den) as the windowed fit does:
+    # sum rw * f and sum omega * f^2 over every row
+    rng = np.random.default_rng(5)
+    x, r, w = rng.integers(0, 5, 80).astype(float), rng.normal(size=80), rng.uniform(0.5, 2.0, 80)
+    f, num, den = SmoothingTarget(r, w).fit(SortedPoints(x), "categorical_mean")
+    np.testing.assert_array_equal(f.values, smooth(x, r, w, spec("categorical_mean")).values)
+    fx = f(x)
+    assert num == pytest.approx(np.sum(r * w * fx), rel=1e-12)
+    assert den == pytest.approx(np.sum(w * w * fx * fx), rel=1e-12)
+
+
 def test_output_finite_far_outside_range():
     rng = np.random.default_rng(3)
     x = rng.normal(size=50)
@@ -351,20 +378,17 @@ def test_fit_with_reference_smoother_gives_same_model(monkeypatch):
             super().__init__(r, w)
             self.r, self.w = r, w
 
-    def reference(self, j, target):
-        callers.append(sys._getframe(1).f_code.co_name)
-        column = self.columns[j]
-        x = self.Xtr[:, j]
-        if column is None:
-            f = reference_smooth(x, target.r, target.w, spec("categorical_mean"))[0]
-        else:
-            f = reference_smooth(x, target.r, target.w, self.config.numeric_smoother,
-                                 knots=column.knots)[0]
-        fx = f(x)
-        return f, float(np.sum(target.r * target.w * fx)), float(np.sum(target.w**2 * fx * fx))
+        def fit(self, col, method):
+            callers.append(sys._getframe(1).f_code.co_name)
+            x = col.x
+            if isinstance(col, SortedColumn):
+                f = reference_smooth(x, self.r, self.w, config.numeric_smoother, knots=col.knots)[0]
+            else:
+                f = reference_smooth(x, self.r, self.w, spec("categorical_mean"))[0]
+            fx = f(x)
+            return f, float(np.sum(self.r * self.w * fx)), float(np.sum(self.w**2 * fx * fx))
 
     monkeypatch.setattr("functree.tree.SmoothingTarget", RecordingTarget)
-    monkeypatch.setattr(TreeFitter, "_smooth", reference)
     slow = ft.fit(data, config)
     # the stated tolerance: the same (parent, variable) sequence, and
     # predictions within 1e-9 * std(y)

@@ -381,7 +381,7 @@ def test_candidate_sweep_equals_smooth(method, zero_weights):
         ts_max = np.max(np.abs(r[weighed] / w[weighed]))
         for j in range(data.p):
             x, col = fitter.Xtr[:, j], fitter.columns[j]
-            if col is None:
+            if data.variables[j].is_categorical:
                 want, kappa = reference_smooth(x, r, w, SmootherSpec("categorical_mean"))
             else:
                 want, kappa = reference_smooth(x, r, w, fitter.config.numeric_smoother, knots=col.knots)
@@ -425,9 +425,36 @@ def test_fit_builds_one_column_per_numeric_variable(monkeypatch, case):
         warnings.simplefilter("error")
         fitter = TreeFitter(data, config)
         fitter.run()
-    assert sorted(map(id, built)) == sorted(id(c) for c in fitter.columns if c is not None)
+    assert sorted(map(id, built)) == sorted(id(c) for c in fitter.columns if isinstance(c, SortedColumn))
     # some targets weigh zero a row of nonzero weight below their floor
     assert any(sub_floor)
+
+
+@pytest.mark.parametrize("fails_at", [1, 3])
+def test_an_error_building_a_smoothing_target_propagates(monkeypatch, fails_at):
+    # a parent or node without weight has nothing to fit, and its fits say
+    # so by returning None; any error is a fault and leaves the fit. Target
+    # 1 is the root's in the first sweep, target 3 the second backfit pass's
+    built, target_init = [], SmoothingTarget.__init__
+
+    def failing(self, r, w):
+        built.append(None)
+        if len(built) == fails_at:
+            raise ValueError("operands could not be broadcast together")
+        target_init(self, r, w)
+
+    monkeypatch.setattr(SmoothingTarget, "__init__", failing)
+    with pytest.raises(ValueError, match="broadcast"):
+        ft.fit(ft.gen_friedman(500, seed=1), FitConfig(max_nodes=4))
+
+
+def test_fit_with_every_variable_forbidden_is_root_only():
+    data = ft.gen_friedman(200, seed=1)
+    forbidden = tuple(frozenset({j}) for j in range(data.p))
+    tree = ft.fit(data, FitConfig(forbidden_subsets=forbidden))
+    assert tree.n_nodes == 0
+    assert tree.fit_history == []
+    np.testing.assert_array_equal(tree.predict(data.X), tree.b0)
 
 
 @pytest.mark.parametrize("method", ["near_neighbor", "local_linear"])
