@@ -29,9 +29,9 @@ from .data import (
     split_indices,
     write_csv,
 )
-from .interactions import (MAX_ORDER, bootstrap_compare, conditional_interaction, pure_interaction,
+from .interactions import (bootstrap_compare, conditional_interaction, pure_interaction,
                            pure_interaction_brute, search_effects)
-from .pdengine import MAX_PA_VARS, pd_brute, pd_fast, write_effect_csv
+from .pdengine import MAX_ORDER, MAX_PA_VARS, pd_brute, pd_fast, write_effect_csv
 from .pdengine import pa as pa_effect
 from .smoothers import SmootherSpec
 from .tree import (

@@ -20,9 +20,11 @@ import numpy as np
 from .data import Dataset, rmse, take_rows
 from .pdengine import (
     CONDITIONAL,
+    MAX_ORDER,
     PURE_INTERACTION,
     EffectEngine,
     EffectGrid,
+    _fast_grid,
     _mean,
     _pure_effect,
     check_subset,
@@ -54,30 +56,14 @@ __all__ = [
 # Public effect operations
 # ---------------------------------------------------------------------------
 
-# the largest subset whose pure or conditional interaction or strength is
-# computed, and the highest order the effect search reaches
-MAX_ORDER = 4
-
 def pure_interaction(tree: FunctionTree, s, points=None, data: Dataset | None = None,
                      resolution: int = 50) -> EffectGrid:
     """Partial dependence of the subset with all lower-order sub-effects
     recursively subtracted; identically zero when the model has no
-    interaction among the subset's variables, and returned as exact zeros
-    without evaluation when no root path contains the subset."""
-    s, pts, axes = resolve_points(data, s, points, resolution, MAX_ORDER)
-    eng = EffectEngine(tree, data)
-    values = eng.i_at(s, pts)
-    return EffectGrid(
-        subset=s,
-        variables=tuple(data.variables[j] for j in s),
-        points=pts,
-        values=values,
-        kind=PURE_INTERACTION,
-        center=eng.center(frozenset(s)),
-        alpha=eng.split(frozenset(s)).alpha,
-        eval_count=eng.fast_evals,
-        axes=axes,
-    )
+    interaction among the subset's variables, and exact zeros (with the
+    subset's centre and alpha still computed) when no root path contains
+    the subset."""
+    return _fast_grid(tree, s, points, data, resolution, PURE_INTERACTION)
 
 
 def strength(tree: FunctionTree, s, data: Dataset) -> float:
@@ -233,12 +219,13 @@ class ScreenR:
 
 def screen_r(tree: FunctionTree, data: Dataset | None = None) -> ScreenR:
     """Per-(variable, level) influence mass from the stored node influences,
-    recomputed from ``data`` when any influence is missing. The inclusion
-    threshold is ``SCREEN_FRACTION`` of the largest entry over all variables
-    and levels."""
+    recomputed from ``data`` on a copy of the tree when any influence is
+    missing. The inclusion threshold is ``SCREEN_FRACTION`` of the largest
+    entry over all variables and levels."""
     if any(np.isnan(n.influence) for n in tree.nodes[1:]):
         if data is None:
             raise ValueError("tree has no stored influences; pass data to recompute")
+        tree = tree.copy()
         tree.recompute_influence(data.X, data.weight)
     p = len(tree.variables)
     max_level = max(tree.max_interaction_order(), 1)

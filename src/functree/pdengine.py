@@ -30,6 +30,9 @@ CONDITIONAL = "conditional"
 
 # the largest subset ``pa`` takes
 MAX_PA_VARS = 2
+# the largest subset whose pure or conditional interaction or strength is
+# computed, and the highest order the effect search reaches
+MAX_ORDER = 4
 
 
 @dataclass
@@ -416,26 +419,26 @@ def check_subset(subset, data: Dataset | None, max_size: int | None = None) -> t
     return subset
 
 
-def _split_grid(tree: FunctionTree, subset, points, data: Dataset | None, resolution: int,
-                use_pa: bool) -> EffectGrid:
-    """A centred PD (or PA) grid read off one engine's split of the tree;
-    partial association takes subsets of at most ``MAX_PA_VARS`` variables."""
-    subset, pts, axes = resolve_points(data, subset, points, resolution, MAX_PA_VARS if use_pa else None)
-    eng = EffectEngine(tree, data, use_pa=use_pa)
+def _fast_grid(tree: FunctionTree, subset, points, data: Dataset | None, resolution: int,
+               kind: str) -> EffectGrid:
+    """A centred PD, PA or pure-interaction grid read off one engine's split
+    of the tree. Partial association takes subsets of at most
+    ``MAX_PA_VARS`` variables, a pure interaction at most ``MAX_ORDER``; the
+    grid's ``eval_count`` is what the engine counted, centring included."""
+    limit = {PA: MAX_PA_VARS, PURE_INTERACTION: MAX_ORDER}.get(kind)
+    subset, pts, axes = resolve_points(data, subset, points, resolution, limit)
+    eng = EffectEngine(tree, data, use_pa=kind == PA)
     key = frozenset(subset)
-    split = eng.split(key)
-    values = eng.effect_at(subset, pts)
+    values = eng.i_at(subset, pts) if kind == PURE_INTERACTION else eng.effect_at(subset, pts)
     return EffectGrid(
         subset=subset,
         variables=tuple(data.variables[j] for j in subset),
         points=pts,
         values=values,
-        kind=PA if use_pa else PD,
+        kind=kind,
         center=eng.center(key),
-        alpha=split.alpha,
-        # the grid, the mixed-basis share of one data pass, and the data pass
-        # that centres the grid
-        eval_count=len(pts) + split.alpha * data.n + data.n,
+        alpha=eng.split(key).alpha,
+        eval_count=eng.fast_evals,
         axes=axes,
     )
 
@@ -444,7 +447,7 @@ def pd_fast(tree: FunctionTree, subset, points=None, data: Dataset | None = None
             resolution: int = 50) -> EffectGrid:
     """Partial dependence via the tree decomposition, centered to zero
     weighted mean over the data's subset distribution."""
-    return _split_grid(tree, subset, points, data, resolution, use_pa=False)
+    return _fast_grid(tree, subset, points, data, resolution, PD)
 
 
 def pd_brute(predict_fn, subset, points=None, data: Dataset | None = None,
@@ -527,4 +530,4 @@ def pa(tree: FunctionTree, subset, points=None, data: Dataset | None = None,
     is replaced by a varying coefficient estimated as a regression-spline fit
     of the complement product on the z-side product. Reduces to partial
     dependence exactly when no basis mixes z with its complement."""
-    return _split_grid(tree, subset, points, data, resolution, use_pa=True)
+    return _fast_grid(tree, subset, points, data, resolution, PA)

@@ -292,7 +292,10 @@ class FunctionTree:
         b0 = _field(doc, "b0", "model file")
         if not _finite_number(b0):
             raise ValueError(f"model file: b0 must be a finite number, got {b0!r}")
-        return cls(tuple(variables), float(b0), nodes, doc.get("train_stats"))
+        stats = doc.get("train_stats")
+        if stats is not None:
+            _check_object(stats, "model file: train_stats")
+        return cls(tuple(variables), float(b0), nodes, stats)
 
 
 def model_sum(b0: float, B: np.ndarray) -> np.ndarray:
@@ -337,10 +340,14 @@ def _field(entry: dict, key: str, where: str, kind: type | None = None):
 def _numbers(entry: dict, key: str, where: str) -> np.ndarray:
     """``entry[key]`` as a float array, or a ValueError unless it is a list
     of numbers; the function it builds checks shape and finiteness."""
-    value = np.array(_field(entry, key, where, list))
-    if value.dtype.kind not in "iuf":
-        raise ValueError(f"{where}: {key!r} must be a list of numbers")
-    return value.astype(float)
+    value = _field(entry, key, where, list)
+    # each element is checked first: numpy fails on a ragged list with its
+    # own text, and reads an integer past 64 bits as an object
+    if all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value):
+        array = np.array(value)
+        if array.dtype.kind in "iuf":
+            return array.astype(float)
+    raise ValueError(f"{where}: {key!r} must be a list of numbers")
 
 
 def save(tree: FunctionTree, path) -> None:

@@ -587,6 +587,7 @@ def test_predict_rejects_malformed_model_files(tmp_path, capsys):
         ({**valid, "variables": [{**numeric, "range": [1.0]}, variables[1]]},
          "error: variable 'n': 'range' must be a list of two finite numbers"),
         ({**valid, "nodes": {}}, "error: model file: 'nodes' must be a list"),
+        ({**valid, "train_stats": True}, "error: model file: train_stats: expected a JSON object"),
         ({**valid, "nodes": [{**node, "id": 1.0}]}, "error: node entry 0: 'id' must be an integer"),
         ([valid], "error: model file: expected a JSON object"),
         # node contents that only the node's own checks see, named by id
@@ -596,6 +597,11 @@ def test_predict_rejects_malformed_model_files(tmp_path, capsys):
          "error: node 1: knots and values must be equal-length nonempty 1-d vectors"),
         ({**valid, "nodes": [{**numeric_node, "knots": [], "values": []}]},
          "error: node 1: knots and values must be equal-length nonempty 1-d vectors"),
+        # ragged lists, which numpy would reject with its own text
+        ({**valid, "nodes": [{**numeric_node, "knots": [[1.0], [1.0, 2.0]]}]},
+         "error: node 1: 'knots' must be a list of numbers"),
+        ({**valid, "nodes": [{**numeric_node, "values": [[1.0], [1.0, 2.0]]}]},
+         "error: node 1: 'values' must be a list of numbers"),
         ({**valid, "nodes": [node, {**numeric_node, "id": 3}]},
          "error: node 3: node ids must be consecutive, expected 2"),
         ({**valid, "nodes": [node, {**numeric_node, "id": 2, "parent": 2}]},

@@ -355,10 +355,26 @@ def test_screen_r_single_pair_path():
     X = rng.normal(size=(300, 2))
     data = Dataset(variables, X, tree.predict(X))
     res = screen_r(tree, data)
-    pair_node_influence = tree.nodes[2].influence
+    recomputed = tree.copy()
+    recomputed.recompute_influence(data.X, data.weight)
+    pair_node_influence = recomputed.nodes[2].influence
     assert res.matrix[0, 2] == pytest.approx(pair_node_influence)
     assert res.matrix[1, 2] == pytest.approx(pair_node_influence)
     assert res.matrix[1, 1] == 0.0
+
+
+def test_search_leaves_missing_influences_missing(friedman_data, friedman_model):
+    # a model file may hold null influences; the screen recomputes them on
+    # the analysis data without writing them into the caller's tree
+    doc = friedman_model.to_dict()
+    for node in doc["nodes"]:
+        node["influence"] = None
+    tree = FunctionTree.from_dict(doc)
+    report = search_effects(tree, friedman_data, max_order=2)
+    assert all(np.isnan(node.influence) for node in tree.nodes[1:])
+    recomputed = tree.copy()
+    recomputed.recompute_influence(friedman_data.X, friedman_data.weight)
+    np.testing.assert_array_equal(report.screening["r"].matrix, screen_r(recomputed).matrix)
 
 
 # ---------------------------------------------------------------------------

@@ -250,7 +250,7 @@ def test_pa_degenerate_constant_factor_falls_back():
 
 def test_eval_cost_formula(friedman_data, friedman_model):
     # each fast effect costs its points plus the mixed-basis share of one
-    # data pass; pd_fast adds the data pass that centres its grid
+    # data pass; the data pass that centres a grid is one more effect
     n = friedman_data.n
     for subset, mixed in [((0,), True), (tuple(range(8)), False)]:
         eng = EffectEngine(friedman_model, friedman_data)
@@ -261,7 +261,32 @@ def test_eval_cost_formula(friedman_data, friedman_model):
         assert eng.fast_evals == (50 + alpha * n) + (n + alpha * n)
         assert eng.brute_equiv == 50.0 * n + float(n) * n
         grid = pd_fast(friedman_model, subset, pts, friedman_data)
-        assert grid.eval_count == 50 + alpha * n + n
+        assert grid.eval_count == eng.fast_evals
+    # every fast grid reports what a fresh engine making its calls counted,
+    # a dead subset's centring pass included
+    probe = EffectEngine(friedman_model, friedman_data)
+    dead = next(s for s in [(0, 2), (0, 3), (1, 2), (1, 3), (2, 3)] if not probe.live(frozenset(s)))
+    for subset in [(0, 1), dead]:
+        assert probe.split(frozenset(subset)).alpha > 0.0
+        pts = friedman_data.X[:50, list(subset)]
+        for build, use_pa, read in [(pd_fast, False, "effect_at"), (pa, True, "effect_at"),
+                                    (pure_interaction, False, "i_at")]:
+            eng = EffectEngine(friedman_model, friedman_data, use_pa=use_pa)
+            getattr(eng, read)(subset, pts)
+            eng.center(frozenset(subset))
+            assert build(friedman_model, subset, pts, friedman_data).eval_count == eng.fast_evals
+
+
+def test_fast_grids_check_their_subset_limits(friedman_data, friedman_model):
+    # partial association takes at most two variables, a pure interaction
+    # at most four, and partial dependence every variable
+    pts = friedman_data.X[:10]
+    with pytest.raises(ValueError, match="size <= 2"):
+        pa(friedman_model, (0, 1, 2), pts[:, :3], friedman_data)
+    with pytest.raises(ValueError, match="size <= 4"):
+        pure_interaction(friedman_model, (0, 1, 2, 3, 4), pts[:, :5], friedman_data)
+    grid = pd_fast(friedman_model, tuple(range(8)), pts, friedman_data)
+    assert grid.subset == tuple(range(8)) and grid.n_points == 10
 
 
 def test_pd_fast_equals_single_variable_pure_interaction(friedman_data, friedman_model):
