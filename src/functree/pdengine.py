@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .data import Dataset, Variable
-from .smoothers import Curve, SortedPoints, spline_fit, spline_knots
+from .smoothers import Curve, Points, SplineDesign
 from .tree import FunctionTree, model_sum
 
 PD = "pd"
@@ -242,9 +242,9 @@ class EffectEngine:
         self._pred_var: float | None = None
         # centring constants by subset and pure interactions at the rows by
         # sorted subset tuple. Over one analyze-hu30 round (seed 7) _i_rows
-        # had 142 hits in 234 lookups and _centers 4 in 16; of the shared
-        # memos, _splits had 52 in 240, _gbar 273 in 438 and _pa_curves 27
-        # in 76, each miss of which fits a spline
+        # had 120 hits in 205 lookups and _centers 4 in 16; of the shared
+        # memos, _splits had 52 in 233, _gbar 230 in 381 and _pa_curves 24
+        # in 72, whose 48 misses fit splines through 30 designs
         self._centers: dict[frozenset, float] = {}
         self._i_rows: dict[tuple, np.ndarray] = {}
         self.fast_evals = 0.0
@@ -301,43 +301,45 @@ class EffectEngine:
             return self._basis_at_rows[term.node_id]
         return _product(self._values_at_rows, term.z_nodes)
 
-    def _term_value(self, term: _Term, f: np.ndarray) -> np.ndarray:
-        """f * g for the term's z-side product f: g is the complement mean
-        or, with ``use_pa``, its coefficient at f."""
-        if self.use_pa and term.comp_nodes:
-            return f * self._coeff(term)(f)
-        return term.gbar * f
-
-    def _term_f_at(self, term: _Term, at: dict[int, SortedPoints]) -> np.ndarray:
-        """The term's z-side product at each subset variable's points."""
-        nodes = self.tree.nodes
-        return _product({m: nodes[m].func.at(at[nodes[m].var]) for m in term.z_nodes},
-                        term.z_nodes)
-
-    def _coeff(self, term: _Term) -> Curve:
+    def _coeff(self, term: _Term, group: list[_Term] | tuple = ()) -> Curve:
         """Partial-association coefficient function of a mixed term, fitted
-        on the full data rows."""
+        on the full data rows. The terms of ``group`` (mixed terms on the
+        same z-side product) that lack one are fitted with it, through one
+        spline design that is dropped on return."""
         pair = (term.z_nodes, term.comp_nodes)
-        cached = self._pa_curves.get(pair)
-        if cached is None:
+        if pair not in self._pa_curves:
+            # a constant product or n < 30 leaves the complement mean
             fr = _product(self.node_values, term.z_nodes)
-            if float(np.ptp(fr)) <= 1e-12 * max(1.0, float(np.abs(fr).max())) or self.data.n < 30:
-                cached = Curve(np.array([0.0]), np.array([term.gbar]))
-            else:
-                cached = coefficient_curve(fr, _product(self.node_values, term.comp_nodes))
-            self._pa_curves[pair] = cached
-        return cached
+            flat = float(np.ptp(fr)) <= 1e-12 * max(1.0, float(np.abs(fr).max())) or self.data.n < 30
+            design = None if flat else SplineDesign(fr)
+            for t in (term, *group):
+                if (t.z_nodes, t.comp_nodes) not in self._pa_curves:
+                    self._pa_curves[(t.z_nodes, t.comp_nodes)] = (
+                        Curve(np.array([0.0]), np.array([t.gbar])) if design is None
+                        else coefficient_curve(design, _product(self.node_values, t.comp_nodes)))
+        return self._pa_curves[pair]
 
     # -- effect values -------------------------------------------------------
 
     def _effect(self, key: frozenset, n: int, f_of) -> np.ndarray:
         """Uncentered effect A + sum_k f_k * g_k at n points, where
         ``f_of(term)`` gives the term's z-side product f_k there; the cost
-        is added to the counters."""
+        is added to the counters. With ``use_pa`` the mixed terms on one
+        z-side product share one spline design for their coefficients and
+        f's ``Points`` until the last of them."""
         split = self.split(key)
         out = np.full(n, split.abar)
-        for term in split.terms:
-            out += self._term_value(term, f_of(term))
+        mixed = [t.z_nodes if self.use_pa and t.comp_nodes else None for t in split.terms]
+        shared: dict[tuple, Points] = {}
+        for i, (term, z) in enumerate(zip(split.terms, mixed)):
+            if z is None:
+                out += term.gbar * f_of(term)
+                continue
+            coeff = self._coeff(term, [t for t, m in zip(split.terms, mixed) if m == z])
+            if z not in shared:
+                shared[z] = Points(f_of(term))
+            at = shared[z] if z in mixed[i + 1:] else shared.pop(z)
+            out += at.x * coeff.at(at)
         self.fast_evals += n + split.alpha * self.data.n
         self.brute_equiv += float(n) * self.data.n
         return out
@@ -354,10 +356,13 @@ class EffectEngine:
 
     def effect_at(self, subset: tuple, pts: np.ndarray) -> np.ndarray:
         """Centered effect (PD or PA) at explicit points whose columns follow
-        the subset; the terms on one variable share its column's sort."""
+        the subset; each node on a subset variable is evaluated once, and
+        the curves on one knot vector share one location of its column."""
         key = frozenset(subset)
-        at = {j: SortedPoints(pts[:, i]) for i, j in enumerate(subset)}
-        out = self._effect(key, len(pts), lambda term: self._term_f_at(term, at))
+        at = {j: Points(pts[:, i]) for i, j in enumerate(subset)}
+        values = {m: node.func.at(at[node.var]) for m, node in enumerate(self.tree.nodes)
+                  if node.var in at}
+        out = self._effect(key, len(pts), lambda term: _product(values, term.z_nodes))
         return out - self.center(key)
 
     def live(self, key: frozenset) -> bool:
@@ -493,8 +498,9 @@ def pd_brute(predict_fn, subset, points=None, data: Dataset | None = None,
 # Partial association
 # ---------------------------------------------------------------------------
 
-def coefficient_curve(f_values: np.ndarray, g_values: np.ndarray) -> Curve:
-    """Varying-coefficient estimate E[g | f] as a regression spline on f.
+def coefficient_curve(design: SplineDesign, g_values: np.ndarray) -> Curve:
+    """Varying-coefficient estimate E[g | f] as a regression spline on f,
+    fitted through the ``SplineDesign`` of f.
 
     Two guards keep the estimate honest: the spline is only kept when it
     explains significantly more than the plain mean (an F pretest, so the
@@ -504,20 +510,17 @@ def coefficient_curve(f_values: np.ndarray, g_values: np.ndarray) -> Curve:
     cubic tails supported by a handful of rows.
     """
     gbar = float(np.mean(g_values))
-    curve = spline_fit(f_values, g_values)
-    # the knots and the quantiles read only order statistics: sort once
-    f_sorted = np.sort(f_values)
-    n = len(f_values)
-    dof = 4 + len(spline_knots(f_sorted))  # cubic polynomial plus interior knots
+    curve = design.fit(g_values)
+    n, dof = len(g_values), design.dof  # cubic polynomial plus interior knots
     if n > 2 * dof:
         sse_const = float(np.sum((g_values - gbar) ** 2))
-        sse_spline = float(np.sum((g_values - curve(f_values)) ** 2))
+        sse_spline = float(np.sum((g_values - curve.at(design.points)) ** 2))
         if sse_spline <= 0.0:
             return curve
         f_stat = ((sse_const - sse_spline) / (dof - 1)) / (sse_spline / (n - dof))
         if f_stat < 3.0:
             return Curve(np.array([0.0]), np.array([gbar]))
-    qlo, qhi = np.quantile(f_sorted, [0.05, 0.95])
+    qlo, qhi = design.quantiles
     if qhi > qlo:
         grid = np.linspace(qlo, qhi, 801)
         return Curve(grid, curve(grid))

@@ -26,49 +26,99 @@ MAX_CURVE_KNOTS = 500
 # 2.3e-14; on the clustered draw whose fit fell short of its bound it was 7e-11
 REFINE_TOL = 1e-13
 
-# np.interp bisects afresh for each point that leaves the previous point's
-# knot interval, so on sorted points its search is nearly free. Sorting first
-# pays from 64-128 points on a 500-knot curve (random normal points, numpy
-# 2.4, one core of a 2-vCPU x86-64 host: 9.7 us direct against 7.6 us sorted
-# at 128 points, 1.38 ms against 0.46 ms at 20,000) and from about 20 knots
-# at 20,000 points (100 at 128 points); on a one-knot curve the sort costs 40
-# times the lookup.
-SORTED_INTERP_POINTS = 128
-SORTED_INTERP_KNOTS = 32
+# Curves read long inputs through their location on the knots (``locate``),
+# then cost a gather, a multiply and an add. On random normal points (numpy
+# 2.4, one core of a 2-vCPU x86-64 host, 500 knots) location and one curve
+# cost what np.interp did at 1,024 points (65 us) and half at 2,048 (80
+# against 143 us). On ascending points, such as a grid's columns, np.interp
+# stays cheaper longer (801 points: 10 against 90 us). At 20,000 points it
+# paid from 8 knots (0.46 ms either way; 0.44 against 0.64 ms at 16), and
+# 2, 4 and 8 buckets per knot located them on 500 knots in about 0.2 ms
+SORTED_INTERP_POINTS = 2048
+SORTED_INTERP_KNOTS = 8
+LOCATE_BUCKETS = 4
 
 
-class SortedPoints:
-    """1-d evaluation points that long curves read in ascending order. The
-    order is found on first use and kept, so every curve evaluated at the
-    same points shares one argsort."""
+def locate(knots: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each point's knot interval q = np.searchsorted(knots, x, side="right")
+    and offset dx = x - knots[max(q - 1, 0)], exactly, for x not NaN. Knots
+    and points get buckets (LOCATE_BUCKETS per knot over the knot range) by
+    one arithmetic that never decreases as x grows, so q is the count of
+    knots before the point's bucket plus those of its own at most x, found
+    by bisection: one step unless knots cluster."""
+    x = np.ascontiguousarray(x)  # a matrix column is read three times
+    nb = LOCATE_BUCKETS * len(knots)
+    with np.errstate(all="ignore"):
+        scale = nb / (knots[-1] - knots[0])
+        scale = scale if np.isfinite(scale) else 0.0  # one bucket
 
-    __slots__ = ("x", "_order", "_sorted")
+        def bucket(v):
+            t = np.subtract(v, knots[0])
+            t *= scale
+            return np.fmin(np.fmax(t, 0.0, out=t), nb - 1, out=t).astype(np.intp)
+
+        counts = np.bincount(bucket(knots), minlength=nb)
+        q = np.concatenate([[0], np.cumsum(counts)])[bucket(x)]
+    steps = int(counts.max()).bit_length()
+    padded = np.concatenate([knots, np.full(1 << steps, np.nan)])
+    for s in reversed(range(steps)):
+        q += (1 << s) * (padded[q + ((1 << s) - 1)] <= x)
+    dx = np.concatenate([knots[:1], knots]).take(q)
+    return q, np.subtract(x, dx, out=dx)
+
+
+class Points:
+    """Evaluation points. Curves read long inputs through a location kept
+    per knot vector (by value), level tables through level indices.
+    ``SortedColumn`` is the fitter's kind, with the location on its own
+    knots found up front."""
+
+    __slots__ = ("x", "_locations", "_levels")
 
     def __init__(self, x: np.ndarray):
         self.x = x
-        self._order = None
+        # by knot bytes; short inputs keep np.interp (a ``SortedColumn``
+        # holds its own location at any length)
+        self._locations: dict[bytes, tuple | None] | None = {} if len(x) >= SORTED_INTERP_POINTS else None
+        self._levels = None
 
     def interp(self, knots: np.ndarray, values: np.ndarray) -> np.ndarray:
         """``np.interp(self.x, knots, values)``, bit for bit."""
-        if len(self.x) < SORTED_INTERP_POINTS or len(knots) < SORTED_INTERP_KNOTS:
+        if self._locations is None or len(knots) < SORTED_INTERP_KNOTS:
             return np.interp(self.x, knots, values)
-        # each output depends on its own point alone, and the input length
-        # (which picks numpy's slope branch) is unchanged, so the values are
-        # np.interp's bit for bit
-        if self._order is None:
-            self._order = np.argsort(self.x)
-            self._sorted = self.x[self._order]
-        out = np.empty(len(self.x))
-        out[self._order] = np.interp(self._sorted, knots, values)
-        return out
+        key = knots.tobytes()
+        if key not in self._locations:
+            q, dx = locate(knots, self.x)
+            self._locations[key] = (np.diff(knots), q, dx) if np.isfinite(dx).all() else None
+        out = None if self._locations[key] is None else _gather(values, *self._locations[key])
+        return np.interp(self.x, knots, values) if out is None else out
+
+    def levels(self) -> tuple[np.ndarray, int, int, np.ndarray]:
+        """Each point's nearest integer, the smallest and largest (0 and -1
+        for no points) and which points are integers."""
+        if self._levels is None:
+            r = np.rint(self.x)
+            idx = r.astype(int)
+            lo, hi = (int(idx.min()), int(idx.max())) if idx.size else (0, -1)
+            self._levels = idx, lo, hi, r == self.x
+        return self._levels
 
 
 class InvalidFunctionError(ValueError):
     """Values that a level table or a curve cannot hold."""
 
 
+class _Function:
+    """A univariate function: a float at a scalar, an array at an array."""
+
+    def __call__(self, x):
+        scalar = np.isscalar(x)
+        out = self.at(Points(np.atleast_1d(np.asarray(x, dtype=float))))
+        return float(out[0]) if scalar else out
+
+
 @dataclass(frozen=True)
-class LevelTable:
+class LevelTable(_Function):
     """Per-level values for a categorical variable; unseen levels map to a
     default value."""
 
@@ -84,16 +134,12 @@ class LevelTable:
         object.__setattr__(self, "values", v)
         object.__setattr__(self, "default", float(self.default))
 
-    def __call__(self, x):
-        scalar = np.isscalar(x)
-        xa = np.atleast_1d(np.asarray(x, dtype=float))
-        idx = np.rint(xa).astype(int)
-        valid = (idx >= 0) & (idx < len(self.values)) & (np.rint(xa) == xa)
-        out = np.where(valid, self.values[np.clip(idx, 0, len(self.values) - 1)], self.default)
-        return float(out[0]) if scalar else out
-
-    def at(self, points: SortedPoints | SortedColumn) -> np.ndarray:
-        return self(points.x)
+    def at(self, points: Points) -> np.ndarray:
+        idx, lo, hi, exact = points.levels()
+        if lo >= 0 and hi < len(self.values) and exact.all():
+            return self.values[idx]
+        valid = exact & (idx >= 0) & (idx < len(self.values))
+        return np.where(valid, self.values[np.clip(idx, 0, len(self.values) - 1)], self.default)
 
     def shift(self, c: float) -> "LevelTable":
         return LevelTable(self.values + c, self.default + c)
@@ -103,7 +149,7 @@ class LevelTable:
 
 
 @dataclass(frozen=True)
-class Curve:
+class Curve(_Function):
     """Piecewise-linear function on strictly increasing knots with constant
     extrapolation beyond the knot range."""
 
@@ -122,13 +168,7 @@ class Curve:
         object.__setattr__(self, "knots", k)
         object.__setattr__(self, "values", v)
 
-    def __call__(self, x):
-        scalar = np.isscalar(x)
-        xa = np.atleast_1d(np.asarray(x, dtype=float))
-        out = self.at(SortedPoints(xa)) if xa.ndim == 1 else np.interp(xa, self.knots, self.values)
-        return float(out[0]) if scalar else out
-
-    def at(self, points: SortedPoints | SortedColumn) -> np.ndarray:
+    def at(self, points: Points) -> np.ndarray:
         return points.interp(self.knots, self.values)
 
     def shift(self, c: float) -> "Curve":
@@ -139,11 +179,24 @@ class Curve:
 
 
 def _pieces(values: np.ndarray, gaps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # a curve's slope and left-end value on each knot interval q of a
-    # SortedColumn; both outer intervals are flat
+    # a curve's slope and left-end value on each knot interval q of
+    # ``locate``; both outer intervals are flat
     slope = np.zeros(len(values) + 1)
     slope[1:-1] = np.diff(values) / gaps
     return slope, np.concatenate([values[:1], values])
+
+
+def _gather(values: np.ndarray, gaps: np.ndarray, q: np.ndarray, dx: np.ndarray) -> np.ndarray | None:
+    """slope[q] * dx + base[q] at finite dx: np.interp's values bit for bit,
+    or None for a slope that overflows or a value of -0.0 (np.interp returns
+    it as is, where this adds a signed zero)."""
+    slope, base = _pieces(values, gaps)
+    if not np.isfinite(slope).all() or np.signbit(values[values == 0.0]).any():
+        return None
+    out = slope.take(q)
+    out *= dx
+    out += base.take(q)
+    return out
 
 
 UnivariateFunction = LevelTable | Curve
@@ -205,12 +258,13 @@ def weight_floor(w: np.ndarray) -> float:
     return 1e-6 * float(np.sqrt(np.mean(np.square(w))))
 
 
-class SortedColumn:
+class SortedColumn(Points):
     """The part of numeric smoothing that depends only on x, for every row
     of a column. Its knot grid is the distinct x, quantile-thinned past 500
     knots, so every knot is a data value. Each row is located on the grid
-    once: its knot interval q (len(knots) at the last knot) and its offset
-    dx from the interval's left knot. The rows in stable x order give the
+    once (``locate``): its knot interval q (len(knots) at the last knot) and
+    its offset dx from the interval's left knot, which the column's curves
+    read like any ``Points`` location. The rows in stable x order give the
     distinct-x groups at the knots and their rank windows, which a fit onto
     the grid reads, and cut the ranks into segments: runs between
     consecutive window bounds and interval starts. A window is a run of
@@ -226,14 +280,16 @@ class SortedColumn:
     targets that weigh every row keep their last bits."""
 
     def __init__(self, x: np.ndarray, span: float):
+        super().__init__(x)
         order = np.argsort(x, kind="stable")
         xs = x[order]
         n = len(xs)
-        self.x = x
         self.knots = thin_knots(np.unique(xs))
         self.gaps = np.diff(self.knots)
-        self.q = np.searchsorted(self.knots, x, side="right")
-        self.dx = x - self.knots[self.q - 1]
+        self.q, self.dx = locate(self.knots, x)
+        # dx is not finite on a range past the largest float
+        self._locations = {self.knots.tobytes(): (self.gaps, self.q, self.dx) if np.isfinite(self.dx).all()
+                           else None}
         # the rows of every knot's x group in xs, concatenated; ``offset``
         # says where each group starts among them
         start = np.searchsorted(xs, self.knots)
@@ -259,17 +315,6 @@ class SortedColumn:
         self.seg = np.empty(n, dtype=np.intp)
         self.seg[order] = np.repeat(np.arange(len(bounds)), np.diff(np.append(bounds, n)))
 
-    def interp(self, knots: np.ndarray, values: np.ndarray) -> np.ndarray:
-        """``np.interp(self.x, knots, values)``, bit for bit. A curve on the
-        column's own knots (the same array) is linear in dx on each interval
-        and flat past the last knot, so it costs a gather, a multiply and an
-        add, slope[q] * dx + base[q]: ``np.interp``'s arithmetic, while no
-        slope overflows. Any other knots go to ``np.interp``."""
-        if knots is not self.knots:
-            return np.interp(self.x, knots, values)
-        slope, base = _pieces(values, self.gaps)
-        return slope[self.q] * self.dx + base[self.q]
-
 
 class SmoothingTarget:
     """The part of smoothing that depends only on (r, w), in row order: the
@@ -285,14 +330,14 @@ class SmoothingTarget:
         self.omega = np.square(w)
         self.rw = r * w
 
-    def level_means(self, points: SortedPoints) -> tuple[LevelTable, float, float] | None:
+    def level_means(self, points: Points) -> tuple[LevelTable, float, float] | None:
         """``fit`` on categorical ``points`` (level indices): f is the
         omega-weighted mean of ts per level, or the global mean for a level
         without weight."""
-        idx = np.rint(points.x).astype(int)
-        if np.any(idx < 0):
+        idx, lo, hi, _ = points.levels()
+        if lo < 0:
             raise ValueError("categorical values must be nonnegative level indices")
-        size = int(idx.max()) + 1
+        size = hi + 1
         sw = np.bincount(idx, weights=self.omega, minlength=size)
         if not sw.any():
             return None
@@ -305,10 +350,10 @@ class SmoothingTarget:
         fx = f.at(points)
         return f, float(self.rw @ fx), float(self.omega @ (fx * fx))
 
-    def fit(self, col: SortedColumn | SortedPoints, method: str) -> tuple[UnivariateFunction, float, float] | None:
+    def fit(self, col: Points, method: str) -> tuple[UnivariateFunction, float, float] | None:
         """The fit f of ts on a variable's column, with its line-search sums
         over every row, sum rw * f and sum omega * f^2: (f, num, den), or
-        None when no row the fit reads has weight. ``SortedPoints`` of level
+        None when no row the fit reads has weight. ``Points`` of level
         indices get ``level_means``, a ``SortedColumn`` the rank-window fit
         by ``method`` at its knots.
 
@@ -318,7 +363,7 @@ class SmoothingTarget:
         and rw * x, and their cumulative sums over segments give every
         window. A row whose window has no weight weighs nothing in its
         group, and a group without weight is interpolated over."""
-        if isinstance(col, SortedPoints):
+        if not isinstance(col, SortedColumn):
             return self.level_means(col)
         om, rw, dx = self.omega, self.rw, col.dx
         omdx = om * dx
@@ -387,7 +432,7 @@ def smooth(x: np.ndarray, r: np.ndarray, w: np.ndarray, spec: SmootherSpec) -> U
     sum is exact and the two agree bit for bit.
 
     This is ``SmoothingTarget(r, w)`` fitted on the ``SortedColumn`` of x,
-    or on its ``SortedPoints`` for categorical means; a fitter that smooths
+    or on its ``Points`` for categorical means; a fitter that smooths
     many targets against the same columns builds those once each. The
     returned function is not centred; the fitter recentres its nodes itself.
     """
@@ -399,7 +444,7 @@ def smooth(x: np.ndarray, r: np.ndarray, w: np.ndarray, spec: SmootherSpec) -> U
     target = SmoothingTarget(r, w)
     if not target.omega.any():
         raise ValueError("all rows excluded by the basis-weight floor")
-    col = SortedPoints(x) if spec.method == CATEGORICAL_MEAN else SortedColumn(x, spec.span)
+    col = Points(x) if spec.method == CATEGORICAL_MEAN else SortedColumn(x, spec.span)
     res = target.fit(col, spec.method)
     if res is None:
         raise ValueError("no knot group has weight")
@@ -474,16 +519,22 @@ def _bspline_rhs_exact(bounds, basis, r) -> np.ndarray:
     return np.array([math.fsum(part) for part in parts])
 
 
-def _bspline_gram(bounds, basis, v) -> tuple[np.ndarray, np.ndarray]:
-    # B'B and B'v, one 4 x 4 block per knot interval (three more B-splines
-    # than intervals)
-    m = len(bounds) + 2
-    gram, bv = np.zeros((m, m)), np.zeros(m)
+def _bspline_gram(bounds, basis) -> np.ndarray:
+    # B'B, one 4 x 4 block per knot interval (three more B-splines than
+    # intervals)
+    gram = np.zeros((len(bounds) + 2,) * 2)
     for s in range(len(bounds) - 1):
         b = basis[:, bounds[s] : bounds[s + 1]]
         gram[s : s + 4, s : s + 4] += b @ b.T
-        bv[s : s + 4] += b @ v[bounds[s] : bounds[s + 1]]
-    return gram, bv
+    return gram
+
+
+def _bspline_rhs(bounds, basis, v) -> np.ndarray:
+    # B'v, accumulated like the Gram matrix
+    bv = np.zeros(len(bounds) + 2)
+    for s in range(len(bounds) - 1):
+        bv[s : s + 4] += basis[:, bounds[s] : bounds[s + 1]] @ v[bounds[s] : bounds[s + 1]]
+    return bv
 
 
 def _truncated_power_fit(x, t, lo, hi, interior, grid) -> np.ndarray:
@@ -503,11 +554,12 @@ def _truncated_power_fit(x, t, lo, hi, interior, grid) -> np.ndarray:
     return design(grid) @ beta
 
 
-def spline_fit(x: np.ndarray, t: np.ndarray) -> Curve:
-    """Least-squares cubic regression spline of t on x with interior knots
-    ``spline_knots(x)``, returned as a densely sampled curve on 2001
-    equispaced points of [min x, max x] and the interior knots. The spline
-    space has 4 + len(spline_knots(x)) dimensions.
+class SplineDesign:
+    """Least-squares cubic regression splines of any t on x (``fit``), with
+    interior knots ``spline_knots(x)``, returned as densely sampled curves
+    on 2001 equispaced points of [min x, max x] and the interior knots. The
+    spline space has ``dof`` = 4 + len(spline_knots(x)) dimensions. All that
+    depends on x alone is built once, for every fit.
 
     The fit is solved in the cubic B-spline basis on the clamped knot vector
     (min x four times, the interior knots, max x four times; Eilers & Marx
@@ -527,46 +579,61 @@ def spline_fit(x: np.ndarray, t: np.ndarray) -> Curve:
 
     Tied x can leave too few distinct sites for the basis, and the fit is
     then not identified between the sites. When Cholesky fails or a pivot
-    of the scaled Gram matrix has square below 1e-10, the fit warns and
-    falls back to the minimum-norm SVD solution in the truncated-power
-    basis.
+    of the scaled Gram matrix has square below 1e-10 (``chol`` is then
+    None), every fit warns and falls back to the minimum-norm SVD solution
+    in the truncated-power basis.
     """
-    x = np.asarray(x, dtype=float)
-    t = np.asarray(t, dtype=float)
-    if len(x) != len(t):
-        raise ValueError("x and t must have equal lengths")
-    lo, hi = float(x.min()), float(x.max())
-    if not hi > lo:
-        raise ValueError("x must not be constant")
-    order = np.argsort(x)
-    xs, ts = x[order], t[order]
-    interior = spline_knots(xs)
-    m = 4 + len(interior)
-    if len(x) < m:
-        raise ValueError("need at least as many rows as spline basis functions")
-    grid = np.unique(np.concatenate([np.linspace(lo, hi, 2001), interior]))
-    breaks = np.concatenate([[lo], interior, [hi]])
-    bounds, basis = _bspline_basis(xs, breaks)
-    gram, rhs = _bspline_gram(bounds, basis, ts)
-    # a basis function without data keeps a zero row, so Cholesky fails
-    diag = np.diag(gram)
-    inv = np.zeros(m)
-    inv[diag > 0] = 1.0 / np.sqrt(diag[diag > 0])
-    try:
-        chol = np.linalg.cholesky(gram * np.outer(inv, inv))
-        full_rank = np.min(np.diag(chol)) ** 2 >= 1e-10
-    except np.linalg.LinAlgError:
-        full_rank = False
-    if not full_rank:
-        warnings.warn("rank-deficient spline design; collinear columns dropped", stacklevel=2)
-        return Curve(grid, _truncated_power_fit(x, t, lo, hi, interior, grid))
 
-    def solve(v):
-        return inv * np.linalg.solve(chol.T, np.linalg.solve(chol, inv * v))
+    def __init__(self, x: np.ndarray):
+        x = np.asarray(x, dtype=float)
+        lo, hi = float(x.min()), float(x.max())
+        if not hi > lo:
+            raise ValueError("x must not be constant")
+        self.x = x
+        self.order = np.argsort(x)
+        xs = x[self.order]
+        self.interior = spline_knots(xs)
+        self.dof = 4 + len(self.interior)
+        if len(x) < self.dof:
+            raise ValueError("need at least as many rows as spline basis functions")
+        self.grid = np.unique(np.concatenate([np.linspace(lo, hi, 2001), self.interior]))
+        self.breaks = np.concatenate([[lo], self.interior, [hi]])
+        self.bounds, self.basis = _bspline_basis(xs, self.breaks)
+        gram = _bspline_gram(self.bounds, self.basis)
+        # a basis function without data keeps a zero row, so Cholesky fails
+        diag = np.diag(gram)
+        self.inv = np.zeros(self.dof)
+        self.inv[diag > 0] = 1.0 / np.sqrt(diag[diag > 0])
+        try:
+            chol = np.linalg.cholesky(gram * np.outer(self.inv, self.inv))
+            self.chol = chol if np.min(np.diag(chol)) ** 2 >= 1e-10 else None
+        except np.linalg.LinAlgError:
+            self.chol = None
+        self.quantiles = np.quantile(xs, [0.05, 0.95])
+        self.points = Points(x)
+        self.grid_basis = _bspline_basis(self.grid, self.breaks)
 
-    beta = solve(rhs)
-    step = solve(_bspline_gram(bounds, basis, ts - _bspline_times(bounds, basis, beta))[1])
-    beta += step
-    if np.max(np.abs(step)) > REFINE_TOL * np.max(np.abs(beta)):
-        beta += solve(_bspline_rhs_exact(bounds, basis, ts - _bspline_times(bounds, basis, beta)))
-    return Curve(grid, _bspline_times(*_bspline_basis(grid, breaks), beta))
+    def _solve(self, v: np.ndarray) -> np.ndarray:
+        return self.inv * np.linalg.solve(self.chol.T, np.linalg.solve(self.chol, self.inv * v))
+
+    def fit(self, t: np.ndarray) -> Curve:
+        """The spline of t on this design's x."""
+        t = np.asarray(t, dtype=float)
+        if len(t) != len(self.x):
+            raise ValueError("x and t must have equal lengths")
+        if self.chol is None:
+            warnings.warn("rank-deficient spline design; collinear columns dropped", stacklevel=2)
+            return Curve(self.grid, _truncated_power_fit(self.x, t, self.breaks[0], self.breaks[-1],
+                                                         self.interior, self.grid))
+        bounds, basis, ts = self.bounds, self.basis, t[self.order]
+        beta = self._solve(_bspline_rhs(bounds, basis, ts))
+        step = self._solve(_bspline_rhs(bounds, basis, ts - _bspline_times(bounds, basis, beta)))
+        beta += step
+        if np.max(np.abs(step)) > REFINE_TOL * np.max(np.abs(beta)):
+            beta += self._solve(_bspline_rhs_exact(bounds, basis, ts - _bspline_times(bounds, basis, beta)))
+        return Curve(self.grid, _bspline_times(*self.grid_basis, beta))
+
+
+def spline_fit(x: np.ndarray, t: np.ndarray) -> Curve:
+    """The least-squares cubic regression spline of t on x."""
+    return SplineDesign(x).fit(t)

@@ -32,8 +32,8 @@ from .smoothers import (
     LevelTable,
     SmootherSpec,
     SmoothingTarget,
+    Points,
     SortedColumn,
-    SortedPoints,
     UnivariateFunction,
     combine,
 )
@@ -147,8 +147,8 @@ class FunctionTree:
         """Each node's function values and basis-function values at the rows
         of X: two lists with one vector per node id, the root's being ones.
         b0 plus the non-root basis vectors equals predict(). The nodes on one
-        variable are evaluated together at one ``SortedPoints``, so its column
-        is sorted once and its order is dropped before the next variable's."""
+        variable are evaluated together at one ``Points``, so a long column is
+        located once per distinct knot vector and dropped before the next."""
         X = self._check_matrix(X)
         ones = np.ones(X.shape[0])
         by_var: dict[int, list[TreeNode]] = {}
@@ -156,7 +156,7 @@ class FunctionTree:
             by_var.setdefault(node.var, []).append(node)
         values = [ones] * len(self.nodes)
         for var, nodes in by_var.items():
-            at = SortedPoints(X[:, var])
+            at = Points(X[:, var])
             for node in nodes:
                 values[node.id] = node.func.at(at)
         basis = [ones]
@@ -447,8 +447,8 @@ class TreeFitter:
         # every evaluation of its functions shares: a numeric one on its
         # knot grid, a categorical one as its level indices
         span = config.numeric_smoother.span
-        self.columns: list[SortedColumn | SortedPoints] = [
-            SortedPoints(x) if v.is_categorical else SortedColumn(x, span)
+        self.columns: list[Points] = [
+            Points(x) if v.is_categorical else SortedColumn(x, span)
             for v, x in zip(data.variables, self.Xtr.T)]
 
         if tree is None:
@@ -480,13 +480,9 @@ class TreeFitter:
 
     # -- plumbing ----------------------------------------------------------
 
-    def _eval(self, j: int, func: UnivariateFunction) -> np.ndarray:
-        """``func`` of variable j at the training rows."""
-        return func.at(self.columns[j])
-
     def _register(self, node: TreeNode) -> None:
         j = node.var
-        self.fv_tr.append(self._eval(j, node.func))
+        self.fv_tr.append(node.func.at(self.columns[j]))
         self.B_tr.append(self.B_tr[node.parent] * self.fv_tr[node.id])
         self.children[node.id] = []
         self.children[node.parent].append(node.id)
@@ -509,7 +505,7 @@ class TreeFitter:
         for k, func in funcs.items():
             node = self.nodes[k]
             node.func = func
-            self.fv_tr[k] = self._eval(node.var, func)
+            self.fv_tr[k] = func.at(self.columns[node.var])
         for m in self._subtree(top):
             self.B_tr[m] = self.B_tr[self.nodes[m].parent] * self.fv_tr[m]
 
@@ -655,7 +651,7 @@ class TreeFitter:
                 continue
             proposal = res[0]
             direction = combine(proposal, node.func, 1.0, -1.0)
-            delta = cow * self._eval(node.var, direction)
+            delta = cow * direction.at(self.columns[node.var])
             den = float(np.sum(self.rho * delta * delta))
             if den <= 0.0 or not np.isfinite(den):
                 continue

@@ -22,7 +22,7 @@ from functree.pdengine import (
     resolve_points,
     write_effect_csv,
 )
-from functree.smoothers import spline_fit, spline_knots
+from functree.smoothers import SplineDesign, spline_fit, spline_knots
 from functree.tree import FitConfig
 
 from conftest import random_dataset, random_tree
@@ -220,9 +220,103 @@ def test_pa_pretest_counts_only_distinct_spline_knots():
     # the dependence is significant with the true dof and not with 4 + 19
     assert f_stat(7) >= 3.0 > f_stat(23)
     with pytest.warns(UserWarning, match="rank-deficient"):
-        curve = coefficient_curve(f, g)
+        curve = coefficient_curve(SplineDesign(f), g)
     assert len(curve.knots) > 1
     np.testing.assert_array_equal(curve.values, spline(curve.knots))
+
+
+@pytest.fixture(scope="module")
+def hu_pa_case():
+    # the analyze-hu30 benchmark's model; on this draw its PA coefficient
+    # curves are not all constant, unlike those of the friedman model
+    tree = ft.fit(ft.gen_hu(5000, seed=0), FitConfig(max_nodes=24, patience=24))
+    return tree, ft.gen_hu(20000, seed=7)
+
+
+class _PaReference:
+    """Partial association term by term, with no sharing: each mixed term's
+    coefficient curve comes from its own spline design on the full-data
+    z-side product, is called at f like any curve, and the terms are added
+    in split order."""
+
+    def __init__(self, tree, data):
+        self.tree, self.data = tree, data
+        self.values, self.basis = tree.node_columns(data.X)
+        self.engine = EffectEngine(tree, data)
+        self.curves = {}
+
+    def coeff(self, term):
+        pair = (term.z_nodes, term.comp_nodes)
+        if pair not in self.curves:
+            fr = _product(self.values, term.z_nodes)
+            if np.ptp(fr) <= 1e-12 * max(1.0, np.abs(fr).max()):
+                self.curves[pair] = ft.Curve(np.array([0.0]), np.array([term.gbar]))
+            else:
+                g = _product(self.values, term.comp_nodes)
+                self.curves[pair] = coefficient_curve(SplineDesign(fr), g)
+        return self.curves[pair]
+
+    def effect(self, subset, n, f_at):
+        split = self.engine.split(frozenset(subset))
+        out = np.full(n, split.abar)
+        for term in split.terms:
+            f = f_at(term)
+            out += f * self.coeff(term)(f) if term.comp_nodes else term.gbar * f
+        return out
+
+    def at_rows(self, subset, rows):
+        def f_at(term):
+            if not term.comp_nodes:
+                return self.basis[term.node_id][rows]
+            return _product([v[rows] for v in self.values], term.z_nodes)
+        raw = self.effect(subset, len(rows), f_at)
+        return raw - np.average(raw, weights=self.data.weight[rows])
+
+    def strength(self, subset, rows):
+        tree = self.tree
+        if not any(set(subset) <= tree.path_vars(k) for k in range(1, len(tree.nodes))):
+            return 0.0
+        iv = self.at_rows(subset, rows)
+        for j in subset if len(subset) > 1 else ():
+            iv = iv - self.at_rows((j,), rows)
+        w, pred = self.data.weight[rows], tree.predict(self.data.X)[rows]
+        var = np.average((pred - np.average(pred, weights=w)) ** 2, weights=w)
+        return float(np.sqrt(np.average(iv**2, weights=w) / var))
+
+
+@pytest.mark.parametrize("strength_rows", [None, 2000])
+def test_pa_search_equals_term_by_term_reference(hu_pa_case, strength_rows):
+    tree, data = hu_pa_case
+    rep = ft.search_effects(tree, data, max_order=2, with_pa=True, strength_rows=strength_rows, seed=5)
+    rows = np.arange(data.n)
+    if strength_rows is not None:
+        rows = np.sort(np.random.default_rng(5).choice(data.n, strength_rows, replace=False))
+    ref = _PaReference(tree, data)
+    assert any(e.order == 2 for e in rep.entries)
+    for e in rep.entries:
+        assert e.strength_pa == ref.strength(e.subset, rows), e.subset
+    assert any(len(c.knots) > 1 for c in ref.curves.values())
+
+
+def test_pa_grid_equals_term_by_term_reference(hu_pa_case):
+    tree, data = hu_pa_case
+    grid = pa(tree, (3, 4), None, data, resolution=30)
+    subset, pts, _ = resolve_points(data, (3, 4), None, 30)
+    ref = _PaReference(tree, data)
+    nodes = tree.nodes
+
+    def f_at(term):
+        return _product({m: nodes[m].func(pts[:, subset.index(nodes[m].var)]) for m in term.z_nodes},
+                        term.z_nodes)
+
+    raw = ref.effect(subset, len(pts), f_at)
+    rows = np.arange(data.n)
+    raw_rows = ref.effect(subset, data.n, lambda t: ref.basis[t.node_id] if not t.comp_nodes
+                          else _product(ref.values, t.z_nodes))
+    center = np.average(raw_rows, weights=data.weight[rows])
+    assert grid.center == center
+    assert np.array_equal(grid.values, raw - center)
+    assert any(len(c.knots) > 1 for c in ref.curves.values())
 
 
 def test_pa_degenerate_constant_factor_falls_back():

@@ -12,16 +12,19 @@ from hypothesis import strategies as st
 
 import functree as ft
 from functree.smoothers import (
+    SORTED_INTERP_KNOTS,
     SORTED_INTERP_POINTS,
     Curve,
     LevelTable,
     SmootherSpec,
+    Points,
     SmoothingTarget,
     SortedColumn,
-    SortedPoints,
     combine,
     smooth,
     spline_fit,
+    _gather,
+    locate,
     spline_knots,
     thin_knots,
     weight_floor,
@@ -68,9 +71,9 @@ def test_sorted_column_interp_equals_interp(data):
                                                  max_size=len(knots))))
     x = np.concatenate([knots, (knots[:-1] + knots[1:]) / 2, knots[:-1] + 0.3 * np.diff(knots),
                         [knots[-1], knots[0] - 1.0, knots[-1] + 1.0, -1e9, 1e9]])
-    # the column's own grid (thinned past 500 knots) takes the gather, and
-    # an equal copy of it, the drawn knots and a second knot vector take
-    # np.interp, each in either order
+    # the column's own grid (thinned past 500 knots) and an equal copy of it
+    # read the column's own location, and the drawn knots and a second knot
+    # vector one of their own (np.interp under 8 knots), each in either order
     col = SortedColumn(x, 0.2)
     own = scale * np.sin(np.arange(len(col.knots)))
     knots2 = np.unique(np.concatenate([knots[::2] - 0.5, [knots[-1] + 2.0]]))
@@ -79,18 +82,78 @@ def test_sorted_column_interp_equals_interp(data):
                  (col.knots, 2.0 * own), (knots2, values2)):
         assert np.array_equal(col.interp(k, v), np.interp(x, k, v))
     assert np.array_equal(Curve(col.knots, own).at(col), np.interp(x, col.knots, own))
-    # Curve sorts long inputs before np.interp and scatters the values back;
-    # a shuffled draw with ties, on either side of the cutoff, must match
+    # Curve locates long inputs on its knots and reads the values off the
+    # location; a shuffled draw with ties, on either side of the cutoff, must
+    # match
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     n = data.draw(st.integers(1, 3 * SORTED_INTERP_POINTS))
     for points in (x, rng.choice(x, size=n)):
         assert np.array_equal(Curve(knots, values)(points), np.interp(points, knots, values))
 
 
+def _same_bits(a, b):
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_located_points_equal_interp_bit_for_bit(data):
+    # one knot, up to 600 uniform knots, or Cauchy quantiles (clustered in
+    # the middle, sparse in the tails) scaled by 10^-6 to 10^6
+    kind = data.draw(st.sampled_from(["one", "uniform", "cauchy"]))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    if kind == "one":
+        knots = np.array([data.draw(st.floats(-100.0, 100.0))])
+    elif kind == "uniform":
+        knots = np.unique(rng.uniform(-5.0, 5.0, data.draw(st.integers(2, 600))))
+    else:
+        levels = np.linspace(0.0, 1.0, data.draw(st.sampled_from([21, 200, 600])))
+        knots = np.unique(np.quantile(rng.standard_cauchy(data.draw(st.integers(50, 5000))), levels))
+        knots = knots * 10.0 ** data.draw(st.floats(-6.0, 6.0))
+    values = np.array(data.draw(st.lists(st.floats(-1e3, 1e3), min_size=len(knots),
+                                         max_size=len(knots))))
+    # the knots themselves, draws inside and beyond both ends, and +-inf,
+    # enough of them for the location to be used
+    lo, hi = knots[0], knots[-1]
+    width = max(hi - lo, 1.0)
+    n = max(SORTED_INTERP_POINTS, 3 * len(knots))
+    x = np.concatenate([knots, rng.uniform(lo, hi, n), rng.uniform(lo - width, lo, 50),
+                        rng.uniform(hi, hi + width, 50), [-np.inf, np.inf, lo - 1e300, hi + 1e300]])
+    rng.shuffle(x)
+    q, dx = locate(knots, x)
+    assert np.array_equal(q, np.searchsorted(knots, x, side="right"))
+    finite = np.isfinite(dx)
+    assert np.array_equal(dx[finite], (x - knots[np.maximum(q - 1, 0)])[finite])
+    points = Points(x)
+    for v in (values, -values, np.zeros_like(values) * -1.0):
+        assert _same_bits(points.interp(knots, v), np.interp(x, knots, v))
+        assert _same_bits(Curve(knots, v)(x), np.interp(x, knots, v))
+        # the gather itself, at every knot count, where the offsets are finite
+        out = _gather(v, np.diff(knots), q[finite], dx[finite])
+        assert out is None or _same_bits(out, np.interp(x[finite], knots, v))
+    # a curve whose slopes overflow goes to np.interp
+    tiny = 1e-300 * np.arange(1.0, SORTED_INTERP_KNOTS + 2)
+    wild = np.where(np.arange(len(tiny)) % 2, 1e308, -1e308)
+    xt = np.concatenate([x, np.repeat((tiny[:-1] + tiny[1:]) / 2, 300)])
+    assert _same_bits(Points(xt).interp(tiny, wild), np.interp(xt, tiny, wild))
+
+
 def test_level_table_default_for_unseen():
     t = LevelTable(np.array([1.0, 2.0]), default=9.0)
     assert t(0.0) == 1.0 and t(1.0) == 2.0
     assert t(2.0) == 9.0 and t(-1.0) == 9.0
+
+
+def test_level_table_reads_the_points_level_index():
+    table = LevelTable(np.array([1.0, -2.0, 3.5]), default=9.0)
+    for x in ([0.0, 2.0, 1.0, 2.0], [0.0, 1.0, 3.0], [0.0, 0.5, 2.0], [-1.0, 1.0], [-0.0, 2.0], []):
+        points = Points(np.array(x))
+        assert _same_bits(table.at(points), table(np.array(x)))
+        # found once, and read by every table and by the categorical means
+        assert points.levels() is points.levels()
+    r = np.array([1.0, 3.0, 5.0, 7.0])
+    assert SmoothingTarget(r, np.ones(4)).fit(Points(np.array([0.0, 0.0, 1.0, 2.0])),
+                                              "categorical_mean")[0].values.tolist() == [2.0, 5.0, 7.0]
 
 
 def test_combine_curves_exact_on_knot_union():
@@ -223,7 +286,7 @@ def test_fit_on_a_target_without_weight_returns_none(kind):
         for method in ("near_neighbor", "local_linear"):
             assert target.fit(col, method) is None
     else:
-        assert target.fit(SortedPoints(rng.integers(0, 4, 50).astype(float)), "categorical_mean") is None
+        assert target.fit(Points(rng.integers(0, 4, 50).astype(float)), "categorical_mean") is None
 
 
 def test_level_means_return_their_line_search_sums():
@@ -231,7 +294,7 @@ def test_level_means_return_their_line_search_sums():
     # sum rw * f and sum omega * f^2 over every row
     rng = np.random.default_rng(5)
     x, r, w = rng.integers(0, 5, 80).astype(float), rng.normal(size=80), rng.uniform(0.5, 2.0, 80)
-    f, num, den = SmoothingTarget(r, w).fit(SortedPoints(x), "categorical_mean")
+    f, num, den = SmoothingTarget(r, w).fit(Points(x), "categorical_mean")
     np.testing.assert_array_equal(f.values, smooth(x, r, w, spec("categorical_mean")).values)
     fx = f(x)
     assert num == pytest.approx(np.sum(r * w * fx), rel=1e-12)

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import functree as ft
+from functree import smoothers
 from functree.data import Dataset, SplitSpec, Variable, rmse, split_indices
 from functree.smoothers import (
     SORTED_INTERP_POINTS,
@@ -460,18 +461,21 @@ def test_fit_with_every_variable_forbidden_is_root_only():
 @pytest.mark.parametrize("method", ["near_neighbor", "local_linear"])
 def test_fit_evaluates_its_curves_by_the_column_gather(monkeypatch, method):
     # every curve a fit makes, scaled, shifted or combined, keeps its
-    # column's knot array, so no evaluation falls back to np.interp
-    own, interp = [], SortedColumn.interp
+    # column's knot array, so no evaluation falls back to np.interp: each
+    # one, on a column far shorter than Curve's cutoff, is gathered
+    own, gathered, interp, gather = [], [], SortedColumn.interp, smoothers._gather
 
     def recording(self, knots, values):
         own.append(knots is self.knots)
         return interp(self, knots, values)
 
     monkeypatch.setattr(SortedColumn, "interp", recording)
+    monkeypatch.setattr(smoothers, "_gather", lambda *args: gathered.append(1) or gather(*args))
     data = _friedman_with_group(400, 3, zero_weights=False)
+    assert data.n < SORTED_INTERP_POINTS
     span = 0.1 if method == "near_neighbor" else 0.2
     ft.fit(data, FitConfig(numeric_smoother=SmootherSpec(method, span=span)))
-    assert own and all(own)
+    assert own and all(own) and len(gathered) == len(own)
 
 
 def test_fit_constant_outcome_gives_root_only():
