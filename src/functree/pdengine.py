@@ -301,45 +301,41 @@ class EffectEngine:
             return self._basis_at_rows[term.node_id]
         return _product(self._values_at_rows, term.z_nodes)
 
-    def _coeff(self, term: _Term, group: list[_Term] | tuple = ()) -> Curve:
-        """Partial-association coefficient function of a mixed term, fitted
-        on the full data rows. The terms of ``group`` (mixed terms on the
-        same z-side product) that lack one are fitted with it, through one
-        spline design that is dropped on return."""
-        pair = (term.z_nodes, term.comp_nodes)
-        if pair not in self._pa_curves:
-            # a constant product or n < 30 leaves the complement mean
-            fr = _product(self.node_values, term.z_nodes)
+    def _fit_coefficients(self, terms: list[_Term]) -> None:
+        """Fit the coefficient curves that mixed terms lack, on the full data
+        rows, through one spline design per z-side product, dropped before
+        the next; a constant product or n < 30 leaves the complement mean."""
+        groups: dict[tuple, list[_Term]] = {}
+        for t in terms:
+            if t.comp_nodes and (t.z_nodes, t.comp_nodes) not in self._pa_curves:
+                groups.setdefault(t.z_nodes, []).append(t)
+        for z, group in groups.items():
+            fr = _product(self.node_values, z)
             flat = float(np.ptp(fr)) <= 1e-12 * max(1.0, float(np.abs(fr).max())) or self.data.n < 30
             design = None if flat else SplineDesign(fr)
-            for t in (term, *group):
-                if (t.z_nodes, t.comp_nodes) not in self._pa_curves:
-                    self._pa_curves[(t.z_nodes, t.comp_nodes)] = (
-                        Curve(np.array([0.0]), np.array([t.gbar])) if design is None
-                        else coefficient_curve(design, _product(self.node_values, t.comp_nodes)))
-        return self._pa_curves[pair]
+            for t in group:
+                self._pa_curves[t.z_nodes, t.comp_nodes] = (
+                    Curve(np.array([0.0]), np.array([t.gbar])) if design is None
+                    else coefficient_curve(design, _product(self.node_values, t.comp_nodes)))
+            del design
 
     # -- effect values -------------------------------------------------------
 
     def _effect(self, key: frozenset, n: int, f_of) -> np.ndarray:
         """Uncentered effect A + sum_k f_k * g_k at n points, where
         ``f_of(term)`` gives the term's z-side product f_k there; the cost
-        is added to the counters. With ``use_pa`` the mixed terms on one
-        z-side product share one spline design for their coefficients and
-        f's ``Points`` until the last of them."""
+        is added to the counters; with ``use_pa`` a mixed term's g_k is its
+        coefficient curve at f_k."""
         split = self.split(key)
+        if self.use_pa:
+            self._fit_coefficients(split.terms)
         out = np.full(n, split.abar)
-        mixed = [t.z_nodes if self.use_pa and t.comp_nodes else None for t in split.terms]
-        shared: dict[tuple, Points] = {}
-        for i, (term, z) in enumerate(zip(split.terms, mixed)):
-            if z is None:
-                out += term.gbar * f_of(term)
-                continue
-            coeff = self._coeff(term, [t for t, m in zip(split.terms, mixed) if m == z])
-            if z not in shared:
-                shared[z] = Points(f_of(term))
-            at = shared[z] if z in mixed[i + 1:] else shared.pop(z)
-            out += at.x * coeff.at(at)
+        for term in split.terms:
+            f = f_of(term)
+            if self.use_pa and term.comp_nodes:
+                out += f * self._pa_curves[term.z_nodes, term.comp_nodes](f)
+            else:
+                out += term.gbar * f
         self.fast_evals += n + split.alpha * self.data.n
         self.brute_equiv += float(n) * self.data.n
         return out
@@ -503,21 +499,21 @@ def coefficient_curve(design: SplineDesign, g_values: np.ndarray) -> Curve:
     fitted through the ``SplineDesign`` of f.
 
     Two guards keep the estimate honest: the spline is only kept when it
-    explains significantly more than the plain mean (an F pretest, so the
-    coefficient collapses to the constant mean when f and g are unrelated),
-    and evaluation is held constant beyond the outermost (5th/95th
-    percentile) knots, where the heavy-tailed z-side products leave the
-    cubic tails supported by a handful of rows.
+    explains significantly more than the plain mean (an F pretest on the
+    fit's rank, so the coefficient collapses to the constant mean when f and
+    g are unrelated), and evaluation is held constant beyond the outermost
+    (5th/95th percentile) knots, where the heavy-tailed z-side products
+    leave the cubic tails supported by a handful of rows.
     """
     gbar = float(np.mean(g_values))
     curve = design.fit(g_values)
-    n, dof = len(g_values), design.dof  # cubic polynomial plus interior knots
-    if n > 2 * dof:
+    n, rank = len(g_values), design.rank  # dof, or fewer on a rank-deficient design
+    if n > 2 * rank:
         sse_const = float(np.sum((g_values - gbar) ** 2))
         sse_spline = float(np.sum((g_values - curve.at(design.points)) ** 2))
         if sse_spline <= 0.0:
             return curve
-        f_stat = ((sse_const - sse_spline) / (dof - 1)) / (sse_spline / (n - dof))
+        f_stat = ((sse_const - sse_spline) / (rank - 1)) / (sse_spline / (n - rank))
         if f_stat < 3.0:
             return Curve(np.array([0.0]), np.array([gbar]))
     qlo, qhi = design.quantiles

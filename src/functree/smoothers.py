@@ -451,17 +451,6 @@ def smooth(x: np.ndarray, r: np.ndarray, w: np.ndarray, spec: SmootherSpec) -> U
     return res[0]
 
 
-def spline_knots(x: np.ndarray) -> np.ndarray:
-    """Interior knots of ``spline_fit``: the distinct vigintiles (5th, 10th,
-    ..., 95th percentiles) of x strictly inside its range. Tied x values
-    make vigintiles coincide, so there can be fewer than 19."""
-    # np.quantile reads only order statistics, and it finds them several
-    # times faster in sorted input
-    xs = np.sort(np.asarray(x, dtype=float))
-    interior = np.unique(np.quantile(xs, np.arange(1, 20) / 20.0))
-    return interior[(interior > xs[0]) & (interior < xs[-1])]
-
-
 def _bspline_basis(v: np.ndarray, breaks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The cubic B-splines on the clamped knot vector (lo x 4, interior,
     hi x 4), where ``breaks`` is (lo, interior, hi), at sorted points v in
@@ -537,9 +526,9 @@ def _bspline_rhs(bounds, basis, v) -> np.ndarray:
     return bv
 
 
-def _truncated_power_fit(x, t, lo, hi, interior, grid) -> np.ndarray:
-    # minimum-norm SVD least squares in the basis 1, u, u^2, u^3,
-    # (u - u_k)_+^3 of u = (x - lo) / (hi - lo), evaluated at grid
+def _truncated_power_fit(x, t, lo, hi, interior, grid) -> tuple[np.ndarray, int]:
+    # minimum-norm SVD least squares in the basis 1, u, u^2, u^3, (u - u_k)_+^3
+    # of u = (x - lo) / (hi - lo): the fit at grid and the rank the SVD found
     scale = hi - lo
 
     def design(v):
@@ -550,15 +539,17 @@ def _truncated_power_fit(x, t, lo, hi, interior, grid) -> np.ndarray:
             cols.append(np.clip(u - uk, 0.0, None) ** 3)
         return np.column_stack(cols)
 
-    beta = np.linalg.lstsq(design(x), t, rcond=None)[0]
-    return design(grid) @ beta
+    beta, _, rank, _ = np.linalg.lstsq(design(x), t, rcond=None)
+    return design(grid) @ beta, int(rank)
 
 
 class SplineDesign:
     """Least-squares cubic regression splines of any t on x (``fit``), with
-    interior knots ``spline_knots(x)``, returned as densely sampled curves
-    on 2001 equispaced points of [min x, max x] and the interior knots. The
-    spline space has ``dof`` = 4 + len(spline_knots(x)) dimensions. All that
+    interior knots at the distinct vigintiles of x strictly inside its range
+    (fewer than 19 where ties make vigintiles coincide), returned as densely
+    sampled curves on 2001 equispaced points of [min x, max x] and the
+    interior knots. The spline space has ``dof`` = 4 + len(interior)
+    dimensions; ``quantiles`` holds the 5th and 95th percentiles. All that
     depends on x alone is built once, for every fit.
 
     The fit is solved in the cubic B-spline basis on the clamped knot vector
@@ -581,7 +572,8 @@ class SplineDesign:
     then not identified between the sites. When Cholesky fails or a pivot
     of the scaled Gram matrix has square below 1e-10 (``chol`` is then
     None), every fit warns and falls back to the minimum-norm SVD solution
-    in the truncated-power basis.
+    in the truncated-power basis, and sets ``rank``, the number of
+    independent columns the SVD found (``dof`` for a full-rank design).
     """
 
     def __init__(self, x: np.ndarray):
@@ -591,9 +583,12 @@ class SplineDesign:
             raise ValueError("x must not be constant")
         self.x = x
         self.order = np.argsort(x)
-        xs = x[self.order]
-        self.interior = spline_knots(xs)
-        self.dof = 4 + len(self.interior)
+        xs = x[self.order]  # np.quantile finds order statistics faster in sorted input
+        vigintiles = np.quantile(xs, np.arange(1, 20) / 20.0)
+        self.quantiles = vigintiles[[0, -1]]
+        interior = np.unique(vigintiles)
+        self.interior = interior[(interior > lo) & (interior < hi)]
+        self.dof = self.rank = 4 + len(self.interior)
         if len(x) < self.dof:
             raise ValueError("need at least as many rows as spline basis functions")
         self.grid = np.unique(np.concatenate([np.linspace(lo, hi, 2001), self.interior]))
@@ -609,7 +604,6 @@ class SplineDesign:
             self.chol = chol if np.min(np.diag(chol)) ** 2 >= 1e-10 else None
         except np.linalg.LinAlgError:
             self.chol = None
-        self.quantiles = np.quantile(xs, [0.05, 0.95])
         self.points = Points(x)
         self.grid_basis = _bspline_basis(self.grid, self.breaks)
 
@@ -623,8 +617,9 @@ class SplineDesign:
             raise ValueError("x and t must have equal lengths")
         if self.chol is None:
             warnings.warn("rank-deficient spline design; collinear columns dropped", stacklevel=2)
-            return Curve(self.grid, _truncated_power_fit(self.x, t, self.breaks[0], self.breaks[-1],
-                                                         self.interior, self.grid))
+            values, self.rank = _truncated_power_fit(self.x, t, self.breaks[0], self.breaks[-1],
+                                                     self.interior, self.grid)
+            return Curve(self.grid, values)
         bounds, basis, ts = self.bounds, self.basis, t[self.order]
         beta = self._solve(_bspline_rhs(bounds, basis, ts))
         step = self._solve(_bspline_rhs(bounds, basis, ts - _bspline_times(bounds, basis, beta)))

@@ -429,11 +429,11 @@ class TreeFitter:
     training error and influences are read off snapshot trees.
     """
 
-    def __init__(self, data: Dataset, config: FitConfig, *, tree: FunctionTree | None = None,
-                 split: bool = True):
+    def __init__(self, data: Dataset, config: FitConfig, *, tree: FunctionTree | None = None):
         self.data = data
         self.config = config
-        if split:
+        # a fit from the root holds out a test partition, a given tree refits on all rows
+        if tree is None:
             tr, te = split_indices(data.n, config.split)
         else:
             tr, te = np.arange(data.n), np.arange(0)
@@ -759,7 +759,7 @@ def backfit_pass(tree: FunctionTree, data: Dataset, config: FitConfig | None = N
     returns a new tree whose training MSE is no worse than the input's."""
     if tree.n_nodes < 1:
         return tree.copy()
-    fitter = TreeFitter(data, config or FitConfig(), tree=tree, split=False)
+    fitter = TreeFitter(data, config or FitConfig(), tree=tree)
     fitter.backfit_pass()
     fitter.recenter()
     snap = fitter._snapshot()

@@ -519,7 +519,7 @@ def _uncentred_at_rows(eng, key, cols):
             f = values[t.z_nodes[0]][eng.rows]
             for m in t.z_nodes[1:]:
                 f = f * values[m][eng.rows]
-        out += f * eng._coeff(t)(f) if eng.use_pa and t.comp_nodes else t.gbar * f
+        out += f * eng._pa_curves[t.z_nodes, t.comp_nodes](f) if eng.use_pa and t.comp_nodes else t.gbar * f
     return out
 
 

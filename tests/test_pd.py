@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import functree as ft
+from functree import pdengine
 from functree.data import Dataset, Variable
 from functree.interactions import pure_interaction
 from functree.pdengine import (
@@ -22,7 +23,7 @@ from functree.pdengine import (
     resolve_points,
     write_effect_csv,
 )
-from functree.smoothers import SplineDesign, spline_fit, spline_knots
+from functree.smoothers import SplineDesign, spline_fit
 from functree.tree import FitConfig
 
 from conftest import random_dataset, random_tree
@@ -201,24 +202,43 @@ def test_pa_subset_size_limited(friedman_data, friedman_model):
         pa(friedman_model, (0, 1, 2), None, friedman_data)
 
 
+def _pretest_f(f, g, spline, dof):
+    """The pretest's F statistic of ``spline`` against the mean of g, on dof
+    columns."""
+    sse_const = np.sum((g - g.mean()) ** 2)
+    sse_spline = np.sum((g - spline(f)) ** 2)
+    return ((sse_const - sse_spline) / (dof - 1)) / (sse_spline / (len(f) - dof))
+
+
 def test_pa_pretest_counts_only_distinct_spline_knots():
     # a z-side product with five tied values: its vigintiles coincide, so
     # the spline design has 4 + 3 columns, not 4 + 19
     rng = np.random.default_rng(1)
     f = rng.integers(1, 6, 500).astype(float)
     g = 0.3 * np.array([0.0, 0.0, 1.0, 0.0, -1.0, 1.0])[f.astype(int)] + rng.normal(size=500)
-    assert len(spline_knots(f)) == 3
+    assert len(SplineDesign(f).interior) == 3
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         spline = spline_fit(f, g)
-    sse_const = np.sum((g - g.mean()) ** 2)
-    sse_spline = np.sum((g - spline(f)) ** 2)
-
-    def f_stat(dof):
-        return ((sse_const - sse_spline) / (dof - 1)) / (sse_spline / (len(f) - dof))
-
     # the dependence is significant with the true dof and not with 4 + 19
-    assert f_stat(7) >= 3.0 > f_stat(23)
+    assert _pretest_f(f, g, spline, 7) >= 3.0 > _pretest_f(f, g, spline, 23)
+    with pytest.warns(UserWarning, match="rank-deficient"):
+        curve = coefficient_curve(SplineDesign(f), g)
+    assert len(curve.knots) > 1
+    np.testing.assert_array_equal(curve.values, spline(curve.knots))
+
+
+def test_pa_pretest_counts_the_rank_of_a_rank_deficient_spline():
+    # five tied values leave the design's 4 + 3 columns with rank 5: the
+    # dependence is significant on the 5 columns the fit uses, not on 7
+    rng = np.random.default_rng(3)
+    f = rng.integers(1, 6, 500).astype(float)
+    g = 0.2 * np.array([0.0, 0.0, 1.0, 0.0, -1.0, 1.0])[f.astype(int)] + rng.normal(size=500)
+    design = SplineDesign(f)
+    with pytest.warns(UserWarning, match="rank-deficient"):
+        spline = design.fit(g)
+    assert (design.dof, design.rank) == (7, 5)
+    assert _pretest_f(f, g, spline, 5) >= 3.0 > _pretest_f(f, g, spline, 7)
     with pytest.warns(UserWarning, match="rank-deficient"):
         curve = coefficient_curve(SplineDesign(f), g)
     assert len(curve.knots) > 1
@@ -282,6 +302,27 @@ class _PaReference:
         w, pred = self.data.weight[rows], tree.predict(self.data.X)[rows]
         var = np.average((pred - np.average(pred, weights=w)) ** 2, weights=w)
         return float(np.sqrt(np.average(iv**2, weights=w) / var))
+
+
+def test_pa_search_builds_one_design_per_z_side_product(hu_pa_case, monkeypatch):
+    # every coefficient on one z-side product fits through one design, and
+    # no product gets a second
+    tree, data = hu_pa_case
+    products, fits = [], []
+
+    def recording_design(x):
+        products.append(x.tobytes())
+        return SplineDesign(x)
+
+    def recording_fit(design, g):
+        fits.append(design)
+        return coefficient_curve(design, g)
+
+    monkeypatch.setattr(pdengine, "SplineDesign", recording_design)
+    monkeypatch.setattr(pdengine, "coefficient_curve", recording_fit)
+    ft.search_effects(tree, data, max_order=2, with_pa=True)
+    assert len(set(products)) == len(products) == 26
+    assert len(fits) == 42
 
 
 @pytest.mark.parametrize("strength_rows", [None, 2000])

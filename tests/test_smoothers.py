@@ -23,9 +23,9 @@ from functree.smoothers import (
     combine,
     smooth,
     spline_fit,
+    SplineDesign,
     _gather,
     locate,
-    spline_knots,
     thin_knots,
     weight_floor,
 )
@@ -649,7 +649,7 @@ def test_spline_fit_matches_least_squares_oracles(kind, n, seed):
     # SVD of the design with columns scaled to unit norm was 6.9e-12 relative
     # off the exact fit of one clumped draw (condition number 24), where
     # spline_fit was 9.5e-13 off
-    lo, hi, interior = x.min(), x.max(), spline_knots(x)
+    lo, hi, interior = x.min(), x.max(), SplineDesign(x).interior
     design = _bspline_design(x, lo, hi, interior)
     kappa = np.linalg.cond(design / np.linalg.norm(design, axis=0))
     scale = np.max(np.abs(f.values))
@@ -674,7 +674,7 @@ def test_rank_deficient_spline_falls_back_to_truncated_power(monkeypatch, levels
     rng = np.random.default_rng(seed)
     x = rng.choice(rng.normal(size=levels), 500)
     t = rng.normal(size=500)
-    assert len(np.unique(x)) < 4 + len(spline_knots(x))
+    assert len(np.unique(x)) < SplineDesign(x).dof
     factors = []
     cholesky = np.linalg.cholesky
 
@@ -692,11 +692,15 @@ def test_rank_deficient_spline_falls_back_to_truncated_power(monkeypatch, levels
 
 
 def test_spline_knots_equal_vigintiles_of_unsorted_x():
+    # one np.quantile call on the design's sorted x gives the interior knots
+    # and the 5-95% clamp, each equal to its own call on the unsorted x
     rng = np.random.default_rng(10)
     q = np.arange(1, 20) / 20.0
     for x in (rng.normal(size=997), rng.integers(0, 7, 300).astype(float), rng.lognormal(size=50)):
+        design = SplineDesign(x)
         interior = np.unique(np.quantile(x, q))
-        assert np.array_equal(spline_knots(x), interior[(interior > x.min()) & (interior < x.max())])
+        assert np.array_equal(design.interior, interior[(interior > x.min()) & (interior < x.max())])
+        assert np.array_equal(design.quantiles, np.quantile(x, [0.05, 0.95]))
 
 
 def test_spline_constant_x_errors():
