@@ -500,22 +500,23 @@ def coefficient_curve(design: SplineDesign, g_values: np.ndarray) -> Curve:
 
     Two guards keep the estimate honest: the spline is only kept when it
     explains significantly more than the plain mean (an F pretest on the
-    fit's rank, so the coefficient collapses to the constant mean when f and
-    g are unrelated), and evaluation is held constant beyond the outermost
-    (5th/95th percentile) knots, where the heavy-tailed z-side products
-    leave the cubic tails supported by a handful of rows.
+    fit's rank and its own residuals, so the coefficient collapses to the
+    constant mean when f and g are unrelated, and on at most twice as many
+    rows as the rank, too few to test), and evaluation is held constant
+    beyond the outermost (5th/95th percentile) knots, where the heavy-tailed
+    z-side products leave the cubic tails supported by a handful of rows.
     """
     gbar = float(np.mean(g_values))
-    curve = design.fit(g_values)
+    curve, sse_spline = design.fit(g_values)
     n, rank = len(g_values), design.rank  # dof, or fewer on a rank-deficient design
-    if n > 2 * rank:
-        sse_const = float(np.sum((g_values - gbar) ** 2))
-        sse_spline = float(np.sum((g_values - curve.at(design.points)) ** 2))
-        if sse_spline <= 0.0:
-            return curve
-        f_stat = ((sse_const - sse_spline) / (rank - 1)) / (sse_spline / (n - rank))
-        if f_stat < 3.0:
-            return Curve(np.array([0.0]), np.array([gbar]))
+    if n <= 2 * rank:
+        return Curve(np.array([0.0]), np.array([gbar]))
+    if sse_spline <= 0.0:
+        return curve
+    sse_const = float(np.sum((g_values - gbar) ** 2))
+    f_stat = ((sse_const - sse_spline) / (rank - 1)) / (sse_spline / (n - rank))
+    if f_stat < 3.0:
+        return Curve(np.array([0.0]), np.array([gbar]))
     qlo, qhi = design.quantiles
     if qhi > qlo:
         grid = np.linspace(qlo, qhi, 801)

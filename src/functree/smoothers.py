@@ -526,23 +526,6 @@ def _bspline_rhs(bounds, basis, v) -> np.ndarray:
     return bv
 
 
-def _truncated_power_fit(x, t, lo, hi, interior, grid) -> tuple[np.ndarray, int]:
-    # minimum-norm SVD least squares in the basis 1, u, u^2, u^3, (u - u_k)_+^3
-    # of u = (x - lo) / (hi - lo): the fit at grid and the rank the SVD found
-    scale = hi - lo
-
-    def design(v):
-        u = (v - lo) / scale
-        cols = [np.ones_like(u), u, u**2, u**3]
-        for k in interior:
-            uk = (k - lo) / scale
-            cols.append(np.clip(u - uk, 0.0, None) ** 3)
-        return np.column_stack(cols)
-
-    beta, _, rank, _ = np.linalg.lstsq(design(x), t, rcond=None)
-    return design(grid) @ beta, int(rank)
-
-
 class SplineDesign:
     """Least-squares cubic regression splines of any t on x (``fit``), with
     interior knots at the distinct vigintiles of x strictly inside its range
@@ -554,7 +537,7 @@ class SplineDesign:
 
     The fit is solved in the cubic B-spline basis on the clamped knot vector
     (min x four times, the interior knots, max x four times; Eilers & Marx
-    1996). It spans the same space as the truncated-power basis 1, u, u^2,
+    1996). It spans the same space as the power basis 1, u, u^2,
     u^3, (u - u_k)_+^3, whose design condition numbers reach 1e9 on
     effect-search products, but is far better conditioned. Each row has four nonzero basis
     values, so the Gram matrix is banded and is accumulated knot interval by
@@ -569,11 +552,16 @@ class SplineDesign:
     takes B'r summed exactly from exact products and removes that error.
 
     Tied x can leave too few distinct sites for the basis, and the fit is
-    then not identified between the sites. When Cholesky fails or a pivot
-    of the scaled Gram matrix has square below 1e-10 (``chol`` is then
-    None), every fit warns and falls back to the minimum-norm SVD solution
-    in the truncated-power basis, and sets ``rank``, the number of
-    independent columns the SVD found (``dof`` for a full-rank design).
+    then not identified between the sites; tightly clumped x can leave the
+    Gram matrix too ill-conditioned to factor. When Cholesky fails or a
+    pivot of the scaled Gram matrix has square below 1e-10 (``chol`` is
+    then None), every fit warns and takes the minimum-norm least-squares
+    solution in the same basis, from ``np.linalg.lstsq`` on the dense
+    design with its columns scaled to unit norm, and sets ``rank``, the
+    number of independent columns lstsq found (``dof`` for a full-rank
+    design). ``fit`` also returns the residual sum of squares of the
+    spline's own values at the rows, which the partial-association pretest
+    reads.
     """
 
     def __init__(self, x: np.ndarray):
@@ -581,7 +569,6 @@ class SplineDesign:
         lo, hi = float(x.min()), float(x.max())
         if not hi > lo:
             raise ValueError("x must not be constant")
-        self.x = x
         self.order = np.argsort(x)
         xs = x[self.order]  # np.quantile finds order statistics faster in sorted input
         vigintiles = np.quantile(xs, np.arange(1, 20) / 20.0)
@@ -604,31 +591,36 @@ class SplineDesign:
             self.chol = chol if np.min(np.diag(chol)) ** 2 >= 1e-10 else None
         except np.linalg.LinAlgError:
             self.chol = None
-        self.points = Points(x)
         self.grid_basis = _bspline_basis(self.grid, self.breaks)
 
     def _solve(self, v: np.ndarray) -> np.ndarray:
         return self.inv * np.linalg.solve(self.chol.T, np.linalg.solve(self.chol, self.inv * v))
 
-    def fit(self, t: np.ndarray) -> Curve:
-        """The spline of t on this design's x."""
+    def fit(self, t: np.ndarray) -> tuple[Curve, float]:
+        """The spline of t on this design's x, and its residual sum of
+        squares at the rows."""
         t = np.asarray(t, dtype=float)
-        if len(t) != len(self.x):
+        if len(t) != len(self.order):
             raise ValueError("x and t must have equal lengths")
+        bounds, basis, ts = self.bounds, self.basis, t[self.order]
         if self.chol is None:
             warnings.warn("rank-deficient spline design; collinear columns dropped", stacklevel=2)
-            values, self.rank = _truncated_power_fit(self.x, t, self.breaks[0], self.breaks[-1],
-                                                     self.interior, self.grid)
-            return Curve(self.grid, values)
-        bounds, basis, ts = self.bounds, self.basis, t[self.order]
-        beta = self._solve(_bspline_rhs(bounds, basis, ts))
-        step = self._solve(_bspline_rhs(bounds, basis, ts - _bspline_times(bounds, basis, beta)))
-        beta += step
-        if np.max(np.abs(step)) > REFINE_TOL * np.max(np.abs(beta)):
-            beta += self._solve(_bspline_rhs_exact(bounds, basis, ts - _bspline_times(bounds, basis, beta)))
-        return Curve(self.grid, _bspline_times(*self.grid_basis, beta))
+            dense = np.zeros((len(ts), self.dof))
+            for s in range(len(bounds) - 1):
+                dense[bounds[s] : bounds[s + 1], s : s + 4] = basis[:, bounds[s] : bounds[s + 1]].T
+            beta, _, rank, _ = np.linalg.lstsq(dense * self.inv, ts, rcond=None)
+            beta *= self.inv
+            self.rank = int(rank)
+        else:
+            beta = self._solve(_bspline_rhs(bounds, basis, ts))
+            step = self._solve(_bspline_rhs(bounds, basis, ts - _bspline_times(bounds, basis, beta)))
+            beta += step
+            if np.max(np.abs(step)) > REFINE_TOL * np.max(np.abs(beta)):
+                beta += self._solve(_bspline_rhs_exact(bounds, basis, ts - _bspline_times(bounds, basis, beta)))
+        resid = ts - _bspline_times(bounds, basis, beta)
+        return Curve(self.grid, _bspline_times(*self.grid_basis, beta)), float(resid @ resid)
 
 
 def spline_fit(x: np.ndarray, t: np.ndarray) -> Curve:
     """The least-squares cubic regression spline of t on x."""
-    return SplineDesign(x).fit(t)
+    return SplineDesign(x).fit(t)[0]

@@ -236,7 +236,7 @@ def test_pa_pretest_counts_the_rank_of_a_rank_deficient_spline():
     g = 0.2 * np.array([0.0, 0.0, 1.0, 0.0, -1.0, 1.0])[f.astype(int)] + rng.normal(size=500)
     design = SplineDesign(f)
     with pytest.warns(UserWarning, match="rank-deficient"):
-        spline = design.fit(g)
+        spline, _ = design.fit(g)
     assert (design.dof, design.rank) == (7, 5)
     assert _pretest_f(f, g, spline, 5) >= 3.0 > _pretest_f(f, g, spline, 7)
     with pytest.warns(UserWarning, match="rank-deficient"):
@@ -245,12 +245,34 @@ def test_pa_pretest_counts_the_rank_of_a_rank_deficient_spline():
     np.testing.assert_array_equal(curve.values, spline(curve.knots))
 
 
+@pytest.mark.parametrize("n", [30, 38, 46])
+def test_pa_coefficient_on_too_few_rows_to_test_collapses_to_its_mean(n):
+    # at most 2 * rank rows leave the F pretest too little data, so the
+    # coefficient is g's mean, as below 30 rows: every kept curve has passed
+    # the test. Here g is unrelated to f, and the spline would be kept
+    rng = np.random.default_rng(n)
+    f, g = rng.normal(size=n), rng.normal(size=n)
+    design = SplineDesign(f)
+    assert n <= 2 * design.rank == 46
+    curve = coefficient_curve(design, g)
+    assert curve.values.tolist() == [np.mean(g)]
+
+
 @pytest.fixture(scope="module")
 def hu_pa_case():
     # the analyze-hu30 benchmark's model; on this draw its PA coefficient
     # curves are not all constant, unlike those of the friedman model
     tree = ft.fit(ft.gen_hu(5000, seed=0), FitConfig(max_nodes=24, patience=24))
     return tree, ft.gen_hu(20000, seed=7)
+
+
+def test_pa_equals_pd_on_too_few_rows_to_test(hu_pa_case):
+    # every coefficient of a PA on 40 rows collapses to its complement mean
+    tree, _ = hu_pa_case
+    data = ft.gen_hu(40, seed=3)
+    for subset in [(0, 1), (1, 2), (2, 5)]:
+        np.testing.assert_allclose(pa(tree, subset, None, data).values,
+                                   pd_fast(tree, subset, None, data).values, rtol=0, atol=1e-12)
 
 
 class _PaReference:

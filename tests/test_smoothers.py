@@ -552,17 +552,17 @@ def _accurate_least_squares(D, t, E):
     return np.array([math.fsum(row) for row in rows])
 
 
-def _truncated_power_reference(x, t, accurate=False):
-    """The least-squares spline in the truncated-power basis solved by SVD,
-    as the rank-deficient fallback of spline_fit must compute it. Returns
-    the grid, the curve values and the condition number of the design.
-    ``accurate`` solves a full-rank design with _accurate_least_squares
-    instead: SVD in float64 is off the exact fit by about eps times the
-    condition number, 1.65x that on one lognormal draw, where the accurate
-    solve is 4.8e-9 relative off the exact B-spline fit. The condition number
-    returned is the smaller of the unscaled design's and that of its columns
-    scaled to unit norm (the lower one on one lognormal draw, 1.4x higher on
-    clumped ones), so a bound set by it is never looser than either."""
+def _truncated_power_reference(x, t):
+    """The exact least-squares spline in the truncated-power basis, an
+    independent oracle for a full-rank fit. Returns the grid, the curve
+    values and the condition number of the design. The normal equations are
+    solved with _accurate_least_squares: SVD in float64 is off the exact fit
+    by about eps times the condition number, 1.65x that on one lognormal
+    draw, where the accurate solve is 4.8e-9 relative off the exact B-spline
+    fit. The condition number returned is the smaller of the unscaled
+    design's and that of its columns scaled to unit norm (the lower one on
+    one lognormal draw, 1.4x higher on clumped ones), so a bound set by it
+    is never looser than either."""
     lo, hi = x.min(), x.max()
     interior = np.unique(np.quantile(x, np.arange(1, 20) / 20.0))
     interior = interior[(interior > lo) & (interior < hi)]
@@ -577,10 +577,7 @@ def _truncated_power_reference(x, t, accurate=False):
     D = design(x)
     grid = np.unique(np.concatenate([np.linspace(lo, hi, 2001), interior]))
     cond = min(np.linalg.cond(D), np.linalg.cond(D / np.linalg.norm(D, axis=0)))
-    if accurate:
-        return grid, _accurate_least_squares(D, t, design(grid)), cond
-    beta = np.linalg.lstsq(D, t, rcond=None)[0]
-    return grid, design(grid) @ beta, cond
+    return grid, _accurate_least_squares(D, t, design(grid)), cond
 
 
 def _bspline_design(v, lo, hi, interior):
@@ -599,6 +596,19 @@ def _bspline_design(v, lo, hi, interior):
                 nxt[i] += (t[i + k + 1] - v) / (t[i + k + 1] - t[i + 1]) * basis[i + 1]
         basis = nxt
     return basis.T
+
+
+def _min_norm_reference(x, t, grid, interior):
+    """The minimum-norm least-squares spline on the textbook B-spline design
+    with its columns scaled to unit norm, from np.linalg.lstsq: the grid
+    values, the rank lstsq found and the condition number of the columns it
+    kept (largest over smallest kept singular value)."""
+    lo, hi = x.min(), x.max()
+    design = _bspline_design(x, lo, hi, interior)
+    norm = np.linalg.norm(design, axis=0)
+    inv = np.where(norm > 0.0, 1.0 / np.where(norm > 0.0, norm, 1.0), 0.0)
+    beta, _, rank, sv = np.linalg.lstsq(design * inv, t, rcond=None)
+    return _bspline_design(grid, lo, hi, interior) @ (inv * beta), rank, sv[0] / sv[rank - 1]
 
 
 def _draw_x(kind, n, rng):
@@ -626,55 +636,82 @@ def _draw_x(kind, n, rng):
 # next (condition number 4.6e8, 3.5e8 scaled), against a bound of 1e-7
 @example(kind="lognormal", n=30, seed=110146)
 @example(kind="clumped", n=94, seed=94)
+# a minimum-norm lstsq on the dense design in place of the Cholesky
+# solve and its refinement reached 1.30x the bound here
 @example(kind="clumped", n=30, seed=22728226)
 # a float64 refinement left this fit 8.6e-7 off the exact one, against a
 # bound of 2.5e-7: a B-spline over a gap between clusters carries a
 # coefficient of 1.7e5 (Gram diagonal 1e-16)
 @example(kind="clumped", n=945, seed=1474)
+# its pivot test fails, so the fit is the minimum-norm fallback
+@example(kind="clumped", n=265, seed=251547793)
 def test_spline_fit_matches_least_squares_oracles(kind, n, seed):
     rng = np.random.default_rng(seed)
     x = _draw_x(kind, n, rng)
     t = np.sin(3.0 * (x - x.mean()) / x.std()) + rng.normal(size=n)
+    design = SplineDesign(x)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        f = spline_fit(x, t)
-    # the rank-deficient fallback is the float64 truncated-power fit, bit
-    # for bit; a full-rank fit is unique, so its reference is solved accurately
-    grid, tp_values, tp_cond = _truncated_power_reference(x, t, accurate=not caught)
+        f, sse = design.fit(t)
+    assert bool(caught) == (design.chol is None)
+    lo, hi, interior = x.min(), x.max(), design.interior
+    grid = np.unique(np.concatenate([np.linspace(lo, hi, 2001), interior]))
     assert np.array_equal(f.knots, grid)
-    if caught:
-        assert np.array_equal(f.values, tp_values)
-        return
-    # the same fit on the dense B-spline design, solved accurately: a float64
-    # SVD of the design with columns scaled to unit norm was 6.9e-12 relative
-    # off the exact fit of one clumped draw (condition number 24), where
-    # spline_fit was 9.5e-13 off
-    lo, hi, interior = x.min(), x.max(), SplineDesign(x).interior
-    design = _bspline_design(x, lo, hi, interior)
-    kappa = np.linalg.cond(design / np.linalg.norm(design, axis=0))
+    # every draw has at least 30 distinct x, so the design has full column
+    # rank and its least-squares fit is unique, the Cholesky fit and the
+    # minimum-norm fallback alike: the reference is that fit on the dense
+    # B-spline design, solved accurately, at the grid and at the rows. A
+    # float64 SVD of the design with columns scaled to unit norm was 6.9e-12
+    # relative off the exact fit of one clumped draw (condition number 24),
+    # where spline_fit was 9.5e-13 off
+    rows = _bspline_design(x, lo, hi, interior)
+    kappa = np.linalg.cond(rows / np.linalg.norm(rows, axis=0))
     scale = np.max(np.abs(f.values))
-    exact = _accurate_least_squares(design, t, _bspline_design(grid, lo, hi, interior))
-    gap = np.max(np.abs(f.values - exact))
+    exact = _accurate_least_squares(rows, t, np.vstack([_bspline_design(grid, lo, hi, interior), rows]))
+    gap = np.max(np.abs(f.values - exact[: len(grid)]))
     # each tolerance grows into its reference's own error on ill-conditioned
     # designs, the least-squares perturbation bounds: eps * kappa^2 for a
     # noisy fit's coefficients (SVD and Householder QR differed by 4e-12 at
     # kappa 430), eps * kappa for fitted values (the truncated-power fit
     # was 1.45e-7 off the B-spline SVD and QR fits at kappa 5.1e9)
     eps = np.finfo(float).eps
-    assert gap <= max(1e-12, eps * kappa**2) * scale
+    tol = max(1e-12, eps * kappa**2) * scale
+    assert gap <= tol
+    # the residual sum of squares exceeds the exact one by the squared
+    # distance of the fit from the projection at the rows (at most n tol^2),
+    # plus the rounding of the sums
+    sse_exact = float(np.sum((t - exact[len(grid) :]) ** 2))
+    assert abs(sse - sse_exact) <= 1e-10 * sse_exact + n * tol**2
+    if caught:
+        # the fallback's own reference: lstsq on the textbook design
+        values, rank, kappa_kept = _min_norm_reference(x, t, grid, interior)
+        assert design.rank == rank
+        assert np.max(np.abs(f.values - values)) <= max(1e-12, eps * kappa_kept**2) * scale
+        return
+    _, tp_values, tp_cond = _truncated_power_reference(x, t)
     if tp_cond < 1e10:
         assert np.max(np.abs(f.values - tp_values)) <= max(1e-7, eps * tp_cond) * scale
 
 
+def test_clumped_design_failing_the_pivot_test_keeps_full_rank():
+    # ill-conditioned, not singular: the fallback's lstsq on the B-spline
+    # design keeps all 23 columns
+    x = _draw_x("clumped", 265, np.random.default_rng(251547793))
+    design = SplineDesign(x)
+    assert design.chol is None
+    with pytest.warns(UserWarning, match="rank-deficient spline design"):
+        design.fit(np.sin(x))
+    assert design.rank == design.dof == 23
+
+
 @pytest.mark.parametrize("levels, seed", [(5, 9), (5, 13), (20, 5), (20, 8)])
-def test_rank_deficient_spline_falls_back_to_truncated_power(monkeypatch, levels, seed):
+def test_rank_deficient_spline_is_the_min_norm_b_spline_fit(monkeypatch, levels, seed):
     # tied x: more basis functions than distinct sites. On these seeds
     # Cholesky of the singular Gram matrix returns a factor with a tiny
     # pivot instead of raising, so only the pivot check catches it.
     rng = np.random.default_rng(seed)
     x = rng.choice(rng.normal(size=levels), 500)
     t = rng.normal(size=500)
-    assert len(np.unique(x)) < SplineDesign(x).dof
     factors = []
     cholesky = np.linalg.cholesky
 
@@ -683,12 +720,30 @@ def test_rank_deficient_spline_falls_back_to_truncated_power(monkeypatch, levels
         return factors[-1]
 
     monkeypatch.setattr(np.linalg, "cholesky", recording_cholesky)
+    design = SplineDesign(x)
+    sites, level = np.unique(x, return_inverse=True)
+    assert len(sites) < design.dof
     with pytest.warns(UserWarning, match="rank-deficient spline design"):
-        f = spline_fit(x, t)
+        f, sse = design.fit(t)
     assert len(factors) == 1
-    grid, values, _ = _truncated_power_reference(x, t)
-    assert np.array_equal(f.knots, grid)
-    assert np.array_equal(f.values, values)
+    # the fit at the rows is the least-squares projection onto the functions
+    # of x, the per-level means: the spline passes through them at every
+    # site on its grid (the extreme sites and every vigintile: all 5 sites
+    # of the 5-level draws, 17 and 20 of the 20-level ones), and its
+    # residual sum of squares is theirs, which bounds its distance from them
+    # at every row
+    assert design.rank == len(sites)
+    means = np.bincount(level, t) / np.bincount(level)
+    on_grid = np.isin(sites, f.knots)
+    assert on_grid[[0, -1]].all()
+    assert np.max(np.abs(f(sites[on_grid]) - means[on_grid])) <= 1e-12 * np.max(np.abs(t))
+    sse_means = float(np.sum((t - means[level]) ** 2))
+    assert abs(sse - sse_means) <= 1e-12 * sse_means
+    # at the grid, it is the minimum-norm fit of an independent lstsq
+    values, rank, kappa_kept = _min_norm_reference(x, t, f.knots, design.interior)
+    assert rank == design.rank
+    eps = np.finfo(float).eps
+    assert np.max(np.abs(f.values - values)) <= max(1e-12, eps * kappa_kept**2) * np.max(np.abs(f.values))
 
 
 def test_spline_knots_equal_vigintiles_of_unsorted_x():
