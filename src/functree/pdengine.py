@@ -213,10 +213,11 @@ class EffectEngine:
         self.tree = tree
         self.data = data
         self.node_values, self.basis = tree.node_columns(data.X)
-        B = np.column_stack(self.basis)
         self._data_w_sum = data.weight.sum()
-        self.basis_mean = (data.weight @ B) / float(self._data_w_sum)
-        self.pred_full = model_sum(tree.b0, B)
+        # the one stacked basis: no per-column form of BLAS's weight product
+        # (S @ w, w @ S.T, per-column dots, einsum) matched its bits
+        self.basis_mean = (data.weight @ np.column_stack(self.basis)) / float(self._data_w_sum)
+        self.pred_full = model_sum(tree.b0, self.basis)
         # each basis's path as (node, variable) pairs, and its variable set
         self.paths = [tuple((m, tree.nodes[m].var) for m in tree.path(k))
                       for k in range(1, len(tree.nodes))]

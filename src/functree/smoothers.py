@@ -555,13 +555,13 @@ class SplineDesign:
     then not identified between the sites; tightly clumped x can leave the
     Gram matrix too ill-conditioned to factor. When Cholesky fails or a
     pivot of the scaled Gram matrix has square below 1e-10 (``chol`` is
-    then None), every fit warns and takes the minimum-norm least-squares
-    solution in the same basis, from ``np.linalg.lstsq`` on the dense
-    design with its columns scaled to unit norm, and sets ``rank``, the
-    number of independent columns lstsq found (``dof`` for a full-rank
-    design). ``fit`` also returns the residual sum of squares of the
-    spline's own values at the rows, which the partial-association pretest
-    reads.
+    then None), the design takes one SVD of its dense form, columns scaled
+    to unit norm, and ``rank`` counts the singular values above lstsq's
+    default cut (``dof`` at full rank). Every fit then warns, naming columns
+    dropped or full rank but ill-conditioned, and takes the minimum-norm
+    least-squares solution from that SVD. ``fit`` also returns the residual
+    sum of squares of the spline's own values at the rows, which the
+    partial-association pretest reads.
     """
 
     def __init__(self, x: np.ndarray):
@@ -591,6 +591,13 @@ class SplineDesign:
             self.chol = chol if np.min(np.diag(chol)) ** 2 >= 1e-10 else None
         except np.linalg.LinAlgError:
             self.chol = None
+        if self.chol is None:
+            bounds, dense = self.bounds, np.zeros((len(xs), self.dof))
+            for s in range(len(bounds) - 1):
+                dense[bounds[s] : bounds[s + 1], s : s + 4] = self.basis[:, bounds[s] : bounds[s + 1]].T
+            u, sv, vt = np.linalg.svd(dense * self.inv, full_matrices=False)
+            self.rank = int(np.sum(sv > np.finfo(float).eps * max(dense.shape) * sv[0]))
+            self._svd = u[:, : self.rank], sv[: self.rank], vt[: self.rank]
         self.grid_basis = _bspline_basis(self.grid, self.breaks)
 
     def _solve(self, v: np.ndarray) -> np.ndarray:
@@ -604,13 +611,12 @@ class SplineDesign:
             raise ValueError("x and t must have equal lengths")
         bounds, basis, ts = self.bounds, self.basis, t[self.order]
         if self.chol is None:
-            warnings.warn("rank-deficient spline design; collinear columns dropped", stacklevel=2)
-            dense = np.zeros((len(ts), self.dof))
-            for s in range(len(bounds) - 1):
-                dense[bounds[s] : bounds[s + 1], s : s + 4] = basis[:, bounds[s] : bounds[s + 1]].T
-            beta, _, rank, _ = np.linalg.lstsq(dense * self.inv, ts, rcond=None)
-            beta *= self.inv
-            self.rank = int(rank)
+            rank, dof = self.rank, self.dof
+            warnings.warn(f"ill-conditioned spline design at full rank {dof}" if rank == dof else
+                          f"rank-deficient spline design: rank {rank} of {dof}; collinear columns dropped",
+                          stacklevel=2)
+            u, sv, vt = self._svd
+            beta = self.inv * (vt.T @ ((u.T @ ts) / sv))
         else:
             beta = self._solve(_bspline_rhs(bounds, basis, ts))
             step = self._solve(_bspline_rhs(bounds, basis, ts - _bspline_times(bounds, basis, beta)))

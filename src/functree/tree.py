@@ -149,6 +149,10 @@ class FunctionTree:
         b0 plus the non-root basis vectors equals predict(). The nodes on one
         variable are evaluated together at one ``Points``, so a long column is
         located once per distinct knot vector and dropped before the next."""
+        values = self._values(X)
+        return values, self._basis(list(values))
+
+    def _values(self, X: np.ndarray) -> list[np.ndarray]:
         X = self._check_matrix(X)
         ones = np.ones(X.shape[0])
         by_var: dict[int, list[TreeNode]] = {}
@@ -159,14 +163,17 @@ class FunctionTree:
             at = Points(X[:, var])
             for node in nodes:
                 values[node.id] = node.func.at(at)
-        basis = [ones]
+        return values
+
+    def _basis(self, values: list[np.ndarray]) -> list[np.ndarray]:
+        # the node values become the basis, each dropped once its product is taken
         for node in self.nodes[1:]:
-            basis.append(basis[node.parent] * values[node.id])
-        return values, basis
+            values[node.id] = values[node.parent] * values[node.id]
+        return values
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         """Model value b0 + sum of path products, vectorized over rows."""
-        return model_sum(self.b0, np.column_stack(self.node_columns(X)[1]))
+        return model_sum(self.b0, self._basis(self._values(X)))
 
     def __call__(self, X: np.ndarray) -> np.ndarray:
         return self.predict(X)
@@ -187,15 +194,22 @@ class FunctionTree:
 
     def recompute_influence(self, X: np.ndarray, weight: np.ndarray | None = None) -> None:
         """Set each non-root node's influence to the weighted standard
-        deviation of its basis function over the rows of X."""
+        deviation of its basis function over the rows of X. The sums are
+        numpy 2.x's for ``np.average(B, axis=0, weights=w)`` on the stacked
+        basis B, written out a column at a time so that no numpy upgrade moves
+        a bit: the weight total in ``pairwise_sum`` order, each column's sums
+        row after row (pairwise when B has one column)."""
         if len(self.nodes) == 1:
             return
-        B = np.column_stack(self.node_columns(X)[1][1:])
-        w = np.ones(len(B)) if weight is None else np.asarray(weight, dtype=float)
-        mean = np.average(B, axis=0, weights=w)
-        var = np.average((B - mean) ** 2, axis=0, weights=w)
+        basis = self._basis(self._values(X))
+        w = np.ones(len(basis[0])) if weight is None else np.asarray(weight, dtype=float)
+        w_sum = pairwise_sum(w.tolist())
+
+        def total(a: np.ndarray) -> float:
+            return pairwise_sum(a.tolist()) if len(basis) == 2 else float(np.cumsum(a)[-1])
         for node in self.nodes[1:]:
-            node.influence = float(np.sqrt(var[node.id - 1]))
+            mean = total(basis[node.id] * w) / w_sum
+            node.influence = float(np.sqrt(total((basis[node.id] - mean) ** 2 * w) / w_sum))
 
     # -- serialization -----------------------------------------------------
 
@@ -298,12 +312,37 @@ class FunctionTree:
         return cls(tuple(variables), float(b0), nodes, stats)
 
 
-def model_sum(b0: float, B: np.ndarray) -> np.ndarray:
-    """The model value b0 plus the row sums of the non-root columns of the
-    basis matrix ``B`` (one column per node id, the root's first). Every
-    model value is summed here, so the fitter's errors are those of
-    ``predict``."""
-    return b0 + B[:, 1:].sum(axis=1)
+def model_sum(b0: float, columns: list[np.ndarray]) -> np.ndarray:
+    """b0 plus the non-root basis columns (one per node id, the root's first)
+    in ``pairwise_sum`` order: numpy 2.x's row sums of their stacked C-order
+    matrix, written out, from +0.0 as numpy's (``b0 + 0.0``). Every model
+    value is summed here, so the fitter's errors are those of ``predict``."""
+    terms = columns[1:] or [np.zeros(len(columns[0]))]
+    if len(columns[0]) == 1:  # one row: floats skip numpy's per-call costs
+        return np.array([(b0 + 0.0) + pairwise_sum(np.concatenate(terms).tolist())])
+    return (b0 + 0.0) + pairwise_sum(terms)
+
+
+def pairwise_sum(terms: list):
+    """Floats, or arrays elementwise, summed in numpy 2.x's order for a
+    contiguous reduction, written out so that no numpy upgrade moves a bit:
+    below 8 terms one by one; up to 128, term i into running sum r[i % 8]
+    over whole groups of eight, then ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)) and
+    the rest one by one; above, two halves, the first a multiple of 8 long."""
+    n = len(terms)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return pairwise_sum(terms[:half]) + pairwise_sum(terms[half:])
+    stop = n - n % 8 if n >= 8 else 1
+    r = [t * 1.0 for t in terms[: min(stop, 8)]]  # copies to add into: x * 1.0 is x, -0.0 too
+    for i in range(8, stop, 8):
+        for j, t in enumerate(terms[i : i + 8]):
+            r[j] += t
+    for j, d in ((0, 1), (2, 1), (4, 1), (6, 1), (0, 2), (4, 2), (0, 4)) if n >= 8 else ():
+        r[j] += r[j + d]
+    for t in terms[stop:]:
+        r[0] += t
+    return r[0]
 
 
 def _finite_number(value) -> bool:
@@ -464,7 +503,7 @@ class TreeFitter:
         self.pathvars: list[frozenset[int]] = [frozenset()]
         for node in self.nodes[1:]:
             self._register(node)
-        self.resid = self.ytr - model_sum(self.b0, np.column_stack(self.B_tr))
+        self.resid = self.ytr - model_sum(self.b0, self.B_tr)
         # additions below this gain are float noise, not structure
         self.min_gain = 1e-12 * float(np.sum(self.rho * (self.ytr - np.average(self.ytr, weights=self.rho)) ** 2))
         self.history: list[dict] = []
@@ -718,7 +757,7 @@ class TreeFitter:
             for _ in range(cfg.backfit_passes):
                 self.backfit_pass()
             self.recenter()
-            self.resid = self.ytr - model_sum(self.b0, np.column_stack(self.B_tr))
+            self.resid = self.ytr - model_sum(self.b0, self.B_tr)
             snap = self._snapshot()
             te = self._test_rmse(snap)
             self.history.append({"n_nodes": len(self.nodes) - 1, "train_sse": self.train_sse(),

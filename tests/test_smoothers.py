@@ -694,14 +694,46 @@ def test_spline_fit_matches_least_squares_oracles(kind, n, seed):
 
 
 def test_clumped_design_failing_the_pivot_test_keeps_full_rank():
-    # ill-conditioned, not singular: the fallback's lstsq on the B-spline
-    # design keeps all 23 columns
+    # ill-conditioned, not singular: the fallback's SVD of the B-spline
+    # design keeps all 23 columns, and its warning says so
     x = _draw_x("clumped", 265, np.random.default_rng(251547793))
     design = SplineDesign(x)
     assert design.chol is None
-    with pytest.warns(UserWarning, match="rank-deficient spline design"):
-        design.fit(np.sin(x))
     assert design.rank == design.dof == 23
+    with pytest.warns(UserWarning, match="ill-conditioned spline design at full rank 23"):
+        design.fit(np.sin(x))
+
+
+def _fallback_draws():
+    for levels, seed in [(5, 9), (5, 13), (20, 5), (20, 8)]:
+        rng = np.random.default_rng(seed)
+        yield rng.choice(rng.normal(size=levels), 500), rng.normal(size=500)
+    x = _draw_x("clumped", 265, np.random.default_rng(251547793))
+    yield x, np.sin(3.0 * x) + np.random.default_rng(1).normal(size=len(x))
+
+
+@pytest.mark.parametrize("x, t", list(_fallback_draws()))
+def test_fallback_design_factors_once_and_knows_its_rank(monkeypatch, x, t):
+    # a pivot-failing design takes its one SVD when it is built: ``rank`` is
+    # lstsq's before any fit, and every fit reuses the factors. Tolerance,
+    # stated before measuring: each fit within max(1e-12, eps * kappa^2) of
+    # max|values| of a per-fit lstsq on the textbook design, kappa over its
+    # kept singular values. Against the per-fit lstsq the fallback used to
+    # run, the fits moved by at most 2.3e-15 relative on the few-level draws
+    # and 5.1e-13 on the clumped one (kappa 2.1e5)
+    plain = SplineDesign(x)
+    values, rank, kappa_kept = _min_norm_reference(x, t, plain.grid, plain.interior)
+    svd, calls = np.linalg.svd, []
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+    monkeypatch.setattr(np.linalg, "lstsq", None)
+    design = SplineDesign(x)
+    assert design.chol is None and design.rank == rank and len(calls) == 1
+    for _ in range(2):
+        with pytest.warns(UserWarning, match=f"rank {rank} of {design.dof}" if rank < design.dof else "full rank"):
+            f, _ = design.fit(t)
+    assert len(calls) == 1
+    eps = np.finfo(float).eps
+    assert np.max(np.abs(f.values - values)) <= max(1e-12, eps * kappa_kept**2) * np.max(np.abs(values))
 
 
 @pytest.mark.parametrize("levels, seed", [(5, 9), (5, 13), (20, 5), (20, 8)])
