@@ -65,7 +65,9 @@ class Dataset:
 
     Categorical cells hold integer level indices (stored as floats in ``X``);
     ``truth`` optionally carries a hidden noiseless target for generated data.
-    """
+    ``X``, ``y``, ``weight`` and ``truth`` are read-only views, in copies too:
+    a write through them raises, and one through an alias the caller kept is
+    unsupported (effect calls reuse what they computed from the data)."""
 
     variables: tuple[Variable, ...]
     X: np.ndarray
@@ -109,6 +111,13 @@ class Dataset:
                 idx = np.rint(col)
                 if np.any(col != idx) or np.any(idx < 0) or np.any(idx >= v.n_levels):
                     raise ValueError(f"{v.name}: cell is not a valid level index")
+        for name in ("X", "y", "weight", "truth"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, getattr(self, name).view())
+                getattr(self, name).flags.writeable = False
+
+    def __reduce__(self):  # a copied or unpickled Dataset is checked and read-only as well
+        return Dataset, (self.variables, self.X, self.y, self.weight, self.target_name, self.truth)
 
     @property
     def n(self) -> int:

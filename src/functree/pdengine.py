@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import copy
 import csv
+import weakref
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import NamedTuple
@@ -194,6 +195,42 @@ def _mean(a: np.ndarray, w: np.ndarray, w_sum: float) -> np.floating:
     return np.multiply(a, w).sum() / w_sum
 
 
+# (id(tree), id(data)) -> [fingerprint, node functions (held: their ids stay theirs), attributes, finalizers]
+_EVALUATIONS: dict[tuple[int, int], list] = {}
+
+
+def _forget(key: tuple[int, int]) -> None:
+    for fin in _EVALUATIONS.pop(key, [])[3:]:
+        fin.detach()
+
+
+def _evaluation(tree: FunctionTree, data: Dataset) -> dict:
+    """The engine attributes that depend only on the pair, arrays read-only;
+    computed again when b0 or a node's id, parent, variable or function changes."""
+    key = (id(tree), id(data))
+    fingerprint = (tree.b0, [(n.id, n.parent, n.var, id(n.func)) for n in tree.nodes])
+    entry = _EVALUATIONS.get(key)
+    if entry is not None and entry[0] == fingerprint:
+        return entry[2]
+    node_values, basis = tree.node_columns(data.X)
+    w_sum = data.weight.sum()
+    # the one stacked basis: no per-column form of BLAS's weight product
+    # (S @ w, w @ S.T, per-column dots, einsum) matched its bits
+    basis_mean = (data.weight @ np.column_stack(basis)) / float(w_sum)
+    pred_full = model_sum(tree.b0, basis)
+    for a in (*node_values, *basis, basis_mean, pred_full):
+        a.flags.writeable = False
+    paths = [tuple((m, tree.nodes[m].var) for m in tree.path(k)) for k in range(1, len(tree.nodes))]
+    pathvars = [frozenset(var for _, var in p) for p in paths]
+    live = {frozenset(c) for pv in set(pathvars) for k in range(1, MAX_ORDER + 1) for c in combinations(pv, k)}
+    if entry is None:
+        entry = _EVALUATIONS[key] = [None] * 3 + [weakref.finalize(o, _forget, key) for o in (tree, data)]
+    entry[:3] = fingerprint, [n.func for n in tree.nodes], dict(
+        node_values=node_values, basis=basis, _data_w_sum=w_sum, basis_mean=basis_mean, pred_full=pred_full,
+        paths=paths, pathvars=pathvars, _live=live)
+    return entry[2]
+
+
 class EffectEngine:
     """Shared caches for subset-effect computation on one (tree, data) pair.
 
@@ -206,25 +243,19 @@ class EffectEngine:
     association coefficient functions. ``fast_evals`` accumulates the
     decomposition-path evaluation cost per computed effect; ``brute_equiv``
     the matching brute-force cost.
+
+    Engines on one pair share its ``_evaluation`` while tree and data live;
+    each call's engine and its siblings keep their own per-subset memos.
     """
 
     def __init__(self, tree: FunctionTree, data: Dataset, *, rows: np.ndarray | None = None,
                  use_pa: bool = False):
         self.tree = tree
         self.data = data
-        self.node_values, self.basis = tree.node_columns(data.X)
-        self._data_w_sum = data.weight.sum()
-        # the one stacked basis: no per-column form of BLAS's weight product
-        # (S @ w, w @ S.T, per-column dots, einsum) matched its bits
-        self.basis_mean = (data.weight @ np.column_stack(self.basis)) / float(self._data_w_sum)
-        self.pred_full = model_sum(tree.b0, self.basis)
-        # each basis's path as (node, variable) pairs, and its variable set
-        self.paths = [tuple((m, tree.nodes[m].var) for m in tree.path(k))
-                      for k in range(1, len(tree.nodes))]
-        self.pathvars = [frozenset(var for _, var in p) for p in self.paths]
-        # what depends only on (tree, data), shared by siblings: splits by
-        # subset, complement means by node tuple and PA coefficient curves
-        # by (z-side nodes, complement nodes)
+        self.__dict__.update(_evaluation(tree, data))
+        # what depends on the subsets this call asks for, shared by siblings:
+        # splits by subset, complement means by node tuple and PA coefficient
+        # curves by (z-side nodes, complement nodes)
         self._splits: dict[frozenset, _Split] = {}
         self._gbar: dict[tuple, float] = {}
         self._pa_curves: dict[tuple, Curve] = {}
@@ -241,11 +272,11 @@ class EffectEngine:
         self._basis_at_rows = [b[take] for b in self.basis]
         self.w_sum = self.w.sum()
         self._pred_var: float | None = None
-        # centring constants by subset and pure interactions at the rows by
-        # sorted subset tuple. Over one analyze-hu30 round (seed 7) _i_rows
-        # had 120 hits in 205 lookups and _centers 4 in 16; of the shared
-        # memos, _splits had 52 in 233, _gbar 230 in 381 and _pa_curves 24
-        # in 72, whose 48 misses fit splines through 30 designs
+        # centring constants by subset and pure interactions at the rows by sorted subset tuple.
+        # Over one analyze-hu30 round (seed 7) _i_rows had 120 hits in 205 lookups and _centers 4 in
+        # 16; of the sibling memos, _splits had 52 in 233, _gbar 230 in 381 and _pa_curves 24 in 72,
+        # whose 48 misses fit splines through 30 designs; _evaluation hit 6 of 7 lookups in each
+        # later round (each conditional grid pins a new tree)
         self._centers: dict[frozenset, float] = {}
         self._i_rows: dict[tuple, np.ndarray] = {}
         self.fast_evals = 0.0
@@ -368,7 +399,7 @@ class EffectEngine:
         each term's path misses some subset variable v, so the term adds
         the same to the effects of u and u + v, and inclusion-exclusion
         cancels them in pairs."""
-        return any(key <= pv for pv in self.pathvars)
+        return key in self._live if len(key) <= MAX_ORDER else any(key <= pv for pv in self.pathvars)
 
     def i_rows(self, key: frozenset) -> np.ndarray:
         """Pure interaction of the subset at the engine's rows."""

@@ -21,6 +21,14 @@ def friedman_model(friedman_data):
     return ft.fit(friedman_data, ft.FitConfig())
 
 
+@pytest.fixture(scope="session")
+def hu_model_data():
+    """Correlated predictors, where most PA coefficient curves are not
+    constant (on the friedman fixture every one collapses to the mean)."""
+    data = ft.gen_hu(2000, seed=3)
+    return ft.fit(data, ft.FitConfig(max_nodes=12, patience=12)), data
+
+
 def random_tree(rng: np.random.Generator, p: int = 6, max_nodes: int = 15,
                 categorical: tuple[int, ...] = ()) -> FunctionTree:
     """Random small tree over p variables; function values kept modest so

@@ -1,6 +1,8 @@
 """Dataset loading, generators, and metric contracts."""
 
+import copy
 import math
+import pickle
 import warnings
 from unittest import mock
 
@@ -313,6 +315,45 @@ def test_dataset_rejects_all_zero_weights():
     one = np.zeros(data.n)
     one[7] = 1.0
     assert Dataset(data.variables, data.X, data.y, weight=one).weight.sum() == 1.0
+
+
+def _assert_read_only(data):
+    for a in (data.X, data.y, data.weight) + (() if data.truth is None else (data.truth,)):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            a[(0,) * a.ndim] = 1.0
+
+
+def test_dataset_arrays_are_read_only_views(tmp_path):
+    # a Dataset stores read-only views: a write through data.X and the rest
+    # raises, while the arrays the caller passed stay writable
+    rng = np.random.default_rng(4)
+    X, y, w, t = rng.normal(size=(20, 2)), rng.normal(size=20), np.ones(20), rng.normal(size=20)
+    data = Dataset((Variable("a", "numeric"), Variable("b", "numeric")), X, y, weight=w, truth=t)
+    _assert_read_only(data)
+    for a in (X, y, w, t):
+        assert a.flags.writeable
+        a[0] = 0.5
+    assert data.X[0, 0] == 0.5 and data.y[0] == 0.5
+    # a deep copy and an unpickled copy are read-only too
+    for c in (copy.deepcopy(data), pickle.loads(pickle.dumps(data))):
+        _assert_read_only(c)
+        np.testing.assert_array_equal(c.X, data.X)
+        np.testing.assert_array_equal(c.truth, data.truth)
+        assert (c.variables, c.target_name) == (data.variables, data.target_name)
+    # the row subset, the CSV loader and both generators keep working
+    sub = ftdata.take_rows(data, np.array([3, 1, 3]))
+    _assert_read_only(sub)
+    np.testing.assert_array_equal(sub.X, X[[3, 1, 3]])
+    np.testing.assert_array_equal(sub.truth, t[[3, 1, 3]])
+    for gen in (ft.gen_hu(50, seed=1), ft.gen_friedman(50, seed=1)):
+        _assert_read_only(gen)
+        out = tmp_path / "g.csv"
+        write_csv(gen, out)
+        back = load_csv(out, target="y")
+        _assert_read_only(back)
+        np.testing.assert_array_equal(back.X, gen.X)
+        np.testing.assert_array_equal(back.truth, gen.truth)
 
 
 def test_split_is_deterministic_and_disjoint():

@@ -455,14 +455,6 @@ def test_search_strength_subsample_reproducible(friedman_data, friedman_model):
     assert [e.strength for e in a.entries] == [e.strength for e in b.entries]
 
 
-@pytest.fixture(scope="module")
-def hu_model_data():
-    """Correlated predictors, where most PA coefficient curves are not
-    constant (on the friedman fixture every one collapses to the mean)."""
-    data = ft.gen_hu(2000, seed=3)
-    return ft.fit(data, FitConfig(max_nodes=12, patience=12)), data
-
-
 @pytest.mark.parametrize("which", ["friedman", "hu"])
 def test_search_memos_match_a_fresh_engine_per_subset(request, which):
     # the search's engines share splits, complement means and coefficient

@@ -1,6 +1,10 @@
 """Partial dependence and partial association contracts."""
 
+import copy
+import gc
 import warnings
+import weakref
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -542,3 +546,122 @@ def test_weighted_mean_equals_np_average(pairs):
     else:
         got, want = _mean(a, w, w.sum()), np.average(a, weights=w)
         assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# One evaluation per (tree, data)
+# ---------------------------------------------------------------------------
+
+def _fresh_pair(model_data):
+    """Deep copies of a model and its data: a pair no call has evaluated."""
+    return copy.deepcopy(model_data[0]), copy.deepcopy(model_data[1])
+
+
+def _bits(a) -> bytes:
+    return np.asarray(a, dtype=float).tobytes()
+
+
+def _entry_point_results(tree, data) -> list:
+    """Every public effect entry point on one pair, as exact comparables."""
+    out = []
+    for kwargs in ({"max_order": 3}, {"max_order": 3, "use_screens": False, "strength_rows": 150, "seed": 2},
+                   {"max_order": 2, "with_pa": True}):
+        rep = ft.search_effects(tree, data, **kwargs)
+        out.append(([(e.subset, e.strength, e.strength_pa) for e in rep.entries],
+                    rep.fast_evals, rep.brute_equiv))
+    for fn, subset in ((pd_fast, (0, 1)), (pa, (0, 1)), (pure_interaction, (0, 1, 2))):
+        g = fn(tree, subset, None, data, resolution=5)
+        out.append((_bits(g.points), _bits(g.values), g.center, g.alpha, g.eval_count))
+    out.append(ft.strength(tree, (0, 1), data))
+    h = ft.screen_h(tree, data)
+    out.append((_bits(h.scores), h.threshold, h.flagged))
+    return out
+
+
+def test_one_evaluation_per_tree_and_data(monkeypatch, hu_model_data):
+    # every entry point on one unchanged pair evaluates the tree once, and
+    # reads what a fresh pair (deep copies, so nothing is shared) computes
+    tree, data = _fresh_pair(hu_model_data)
+    calls = []
+    original = ft.FunctionTree.node_columns
+
+    def counted(self, X):
+        calls.append(self)
+        return original(self, X)
+
+    monkeypatch.setattr(ft.FunctionTree, "node_columns", counted)
+    got = _entry_point_results(tree, data)
+    assert len(calls) == 1
+    assert EffectEngine(tree, data).basis[1] is EffectEngine(tree, data).basis[1]
+    assert len(calls) == 1
+    assert got == _entry_point_results(copy.deepcopy(tree), copy.deepcopy(data))
+    assert len(calls) == 2
+
+
+def _swap_func(tree):
+    node = tree.nodes[1]
+    node.func = node.func.scale(-2.0)
+
+
+def _append_node(tree):
+    k = len(tree.nodes)
+    tree.nodes.append(ft.TreeNode(k, k - 1, 0, ft.Curve(np.array([-1.0, 1.0]), np.array([0.7, -0.4]))))
+
+
+def _move_b0(tree):
+    tree.b0 += 1.5
+
+
+@pytest.mark.parametrize("edit", [_swap_func, _append_node, _move_b0])
+def test_a_tree_edited_in_place_is_evaluated_again(edit, hu_model_data):
+    # after an in-place edit every entry point must give what a from-scratch
+    # evaluation of the edited tree gives, not the stale shared one
+    tree, data = _fresh_pair(hu_model_data)
+    before = _entry_point_results(tree, data)
+    edit(tree)
+    after = _entry_point_results(tree, data)
+    assert after == _entry_point_results(copy.deepcopy(tree), copy.deepcopy(data))
+    assert after != before
+
+
+def test_an_evaluation_lives_no_longer_than_its_tree_or_data():
+    rng = np.random.default_rng(13)
+    tree = random_tree(rng, p=5, max_nodes=12, categorical=(4,))
+    data = random_dataset(rng, tree, n=400)
+    column = weakref.ref(EffectEngine(tree, data).basis[1])
+    assert column() is not None
+    del tree
+    gc.collect()
+    assert column() is None
+    # 50 short-lived trees on one dataset leave no entry and no finalizer on it
+    entries = len(pdengine._EVALUATIONS)
+    for _ in range(50):
+        t = random_tree(rng, p=5, max_nodes=6, categorical=(4,))
+        if np.ptp(t.predict(data.X)) > 0:  # strength needs a non-constant model
+            ft.strength(t, (0,), data)
+        pd_fast(t, (1,), None, data, resolution=3)
+        del t
+    gc.collect()
+    assert len(pdengine._EVALUATIONS) == entries
+    assert not [f for f, info in weakref.finalize._registry.items() if info.weakref() is data]
+    # nor does an entry keep its data alive
+    tree = random_tree(rng, p=5, max_nodes=6, categorical=(4,))
+    EffectEngine(tree, data)
+    gone = weakref.ref(data)
+    del data
+    gc.collect()
+    assert gone() is None
+    assert len(pdengine._EVALUATIONS) == entries
+
+
+def test_live_set_matches_the_path_containment_test():
+    # the engine's live subsets are the path sets' subsets of at most
+    # MAX_ORDER variables; a larger key takes the containment test
+    rng = np.random.default_rng(15)
+    for _ in range(5):
+        tree = random_tree(rng, p=6, max_nodes=14)
+        eng = EffectEngine(tree, random_dataset(rng, tree, n=40))
+        for size in range(1, 7):
+            for s in combinations(range(6), size):
+                key = frozenset(s)
+                assert eng.live(key) == any(key <= tree.path_vars(k) for k in range(1, len(tree.nodes)))
