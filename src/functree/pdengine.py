@@ -100,13 +100,13 @@ def write_effect_csv(grid: EffectGrid, path) -> None:
 def default_axis(data: Dataset, j: int, resolution: int = 50) -> np.ndarray:
     """Default evaluation values for one variable: every level for
     categoricals, otherwise ``resolution`` equally spaced midpoint quantiles
-    ((i - 0.5) / resolution) of the training values, which keeps the grid off
-    the extreme order statistics."""
+    ((i - 0.5) / resolution) of the values on rows with positive weight,
+    which keeps the grid off the extreme order statistics."""
     v = data.variables[j]
     if v.is_categorical:
         return np.arange(v.n_levels, dtype=float)
     probs = (np.arange(resolution) + 0.5) / resolution
-    return np.unique(np.quantile(data.X[:, j], probs))
+    return np.unique(np.quantile(data.X[data.weight > 0, j], probs))
 
 
 def product_points(axes) -> np.ndarray:
@@ -205,8 +205,10 @@ def _forget(key: tuple[int, int]) -> None:
 
 
 def _evaluation(tree: FunctionTree, data: Dataset) -> dict:
-    """The engine attributes that depend only on the pair, arrays read-only;
-    computed again when b0 or a node's id, parent, variable or function changes."""
+    """The engine attributes that depend only on the pair, arrays read-only:
+    the node values and basis columns, each column's weighted mean, taken one
+    column at a time, and the model values. Computed again when b0 or a
+    node's id, parent, variable or function changes."""
     key = (id(tree), id(data))
     fingerprint = (tree.b0, [(n.id, n.parent, n.var, id(n.func)) for n in tree.nodes])
     entry = _EVALUATIONS.get(key)
@@ -214,9 +216,7 @@ def _evaluation(tree: FunctionTree, data: Dataset) -> dict:
         return entry[2]
     node_values, basis = tree.node_columns(data.X)
     w_sum = data.weight.sum()
-    # the one stacked basis: no per-column form of BLAS's weight product
-    # (S @ w, w @ S.T, per-column dots, einsum) matched its bits
-    basis_mean = (data.weight @ np.column_stack(basis)) / float(w_sum)
+    basis_mean = np.array([_mean(b, data.weight, w_sum) for b in basis])
     pred_full = model_sum(tree.b0, basis)
     for a in (*node_values, *basis, basis_mean, pred_full):
         a.flags.writeable = False

@@ -272,12 +272,7 @@ class SortedColumn(Points):
     dx. ``seg`` holds each row's segment, in row order, and ``seg_q`` each
     segment's interval. Rows that a target weighs zero keep their place, so
     a fitter builds one column per variable for all its training rows and
-    every target reads it.
-
-    The line-search sums run over the segments and then one empty segment
-    per knot interval (``line_q`` holds their intervals): a dot product's
-    rounding depends on its length, and at this length the fitted models of
-    targets that weigh every row keep their last bits."""
+    every target reads it. A fit's line-search sums run over the segments."""
 
     def __init__(self, x: np.ndarray, span: float):
         super().__init__(x)
@@ -310,7 +305,6 @@ class SortedColumn(Points):
         bounds = np.flatnonzero(cut)
         self.wlo, self.whi = np.searchsorted(bounds, lo), np.searchsorted(bounds, hi + 1)
         self.seg_q = qs[bounds]
-        self.line_q = np.concatenate([self.seg_q, np.arange(len(self.knots) + 1)])
         self.origin = self.knots[self.seg_q - 1]
         self.seg = np.empty(n, dtype=np.intp)
         self.seg[order] = np.repeat(np.arange(len(bounds)), np.diff(np.append(bounds, n)))
@@ -367,16 +361,15 @@ class SmoothingTarget:
             return self.level_means(col)
         om, rw, dx = self.omega, self.rw, col.dx
         omdx = om * dx
-        m0, m1, m2, t0, t1 = (np.bincount(col.seg, v, len(col.line_q))
-                              for v in (om, omdx, omdx * dx, rw, rw * dx))
         a, n = col.origin, len(col.origin)
+        m0, m1, m2, t0, t1 = (np.bincount(col.seg, v, n) for v in (om, omdx, omdx * dx, rw, rw * dx))
         c = np.empty((2 if method == NEAR_NEIGHBOR else 5, n + 1))
         c[:, 0] = 0.0
-        c[0, 1:], c[1, 1:] = m0[:n], t0[:n]
+        c[0, 1:], c[1, 1:] = m0, t0
         if method != NEAR_NEIGHBOR:
-            c[2, 1:] = a * m0[:n] + m1[:n]
-            c[3, 1:] = a * (c[2, 1:] + m1[:n]) + m2[:n]
-            c[4, 1:] = a * t0[:n] + t1[:n]
+            c[2, 1:] = a * m0 + m1
+            c[3, 1:] = a * (c[2, 1:] + m1) + m2
+            c[4, 1:] = a * t0 + t1
         # each row's sums over its window, from the per-segment sums after a
         # leading 0
         np.cumsum(c, axis=1, out=c)
@@ -402,7 +395,7 @@ class SmoothingTarget:
         gmean = np.add.reduceat(om * vals, col.offset)[ok] / gw[ok]
         values = np.interp(col.knots, col.knots[ok], gmean)
         slope, base = _pieces(values, col.gaps)
-        sl, v = slope[col.line_q], base[col.line_q]
+        sl, v = slope[col.seg_q], base[col.seg_q]
         return (Curve(col.knots, values), float(v @ t0 + sl @ t1),
                 float((v * v) @ m0 + (2.0 * v * sl) @ m1 + (sl * sl) @ m2))
 

@@ -194,22 +194,13 @@ class FunctionTree:
 
     def recompute_influence(self, X: np.ndarray, weight: np.ndarray | None = None) -> None:
         """Set each non-root node's influence to the weighted standard
-        deviation of its basis function over the rows of X. The sums are
-        numpy 2.x's for ``np.average(B, axis=0, weights=w)`` on the stacked
-        basis B, written out a column at a time so that no numpy upgrade moves
-        a bit: the weight total in ``pairwise_sum`` order, each column's sums
-        row after row (pairwise when B has one column)."""
-        if len(self.nodes) == 1:
-            return
+        deviation of its basis function over the rows of X, one column at a
+        time (``np.average``)."""
         basis = self._basis(self._values(X))
-        w = np.ones(len(basis[0])) if weight is None else np.asarray(weight, dtype=float)
-        w_sum = pairwise_sum(w.tolist())
-
-        def total(a: np.ndarray) -> float:
-            return pairwise_sum(a.tolist()) if len(basis) == 2 else float(np.cumsum(a)[-1])
         for node in self.nodes[1:]:
-            mean = total(basis[node.id] * w) / w_sum
-            node.influence = float(np.sqrt(total((basis[node.id] - mean) ** 2 * w) / w_sum))
+            b = basis[node.id]
+            mean = np.average(b, weights=weight)
+            node.influence = float(np.sqrt(np.average((b - mean) ** 2, weights=weight)))
 
     # -- serialization -----------------------------------------------------
 
@@ -313,36 +304,14 @@ class FunctionTree:
 
 
 def model_sum(b0: float, columns: list[np.ndarray]) -> np.ndarray:
-    """b0 plus the non-root basis columns (one per node id, the root's first)
-    in ``pairwise_sum`` order: numpy 2.x's row sums of their stacked C-order
-    matrix, written out, from +0.0 as numpy's (``b0 + 0.0``). Every model
-    value is summed here, so the fitter's errors are those of ``predict``."""
-    terms = columns[1:] or [np.zeros(len(columns[0]))]
-    if len(columns[0]) == 1:  # one row: floats skip numpy's per-call costs
-        return np.array([(b0 + 0.0) + pairwise_sum(np.concatenate(terms).tolist())])
-    return (b0 + 0.0) + pairwise_sum(terms)
-
-
-def pairwise_sum(terms: list):
-    """Floats, or arrays elementwise, summed in numpy 2.x's order for a
-    contiguous reduction, written out so that no numpy upgrade moves a bit:
-    below 8 terms one by one; up to 128, term i into running sum r[i % 8]
-    over whole groups of eight, then ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)) and
-    the rest one by one; above, two halves, the first a multiple of 8 long."""
-    n = len(terms)
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        return pairwise_sum(terms[:half]) + pairwise_sum(terms[half:])
-    stop = n - n % 8 if n >= 8 else 1
-    r = [t * 1.0 for t in terms[: min(stop, 8)]]  # copies to add into: x * 1.0 is x, -0.0 too
-    for i in range(8, stop, 8):
-        for j, t in enumerate(terms[i : i + 8]):
-            r[j] += t
-    for j, d in ((0, 1), (2, 1), (4, 1), (6, 1), (0, 2), (4, 2), (0, 4)) if n >= 8 else ():
-        r[j] += r[j + d]
-    for t in terms[stop:]:
-        r[0] += t
-    return r[0]
+    """b0 plus the non-root basis columns (one per node id, the root's
+    first), added in node order into one running sum that starts at
+    ``b0 + 0.0``. Every model value is summed here, so the fitter's errors
+    are those of ``predict``, and a row's sum does not depend on the others."""
+    out = np.full(len(columns[0]), b0 + 0.0)
+    for c in columns[1:]:
+        out += c
+    return out
 
 
 def _finite_number(value) -> bool:

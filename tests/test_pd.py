@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import functree as ft
 from functree import pdengine
 from functree.data import Dataset, Variable
-from functree.interactions import pure_interaction
+from functree.interactions import conditional_interaction, pure_interaction
 from functree.pdengine import (
     EffectEngine,
     _mean,
@@ -473,6 +473,31 @@ def test_default_axis_quantiles_and_levels():
     assert len(ax_n) == 50
     assert X[:, 0].min() <= ax_n[0] < ax_n[-1] <= X[:, 0].max()
     np.testing.assert_array_equal(ax_c, [0.0, 1.0, 2.0])
+
+
+def test_zero_weight_rows_do_not_move_default_grids(friedman_data, friedman_model):
+    # default axes are quantiles of the rows with positive weight, so a grid
+    # on data with weight-0 rows matches the grid on the data without them:
+    # the axes bit for bit, values and centre within 1e-10 of the prediction
+    # sd (the sums over rows hold extra zeros, which moves their rounding).
+    # eval_count counts N, so it is left out
+    rng = np.random.default_rng(12)
+    n = 300
+    X, y = friedman_data.X[:n], friedman_data.y[:n]
+    w = rng.uniform(0.5, 2.0, n) * (rng.random(n) < 0.8)
+    keep = w > 0
+    full = Dataset(friedman_data.variables, X, y, weight=w)
+    kept = Dataset(friedman_data.variables, X[keep], y[keep], weight=w[keep])
+    tol = 1e-10 * friedman_model.predict(X[keep]).std()
+    for make in (lambda d: pd_fast(friedman_model, (0, 1), None, d, 7),
+                 lambda d: pd_brute(friedman_model.predict, (3,), None, d, 7),
+                 lambda d: pure_interaction(friedman_model, (0, 1), None, d, 7),
+                 lambda d: conditional_interaction(friedman_model, (0, 1), {2: 0.5}, None, d, 7)):
+        got, want = make(full), make(kept)
+        assert all(np.array_equal(a, b) for a, b in zip(got.axes, want.axes))
+        np.testing.assert_array_equal(got.points, want.points)
+        np.testing.assert_allclose(got.values, want.values, rtol=0, atol=tol)
+        assert abs(got.center - want.center) <= tol
 
 
 def test_resolve_points_forms(friedman_data):
