@@ -327,11 +327,11 @@ def search_effects(tree: FunctionTree, data: Dataset, max_order: int = 3,
     if strength_rows is not None and strength_rows < data.n:
         rows = np.sort(np.random.default_rng(seed).choice(data.n, strength_rows, replace=False))
     eng = EffectEngine(tree, data, rows=rows)
-    eng_pa = eng.sibling(rows=rows, use_pa=True) if with_pa else None
+    eng_pa = EffectEngine(tree, data, rows=rows, use_pa=True) if with_pa else None
 
     screening = None
     if use_screens:
-        hres = _screen_h(eng.sibling())
+        hres = _screen_h(EffectEngine(tree, data))
         rres = screen_r(tree, data)
         pools = {1: rres.included(1)}
         for order in range(2, max_order + 1):

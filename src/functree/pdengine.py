@@ -11,7 +11,6 @@ their values off it.
 
 from __future__ import annotations
 
-import copy
 import csv
 import weakref
 from dataclasses import dataclass, field
@@ -207,8 +206,11 @@ def _forget(key: tuple[int, int]) -> None:
 def _evaluation(tree: FunctionTree, data: Dataset) -> dict:
     """The engine attributes that depend only on the pair, arrays read-only:
     the node values and basis columns, each column's weighted mean, taken one
-    column at a time, and the model values. Computed again when b0 or a
-    node's id, parent, variable or function changes."""
+    column at a time, and the model values; and the memos every engine on
+    the pair fills, of splits by subset, complement means by node tuple and
+    PA coefficient curves by (z-side nodes, complement nodes), which hold no
+    row-length array. Computed again, memos emptied, when b0 or a node's id,
+    parent, variable or function changes."""
     key = (id(tree), id(data))
     fingerprint = (tree.b0, [(n.id, n.parent, n.var, id(n.func)) for n in tree.nodes])
     entry = _EVALUATIONS.get(key)
@@ -227,7 +229,7 @@ def _evaluation(tree: FunctionTree, data: Dataset) -> dict:
         entry = _EVALUATIONS[key] = [None] * 3 + [weakref.finalize(o, _forget, key) for o in (tree, data)]
     entry[:3] = fingerprint, [n.func for n in tree.nodes], dict(
         node_values=node_values, basis=basis, _data_w_sum=w_sum, basis_mean=basis_mean, pred_full=pred_full,
-        paths=paths, pathvars=pathvars, _live=live)
+        paths=paths, pathvars=pathvars, _live=live, _splits={}, _gbar={}, _pa_curves={})
     return entry[2]
 
 
@@ -244,8 +246,12 @@ class EffectEngine:
     decomposition-path evaluation cost per computed effect; ``brute_equiv``
     the matching brute-force cost.
 
-    Engines on one pair share its ``_evaluation`` while tree and data live;
-    each call's engine and its siblings keep their own per-subset memos.
+    Every engine on one unchanged pair shares its ``_evaluation`` while tree
+    and data live: the node columns, and the splits, complement means and
+    coefficient curves any engine on the pair has computed, so a PA grid
+    after a PA search fits no curve. An engine keeps to itself only what
+    depends on its rows or on ``use_pa``: centring constants, pure
+    interactions at its rows, its counters and the prediction variance.
     """
 
     def __init__(self, tree: FunctionTree, data: Dataset, *, rows: np.ndarray | None = None,
@@ -253,15 +259,6 @@ class EffectEngine:
         self.tree = tree
         self.data = data
         self.__dict__.update(_evaluation(tree, data))
-        # what depends on the subsets this call asks for, shared by siblings:
-        # splits by subset, complement means by node tuple and PA coefficient
-        # curves by (z-side nodes, complement nodes)
-        self._splits: dict[frozenset, _Split] = {}
-        self._gbar: dict[tuple, float] = {}
-        self._pa_curves: dict[tuple, Curve] = {}
-        self._start(rows, use_pa)
-
-    def _start(self, rows: np.ndarray | None, use_pa: bool) -> None:
         self.use_pa = use_pa
         self.rows = np.arange(self.data.n) if rows is None else np.asarray(rows)
         # on all rows the columns are read in place: nothing below writes
@@ -273,22 +270,16 @@ class EffectEngine:
         self.w_sum = self.w.sum()
         self._pred_var: float | None = None
         # centring constants by subset and pure interactions at the rows by sorted subset tuple.
-        # Over one analyze-hu30 round (seed 7) _i_rows had 120 hits in 205 lookups and _centers 4 in
-        # 16; of the sibling memos, _splits had 52 in 233, _gbar 230 in 381 and _pa_curves 24 in 72,
-        # whose 48 misses fit splines through 30 designs; _evaluation hit 6 of 7 lookups in each
-        # later round (each conditional grid pins a new tree)
+        # Over each of two consecutive analyze-hu30 rounds (seed 7) _i_rows had 120 hits in 205
+        # lookups and _centers 4 in 16. Of the pair memos, in the first round _splits had 147 in
+        # 233, _gbar 137 in 188 and _pa_curves 30 in 72, whose 42 misses fit splines through 26
+        # designs; in the second _splits had 230 in 233, _gbar 5 in 16 and _pa_curves 72 in 72, and
+        # no design was built. _evaluation hit 8 of 10 lookups in the first round and 9 of 10 in
+        # the second (each conditional grid pins a new tree, whose memos start empty)
         self._centers: dict[frozenset, float] = {}
         self._i_rows: dict[tuple, np.ndarray] = {}
         self.fast_evals = 0.0
         self.brute_equiv = 0.0
-
-    def sibling(self, *, rows: np.ndarray | None = None, use_pa: bool = False) -> "EffectEngine":
-        """A new engine on the same tree and data, with its own rows,
-        row-dependent caches and counters, that shares this engine's node
-        evaluations, splits, complement means and coefficient curves."""
-        eng = copy.copy(self)
-        eng._start(rows, use_pa)
-        return eng
 
     # -- decomposition against a subset -------------------------------------
 
@@ -487,28 +478,31 @@ def pd_brute(predict_fn, subset, points=None, data: Dataset | None = None,
              resolution: int = 50) -> EffectGrid:
     """Brute-force partial dependence of a black-box row function.
 
-    Every evaluation point is averaged over all data rows with the subset
-    columns overwritten (N * N_z function evaluations). The estimate is also
-    averaged at each of the U distinct subset values of the data rows, which
-    centres it exactly like the fast path and costs N * U more: about N^2
-    on a numeric column, whatever the grid size. ``eval_count`` carries the
-    total N * (N_z + U).
+    Every evaluation point is averaged over the N data rows with positive
+    weight, the subset columns overwritten (N * N_z function evaluations);
+    a weight-0 row adds nothing to an average and is not evaluated. The
+    estimate is also averaged at each of the U distinct subset values of
+    those rows, which centres it exactly like the fast path and costs N * U
+    more: about N^2 on a numeric column, whatever the grid size.
+    ``eval_count`` carries the total N * (N_z + U).
     """
     subset, pts, axes = resolve_points(data, subset, points, resolution)
     cols = list(subset)
+    live = data.weight > 0
+    X, w = data.X[live], data.weight[live]
 
     def averaged(at_points: np.ndarray) -> np.ndarray:
         out = np.empty(len(at_points))
-        buf = data.X.copy()
+        buf = X.copy()
         for i, pt in enumerate(at_points):
             buf[:, cols] = pt
-            out[i] = np.average(predict_fn(buf), weights=data.weight)
+            out[i] = np.average(predict_fn(buf), weights=w)
         return out
 
     values = averaged(pts)
-    uniq, inverse = np.unique(data.X[:, cols], axis=0, return_inverse=True)
-    c = float(np.average(averaged(uniq)[inverse], weights=data.weight))
-    evals = float(len(pts)) * data.n + float(len(uniq)) * data.n
+    uniq, inverse = np.unique(X[:, cols], axis=0, return_inverse=True)
+    c = float(np.average(averaged(uniq)[inverse], weights=w))
+    evals = float(len(pts)) * len(X) + float(len(uniq)) * len(X)
     return EffectGrid(
         subset=subset,
         variables=tuple(data.variables[j] for j in subset),

@@ -457,9 +457,10 @@ def test_search_strength_subsample_reproducible(friedman_data, friedman_model):
 
 @pytest.mark.parametrize("which", ["friedman", "hu"])
 def test_search_memos_match_a_fresh_engine_per_subset(request, which):
-    # the search's engines share splits, complement means and coefficient
-    # curves with each other and with the screen's full-row engine; a cache
-    # that depends on the rows or on PA must not leak between them
+    # every engine on the pair shares splits, complement means and
+    # coefficient curves with the search's engines and the screen's full-row
+    # engine; a cache that depends on the rows or on PA must not leak between
+    # them. Each reference engine is on a copy of the model, a pair of its own
     if which == "friedman":
         model, data = request.getfixturevalue("friedman_model"), request.getfixturevalue("friedman_data")
     else:
@@ -468,15 +469,16 @@ def test_search_memos_match_a_fresh_engine_per_subset(request, which):
     rows = np.sort(np.random.default_rng(5).choice(data.n, 600, replace=False))
     assert report.screening is not None and len(report.entries) > 8
     for e in report.entries:
-        assert e.strength == EffectEngine(model, data, rows=rows).strength(e.subset)
-        assert e.strength_pa == EffectEngine(model, data, rows=rows, use_pa=True).strength(e.subset)
-    # a sibling on other rows, after its parent has filled every cache
+        assert e.strength == EffectEngine(model.copy(), data, rows=rows).strength(e.subset)
+        assert e.strength_pa == EffectEngine(model.copy(), data, rows=rows, use_pa=True).strength(e.subset)
+    # an engine on other rows, after another engine on the pair has filled
+    # every memo
     eng = EffectEngine(model, data, rows=rows, use_pa=True)
     subsets = [e.subset for e in report.entries]
     for s in subsets:
         eng.strength(s)
-    other = eng.sibling(rows=np.arange(0, data.n, 3), use_pa=True)
-    fresh = EffectEngine(model, data, rows=np.arange(0, data.n, 3), use_pa=True)
+    other = EffectEngine(model, data, rows=np.arange(0, data.n, 3), use_pa=True)
+    fresh = EffectEngine(model.copy(), data, rows=np.arange(0, data.n, 3), use_pa=True)
     assert [other.strength(s) for s in subsets] == [fresh.strength(s) for s in subsets]
     # on all rows an engine reads the node columns in place, and with PA it
     # keeps each term's f * coeff(f): after a search nothing may have written

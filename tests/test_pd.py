@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import functree as ft
 from functree import pdengine
 from functree.data import Dataset, Variable
-from functree.interactions import conditional_interaction, pure_interaction
+from functree.interactions import conditional_interaction, pure_interaction, pure_interaction_brute
 from functree.pdengine import (
     EffectEngine,
     _mean,
@@ -500,6 +500,22 @@ def test_zero_weight_rows_do_not_move_default_grids(friedman_data, friedman_mode
         assert abs(got.center - want.center) <= tol
 
 
+def test_pd_brute_skips_zero_weight_rows(friedman_data, friedman_model):
+    # a weight-0 row adds nothing to a brute-force average, so it is neither
+    # evaluated nor counted: the call equals, bit for bit and with the same
+    # eval_count, the call on the positive-weight rows alone
+    rng = np.random.default_rng(12)
+    n = 300
+    w = rng.uniform(0.5, 2.0, n) * (rng.random(n) < 0.8)
+    full = Dataset(friedman_data.variables, friedman_data.X[:n], friedman_data.y[:n], weight=w)
+    kept = ft.take_rows(full, np.flatnonzero(w > 0))
+    for make in (lambda d: pd_brute(friedman_model.predict, (3,), None, d, 7),
+                 lambda d: pure_interaction_brute(friedman_model.predict, (0, 1), None, d, 4)):
+        got, want = make(full), make(kept)
+        assert _bits(got.values) == _bits(want.values) and _bits(got.points) == _bits(want.points)
+        assert (got.center, got.eval_count) == (want.center, want.eval_count)
+
+
 def test_resolve_points_forms(friedman_data):
     subset, pts, axes = resolve_points(friedman_data, [0, 1], None, resolution=5)
     assert subset == (0, 1)
@@ -647,6 +663,38 @@ def test_a_tree_edited_in_place_is_evaluated_again(edit, hu_model_data):
     after = _entry_point_results(tree, data)
     assert after == _entry_point_results(copy.deepcopy(tree), copy.deepcopy(data))
     assert after != before
+
+
+def test_pair_memos_are_shared_by_later_calls(monkeypatch, hu_model_data):
+    # after one PA search, every entry point on the same pair (a second PA
+    # search and a PA grid among them) fits no coefficient curve and builds
+    # no spline design, and gives what it gives on a copy of the tree (a pair
+    # of its own); an in-place edit empties the memos, and the calls fit again
+    tree, data = _fresh_pair(hu_model_data)
+    ft.search_effects(tree, data, max_order=2, with_pa=True)
+    fits, designs = [], []
+    curve, design = pdengine.coefficient_curve, pdengine.SplineDesign
+    monkeypatch.setattr(pdengine, "coefficient_curve", lambda *a: fits.append(a) or curve(*a))
+    monkeypatch.setattr(pdengine, "SplineDesign", lambda *a: designs.append(a) or design(*a))
+    got = _entry_point_results(tree, data)
+    assert (len(fits), len(designs)) == (0, 0)
+    assert got == _entry_point_results(tree.copy(), data)
+    assert len(fits) > 0 and len(designs) > 0
+    for edit in (_swap_func, _move_b0):
+        edit(tree)
+        fits.clear()
+        got = _entry_point_results(tree, data)
+        assert len(fits) > 0
+        assert got == _entry_point_results(tree.copy(), data)
+    # what the memos keep outlives every call, and holds no row-length array
+    memos = pdengine._EVALUATIONS[id(tree), id(data)][2]
+    assert memos["_splits"] and memos["_gbar"] and memos["_pa_curves"]
+    for name, kind in (("_splits", pdengine._Split), ("_gbar", float), ("_pa_curves", ft.Curve)):
+        assert all(isinstance(v, kind) for v in memos[name].values())
+    for split in memos["_splits"].values():
+        assert isinstance(split.abar, float) and isinstance(split.alpha, float)
+        assert all(isinstance(t, pdengine._Term) and isinstance(t.gbar, float) for t in split.terms)
+    assert all(len(c.knots) < data.n for c in memos["_pa_curves"].values())
 
 
 def test_an_evaluation_lives_no_longer_than_its_tree_or_data():
