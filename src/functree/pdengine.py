@@ -206,7 +206,8 @@ def _forget(key: tuple[int, int]) -> None:
 def _evaluation(tree: FunctionTree, data: Dataset) -> dict:
     """The engine attributes that depend only on the pair, arrays read-only:
     the node values and basis columns, each column's weighted mean, taken one
-    column at a time, and the model values; and the memos every engine on
+    column at a time, the model values and the number of rows with positive
+    weight; and the memos every engine on
     the pair fills, of splits by subset, complement means by node tuple and
     PA coefficient curves by (z-side nodes, complement nodes), which hold no
     row-length array. Computed again, memos emptied, when b0 or a node's id,
@@ -229,7 +230,8 @@ def _evaluation(tree: FunctionTree, data: Dataset) -> dict:
         entry = _EVALUATIONS[key] = [None] * 3 + [weakref.finalize(o, _forget, key) for o in (tree, data)]
     entry[:3] = fingerprint, [n.func for n in tree.nodes], dict(
         node_values=node_values, basis=basis, _data_w_sum=w_sum, basis_mean=basis_mean, pred_full=pred_full,
-        paths=paths, pathvars=pathvars, _live=live, _splits={}, _gbar={}, _pa_curves={})
+        _weighted_rows=int(np.count_nonzero(data.weight > 0)), paths=paths, pathvars=pathvars, _live=live,
+        _splits={}, _gbar={}, _pa_curves={})
     return entry[2]
 
 
@@ -244,7 +246,8 @@ class EffectEngine:
     constants. ``use_pa`` swaps the fixed complement means for partial
     association coefficient functions. ``fast_evals`` accumulates the
     decomposition-path evaluation cost per computed effect; ``brute_equiv``
-    the matching brute-force cost.
+    the matching brute-force cost, each point averaged over the rows with
+    positive weight as ``pd_brute`` counts them.
 
     Every engine on one unchanged pair shares its ``_evaluation`` while tree
     and data live: the node columns, and the splits, complement means and
@@ -360,7 +363,7 @@ class EffectEngine:
             else:
                 out += term.gbar * f
         self.fast_evals += n + split.alpha * self.data.n
-        self.brute_equiv += float(n) * self.data.n
+        self.brute_equiv += float(n) * self._weighted_rows
         return out
 
     def center(self, key: frozenset) -> float:

@@ -514,6 +514,10 @@ def test_pd_brute_skips_zero_weight_rows(friedman_data, friedman_model):
         got, want = make(full), make(kept)
         assert _bits(got.values) == _bits(want.values) and _bits(got.points) == _bits(want.points)
         assert (got.center, got.eval_count) == (want.center, want.eval_count)
+    # the fast path's brute-force equivalent averages over the same rows
+    eng = EffectEngine(friedman_model, full)
+    eng.effect_at((3,), full.X[:7, [3]])
+    assert eng.brute_equiv == (7.0 + n) * kept.n
 
 
 def test_resolve_points_forms(friedman_data):
