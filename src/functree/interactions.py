@@ -26,6 +26,7 @@ from .pdengine import (
     EffectGrid,
     _fast_grid,
     _mean,
+    _product,
     _pure_effect,
     check_subset,
     pd_brute,
@@ -60,9 +61,9 @@ def pure_interaction(tree: FunctionTree, s, points=None, data: Dataset | None = 
                      resolution: int = 50) -> EffectGrid:
     """Partial dependence of the subset with all lower-order sub-effects
     recursively subtracted; identically zero when the model has no
-    interaction among the subset's variables, and exact zeros (with the
-    subset's centre and alpha still computed) when no root path contains
-    the subset."""
+    interaction among the subset's variables. When no root path contains
+    the subset the grid is exact zeros with centre 0.0, at no evaluation
+    cost; its alpha is still read off the path variable sets."""
     return _fast_grid(tree, s, points, data, resolution, PURE_INTERACTION)
 
 
@@ -175,28 +176,34 @@ class ScreenH:
 
 
 def screen_h(tree: FunctionTree, data: Dataset) -> ScreenH:
-    """Score sqrt(E[(F - PD(x_j) - PD(rest))^2]) per variable; zero exactly
-    when the variable appears in no mixed-path basis. Variables scoring at
-    least ``SCREEN_FRACTION`` of the prediction sd are flagged."""
+    """Score sqrt(E[(F - PD(x_j) - PD(rest))^2]) per variable, with each
+    partial dependence centred, and flag the variables scoring at least
+    ``SCREEN_FRACTION`` of the prediction sd. A path on x_j alone, or
+    without it, adds the same to F as to PD(x_j) + PD(rest) up to a
+    constant, so a variable on no mixed path scores exactly 0."""
     return _screen_h(EffectEngine(tree, data))
 
 
 def _screen_h(eng: EffectEngine) -> ScreenH:
-    """``screen_h`` on an engine, so a caller holding one reuses its node
-    evaluations."""
-    p = eng.data.p
-    pred_c = eng.pred - _mean(eng.pred, eng.w, eng.w_sum)
-    all_vars = frozenset(range(p))
-    scores = np.zeros(p)
-    for j in range(p):
-        pd_j = eng.rows_centered(frozenset([j]))
-        comp = all_vars - {j}
-        pd_c = eng.rows_centered(comp) if comp else 0.0
-        resid = pred_c - pd_j - pd_c
-        scores[j] = float(np.sqrt(_mean(resid**2, eng.w, eng.w_sum)))
-    sd_pred = float(np.sqrt(_mean(pred_c**2, eng.w, eng.w_sum)))
-    threshold = SCREEN_FRACTION * sd_pred
-    flagged = tuple(int(j) for j in range(p) if scores[j] >= threshold)
+    """``screen_h`` from the node columns of an engine's pair, on all the
+    data's rows. A path that mixes x_j with other variables (a mixed term
+    of the split against x_j) puts f * g into F, where f is the product of
+    its x_j nodes and g of the others, and f * g-bar + f-bar * g into
+    PD(x_j) + PD(rest); what is left is (f - f-bar) * (g - g-bar) up to a
+    constant, the bars weighted data means. The score is the weighted rms
+    of their sum, centred."""
+    data, cols = eng.data, eng.node_values
+    w, w_sum = data.weight, eng._data_w_sum
+    scores = np.zeros(data.p)
+    for j in range(data.p):
+        mixed = [t for t in eng.split(frozenset([j])).terms if t.comp_nodes]
+        if mixed:
+            resid = sum((_product(cols, t.z_nodes) - eng.node_mean(t.z_nodes))
+                        * (_product(cols, t.comp_nodes) - t.gbar) for t in mixed)
+            scores[j] = float(np.sqrt(_mean((resid - _mean(resid, w, w_sum)) ** 2, w, w_sum)))
+    pred_c = eng.pred_full - _mean(eng.pred_full, w, w_sum)
+    threshold = SCREEN_FRACTION * float(np.sqrt(_mean(pred_c**2, w, w_sum)))
+    flagged = tuple(int(j) for j in range(data.p) if scores[j] >= threshold)
     return ScreenH(scores, threshold, flagged)
 
 
@@ -267,6 +274,9 @@ class EffectReport:
         return pool[:k] if order is not None else sorted(pool, key=lambda e: -e.strength)[:k]
 
     def entry(self, subset) -> EffectEntry | None:
+        """The subset's entry, or None when the search did not report it:
+        outside its order's pool, or dead (no root path contains it, so its
+        strength is exactly 0)."""
         key = frozenset(subset)
         for e in self.entries:
             if frozenset(e.subset) == key:
@@ -308,18 +318,28 @@ class EffectReport:
         return "\n".join(lines) + "\n"
 
 
+def _live_subsets(eng: EffectEngine, pool: tuple[int, ...], k: int) -> list[tuple[int, ...]]:
+    """The size-k subsets of the ascending ``pool`` that some root path's
+    variable set contains, in ``combinations(pool, k)`` order."""
+    inside = set(pool)
+    return sorted(tuple(sorted(s)) for s in eng._live if len(s) == k and s <= inside)
+
+
 def search_effects(tree: FunctionTree, data: Dataset, max_order: int = 3,
                    use_screens: bool = True, with_pa: bool = False,
                    strength_rows: int | None = None, seed: int = 0) -> EffectReport:
-    """Enumerate variable subsets up to ``max_order`` (at most
-    ``MAX_ORDER``), rank them by interaction strength, and report the
-    screening path.
+    """Rank the live variable subsets up to ``max_order`` (at most
+    ``MAX_ORDER``) by interaction strength, and report the screening path.
 
-    With screening on, main effects are searched over variables carrying any
-    influence mass, and order-n subsets over the interacting variables that
-    also carry mass at level n or higher. ``strength_rows`` caps the number
-    of rows used for the strength variance (seeded subsample). A subset that
-    no root path contains is reported with strength 0.0 at no cost.
+    A subset is live when some root path's variable set contains it; every
+    other subset has strength exactly 0 and is left out of the report, so
+    the search costs what the tree holds, not C(p, k). Each order's live
+    subsets are taken in ``combinations`` order and sorted stably by
+    strength. With screening on, main effects are searched over variables
+    carrying any influence mass, and order-n subsets over the interacting
+    variables that also carry mass at level n or higher. ``strength_rows``
+    caps the number of rows used for the strength variance (seeded
+    subsample).
     """
     if not 1 <= max_order <= MAX_ORDER:
         raise ValueError(f"max_order must be between 1 and {MAX_ORDER}")
@@ -331,7 +351,7 @@ def search_effects(tree: FunctionTree, data: Dataset, max_order: int = 3,
 
     screening = None
     if use_screens:
-        hres = _screen_h(EffectEngine(tree, data))
+        hres = _screen_h(eng)
         rres = screen_r(tree, data)
         pools = {1: rres.included(1)}
         for order in range(2, max_order + 1):
@@ -343,7 +363,7 @@ def search_effects(tree: FunctionTree, data: Dataset, max_order: int = 3,
     entries: list[EffectEntry] = []
     for order in range(1, max_order + 1):
         batch = []
-        for s in combinations(pools[order], order):
+        for s in _live_subsets(eng, pools[order], order):
             st = eng.strength(s)
             st_pa = eng_pa.strength(s) if eng_pa is not None else None
             batch.append(EffectEntry(s, tuple(data.variables[j].name for j in s), order, st, st_pa))

@@ -242,12 +242,13 @@ class EffectEngine:
     A + sum_k f_k(z) * g_k(complement); partial dependence, partial
     association and pure interactions are all read off that split.
     Strengths are evaluated at the data rows' own subset values (optionally a
-    seeded row subsample via ``rows``); grids reuse the same centering
-    constants. ``use_pa`` swaps the fixed complement means for partial
-    association coefficient functions. ``fast_evals`` accumulates the
-    decomposition-path evaluation cost per computed effect; ``brute_equiv``
-    the matching brute-force cost, each point averaged over the rows with
-    positive weight as ``pd_brute`` counts them.
+    seeded row subsample via ``rows``), leaving out rows of weight 0; grids
+    reuse the same centering constants. ``use_pa`` swaps the fixed
+    complement means for partial association coefficient functions.
+    ``fast_evals`` accumulates the decomposition-path evaluation cost per
+    computed effect; ``brute_equiv`` the matching brute-force cost, each
+    point averaged over the rows with positive weight as ``pd_brute`` counts
+    them.
 
     Every engine on one unchanged pair shares its ``_evaluation`` while tree
     and data live: the node columns, and the splits, complement means and
@@ -263,7 +264,14 @@ class EffectEngine:
         self.data = data
         self.__dict__.update(_evaluation(tree, data))
         self.use_pa = use_pa
-        self.rows = np.arange(self.data.n) if rows is None else np.asarray(rows)
+        # a weight-0 row adds nothing to a weighted mean, so it is neither
+        # evaluated nor counted
+        positive = data.weight > 0
+        if rows is not None:
+            rows = np.asarray(rows)[positive[rows]]
+        elif not positive.all():
+            rows = np.flatnonzero(positive)
+        self.rows = np.arange(self.data.n) if rows is None else rows
         # on all rows the columns are read in place: nothing below writes
         # into them
         take = slice(None) if rows is None else self.rows
@@ -274,11 +282,12 @@ class EffectEngine:
         self._pred_var: float | None = None
         # centring constants by subset and pure interactions at the rows by sorted subset tuple.
         # Over each of two consecutive analyze-hu30 rounds (seed 7) _i_rows had 120 hits in 205
-        # lookups and _centers 4 in 16. Of the pair memos, in the first round _splits had 147 in
-        # 233, _gbar 137 in 188 and _pa_curves 30 in 72, whose 42 misses fit splines through 26
-        # designs; in the second _splits had 230 in 233, _gbar 5 in 16 and _pa_curves 72 in 72, and
-        # no design was built. _evaluation hit 8 of 10 lookups in the first round and 9 of 10 in
-        # the second (each conditional grid pins a new tree, whose memos start empty)
+        # lookups and _centers 4 in 16. Of the pair memos, in the first round _splits had 70 in
+        # 109, _gbar (which the h-screen reads too) 239 in 290 and _pa_curves 30 in 72, whose 42
+        # misses fit splines through 26 designs; in the second _splits had 106 in 109, _gbar 141 in
+        # 152 and _pa_curves 72 in 72, and no design was built. _evaluation hit 6 of 8 lookups in
+        # the first round and 7 of 8 in the second (each conditional grid pins a new tree, whose
+        # memos start empty)
         self._centers: dict[frozenset, float] = {}
         self._i_rows: dict[tuple, np.ndarray] = {}
         self.fast_evals = 0.0
@@ -296,7 +305,6 @@ class EffectEngine:
             return cached
         abar = self.tree.b0
         terms = []
-        n_mixed = 0
         for idx, pv in enumerate(self.pathvars):
             node_id = idx + 1
             if not (pv & key):
@@ -305,20 +313,25 @@ class EffectEngine:
             path = self.paths[idx]
             z_nodes = tuple(m for m, var in path if var in key)
             comp_nodes = tuple(m for m, var in path if var not in key)
-            if not comp_nodes:
-                gbar = 1.0
-            else:
-                n_mixed += 1
-                gbar = self._gbar.get(comp_nodes)
-                if gbar is None:
-                    gbar = float(_mean(_product(self.node_values, comp_nodes),
-                                       self.data.weight, self._data_w_sum))
-                    self._gbar[comp_nodes] = gbar
+            gbar = self.node_mean(comp_nodes) if comp_nodes else 1.0
             terms.append(_Term(node_id, z_nodes, comp_nodes, gbar))
-        total = len(self.pathvars)
-        out = _Split(abar, terms, n_mixed / total if total else 0.0)
-        self._splits[key] = out
+        out = self._splits[key] = _Split(abar, terms, self.mixed_share(key))
         return out
+
+    def node_mean(self, nodes: tuple[int, ...]) -> float:
+        """Weighted mean over the data of the product of the nodes' values,
+        kept for the pair by node tuple."""
+        out = self._gbar.get(nodes)
+        if out is None:
+            out = self._gbar[nodes] = float(_mean(_product(self.node_values, nodes), self.data.weight,
+                                                  self._data_w_sum))
+        return out
+
+    def mixed_share(self, key: frozenset) -> float:
+        """alpha: the share of bases whose path holds a subset variable and
+        a variable outside the subset."""
+        total = len(self.pathvars)
+        return sum(bool(pv & key) and not pv <= key for pv in self.pathvars) / total if total else 0.0
 
     def _term_f_rows(self, term: _Term) -> np.ndarray:
         """The term's z-side product at the engine's rows (read-only: it may
@@ -362,7 +375,7 @@ class EffectEngine:
                 out += f * self._pa_curves[term.z_nodes, term.comp_nodes](f)
             else:
                 out += term.gbar * f
-        self.fast_evals += n + split.alpha * self.data.n
+        self.fast_evals += n + split.alpha * self._weighted_rows
         self.brute_equiv += float(n) * self._weighted_rows
         return out
 
@@ -417,7 +430,7 @@ class EffectEngine:
             # constancy is tested exactly: a constant's weighted mean can be
             # an ulp off and leave a variance of about 1e-33
             var = float(_mean((self.pred - mean) ** 2, self.w, self.w_sum))
-            self._pred_var = var if np.ptp(self.pred[self.w > 0]) > 0.0 else 0.0
+            self._pred_var = var if np.ptp(self.pred) > 0.0 else 0.0
         if self._pred_var <= 0.0:
             raise ValueError("model predictions are constant; strength is undefined")
         key = frozenset(subset)
@@ -463,8 +476,9 @@ def _fast_grid(tree: FunctionTree, subset, points, data: Dataset | None, resolut
         points=pts,
         values=values,
         kind=kind,
-        center=eng.center(key),
-        alpha=eng.split(key).alpha,
+        # a dead subset's pure interaction is zero, and so is its centre
+        center=eng.center(key) if kind != PURE_INTERACTION or eng.live(key) else 0.0,
+        alpha=eng.mixed_share(key),
         eval_count=eng.fast_evals,
         axes=axes,
     )

@@ -107,7 +107,8 @@ def test_criterion_3b_hu_strengths_dominate_irrelevant(hu_bench):
     interaction_terms = [
         (0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5), (0, 1, 2), (3, 4, 5),
     ]
-    weakest = min(rep.entry(s).strength for s in interaction_terms)
+    # a dead subset is left out of the report: its strength is exactly 0
+    weakest = min(rep.entry(s).strength if rep.entry(s) else 0.0 for s in interaction_terms)
     irrelevant = [e.strength for e in rep.entries if any(j >= 20 for j in e.subset)]
     strongest_noise = max(irrelevant) if irrelevant else 0.0
     # screening must also be conservative: same top-10 as the exhaustive search

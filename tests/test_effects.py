@@ -9,9 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import functree as ft
+from functree import interactions
 from functree.data import Dataset, Variable
 from functree.interactions import (
     EffectEngine,
+    _live_subsets,
     _screen_h,
     bootstrap_compare,
     conditional_interaction,
@@ -236,7 +238,8 @@ def _in_a_path(tree, s) -> bool:
 
 def _assert_dead_subsets_give_exact_zeros(tree, sample):
     """Every dead subset of up to 4 variables: exact zeros from the engine's
-    rows, strength, pure and conditional grids. Returns the dead subsets."""
+    rows, strength, pure and conditional grids, the grids at no cost and
+    with a zero centre. Returns the dead subsets."""
     p = len(tree.variables)
     dead = [s for size in range(1, min(p, 4) + 1) for s in combinations(range(p), size)
             if not _in_a_path(tree, s)]
@@ -250,22 +253,19 @@ def _assert_dead_subsets_give_exact_zeros(tree, sample):
         else:
             assert eng.strength(s) == 0.0
         _, pts, _ = resolve_points(sample, s, None, 3)
-        assert np.all(pure_interaction(tree, s, pts, sample).values == 0.0)
+        grid = pure_interaction(tree, s, pts, sample)
+        assert np.all(grid.values == 0.0) and (grid.center, grid.eval_count) == (0.0, 0.0)
         rest = [j for j in range(p) if j not in s]
         if rest:
             cond = conditional_interaction(tree, s, {rest[0]: 1.0}, pts, sample)
-            assert np.all(cond.values == 0.0)
+            assert np.all(cond.values == 0.0) and (cond.center, cond.eval_count) == (0.0, 0.0)
     return dead
 
 
-@settings(max_examples=40, deadline=None, database=None)
-@given(st.data())
-def test_dead_subsets_give_exact_zeros(data):
-    # a subset that no root path's variable set contains has an identically
-    # zero pure interaction: the fast paths must give exact zeros for every
-    # such subset of up to 4 variables, on trees with paths up to depth 4,
-    # level tables and a pinned variable, and brute-force averaging must
-    # agree to rounding
+def _draw_tree(data):
+    """A random tree on 2-5 variables, each numeric or categorical, with
+    paths up to depth 4, level tables and, on some draws, a pinned
+    variable, and 60 rows of data for it; ``data`` is Hypothesis's."""
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     p = data.draw(st.integers(2, 5))
     levels = ("a", "b", "c")
@@ -286,7 +286,18 @@ def test_dead_subsets_give_exact_zeros(data):
     tree = FunctionTree(variables, float(rng.normal()), nodes)
     if data.draw(st.booleans()):
         tree = pin(tree, {int(rng.integers(0, p)): 1.0})
-    sample = random_dataset(rng, tree, n=60)
+    return tree, random_dataset(rng, tree, n=60)
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(st.data())
+def test_dead_subsets_give_exact_zeros(data):
+    # a subset that no root path's variable set contains has an identically
+    # zero pure interaction: the fast paths must give exact zeros for every
+    # such subset of up to 4 variables, on trees with paths up to depth 4,
+    # level tables and a pinned variable, and brute-force averaging must
+    # agree to rounding
+    tree, sample = _draw_tree(data)
     dead = _assert_dead_subsets_give_exact_zeros(tree, sample)
     sub = ft.take_rows(sample, np.arange(20))
     pred = tree.predict(sub.X)
@@ -294,6 +305,35 @@ def test_dead_subsets_give_exact_zeros(data):
     for s in data.draw(st.lists(st.sampled_from(dead), max_size=2)) if dead and np.ptp(pred) > 0 else ():
         brute = pure_interaction_brute(tree.predict, s, sub.X[:5][:, list(s)], sub)
         assert np.max(np.abs(brute.values)) <= 1e-12 * sd
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(st.data())
+def test_screen_h_equals_the_pd_residual(data):
+    # the h-screen reads each variable's score off the paths that mix it
+    # with others; it must equal the residual it stands for, F - PD(x_j) -
+    # PD(rest) with each term centred, computed from the engine's centred
+    # effects at the rows, within 1e-12 of the prediction sd, on weighted
+    # rows some of weight 0. A variable on no mixed path scores exactly 0
+    tree, sample = _draw_tree(data)
+    w = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).uniform(0.5, 2.0, sample.n)
+    w[:: data.draw(st.integers(2, 7))] = 0.0
+    sample = Dataset(sample.variables, sample.X, sample.y, weight=w)
+    res = screen_h(tree, sample)
+    p = sample.p
+    mixed = {j for k in range(1, len(tree.nodes)) if len(tree.path_vars(k)) > 1 for j in tree.path_vars(k)}
+    assert all(res.scores[j] == 0.0 for j in range(p) if j not in mixed)
+    eng = EffectEngine(tree, sample)
+    if np.ptp(eng.pred) == 0.0:
+        return
+    pred_c = eng.pred - np.average(eng.pred, weights=eng.w)
+    sd_pred = float(np.sqrt(np.average(pred_c**2, weights=eng.w)))
+    for j in range(p):
+        rest = frozenset(range(p)) - {j}
+        resid = pred_c - eng.rows_centered(frozenset([j])) - (eng.rows_centered(rest) if rest else 0.0)
+        want = float(np.sqrt(np.average(resid**2, weights=eng.w)))
+        assert abs(res.scores[j] - want) <= 1e-12 * sd_pred
+    assert res.threshold == pytest.approx(0.05 * sd_pred, rel=1e-12)
 
 
 def test_dead_subset_property_fails_on_a_union_of_two_paths(monkeypatch):
@@ -324,7 +364,7 @@ def test_screen_h_zero_for_additive_tree(friedman_data, additive_model):
     # every variable appears only in single-variable paths, so the identity
     # F = PD(x_j) + PD(rest) holds exactly
     res = screen_h(additive_model, friedman_data)
-    assert np.all(res.scores < 1e-8)
+    assert np.all(res.scores == 0.0)
     assert res.flagged == ()
 
 
@@ -419,6 +459,36 @@ def test_search_screening_matches_exhaustive(friedman_data, friedman_model, hu_b
     assert [frozenset(e.subset) for e in screened.top(k=10)] == \
         [frozenset(e.subset) for e in full.top(k=10)]
     assert screened.fast_evals < full.fast_evals
+
+
+def test_search_walks_only_live_subsets(monkeypatch, hu_bench_model):
+    # on the 30-variable model the search asks for the strength of exactly
+    # the live subsets of each order's pool, in combinations order, and
+    # reports what a walk over every subset reports once its dead rows (all
+    # at strength 0, at no cost) are removed: entries and counters alike
+    data = ft.gen_hu(2000, seed=7)
+    eng = EffectEngine(hu_bench_model, data)
+    asked = []
+    strength_of = EffectEngine.strength
+    monkeypatch.setattr(EffectEngine, "strength",
+                        lambda self, s: asked.append(tuple(s)) or strength_of(self, s))
+    for use_screens in (True, False):
+        asked.clear()
+        rep = search_effects(hu_bench_model, data, max_order=4, use_screens=use_screens, strength_rows=500)
+        pools = rep.screening["pools"] if use_screens else dict.fromkeys(range(1, 5), tuple(range(data.p)))
+        want = []
+        for k in range(1, 5):
+            live = [s for s in combinations(pools[k], k) if eng.live(frozenset(s))]
+            assert _live_subsets(eng, pools[k], k) == live
+            want += live
+        assert asked == want and len(rep.entries) == len(want)
+        with monkeypatch.context() as m:
+            m.setattr(interactions, "_live_subsets", lambda eng, pool, k: list(combinations(pool, k)))
+            full = search_effects(hu_bench_model, data, max_order=4, use_screens=use_screens,
+                                  strength_rows=500)
+        assert len(full.entries) > len(rep.entries)
+        assert rep.entries == [e for e in full.entries if eng.live(frozenset(e.subset))]
+        assert (rep.fast_evals, rep.brute_equiv) == (full.fast_evals, full.brute_equiv)
 
 
 def test_search_entries_sorted_within_order(friedman_data, friedman_model):

@@ -424,7 +424,8 @@ def test_eval_cost_formula(friedman_data, friedman_model):
         grid = pd_fast(friedman_model, subset, pts, friedman_data)
         assert grid.eval_count == eng.fast_evals
     # every fast grid reports what a fresh engine making its calls counted,
-    # a dead subset's centring pass included
+    # its centring pass included; a dead subset's pure interaction is zero
+    # with a zero centre, and costs nothing
     probe = EffectEngine(friedman_model, friedman_data)
     dead = next(s for s in [(0, 2), (0, 3), (1, 2), (1, 3), (2, 3)] if not probe.live(frozenset(s)))
     for subset in [(0, 1), dead]:
@@ -435,7 +436,12 @@ def test_eval_cost_formula(friedman_data, friedman_model):
             eng = EffectEngine(friedman_model, friedman_data, use_pa=use_pa)
             getattr(eng, read)(subset, pts)
             eng.center(frozenset(subset))
-            assert build(friedman_model, subset, pts, friedman_data).eval_count == eng.fast_evals
+            grid = build(friedman_model, subset, pts, friedman_data)
+            assert grid.alpha == probe.split(frozenset(subset)).alpha
+            if build is pure_interaction and subset == dead:
+                assert (grid.eval_count, grid.center) == (0.0, 0.0)
+            else:
+                assert (grid.eval_count, grid.center) == (eng.fast_evals, eng.center(frozenset(subset)))
 
 
 def test_fast_grids_check_their_subset_limits(friedman_data, friedman_model):
@@ -479,8 +485,8 @@ def test_zero_weight_rows_do_not_move_default_grids(friedman_data, friedman_mode
     # default axes are quantiles of the rows with positive weight, so a grid
     # on data with weight-0 rows matches the grid on the data without them:
     # the axes bit for bit, values and centre within 1e-10 of the prediction
-    # sd (the sums over rows hold extra zeros, which moves their rounding).
-    # eval_count counts N, so it is left out
+    # sd (the sums over rows hold extra zeros, which moves their rounding),
+    # and the same eval_count: a weight-0 row is not evaluated
     rng = np.random.default_rng(12)
     n = 300
     X, y = friedman_data.X[:n], friedman_data.y[:n]
@@ -498,6 +504,7 @@ def test_zero_weight_rows_do_not_move_default_grids(friedman_data, friedman_mode
         np.testing.assert_array_equal(got.points, want.points)
         np.testing.assert_allclose(got.values, want.values, rtol=0, atol=tol)
         assert abs(got.center - want.center) <= tol
+        assert got.eval_count == want.eval_count
 
 
 def test_pd_brute_skips_zero_weight_rows(friedman_data, friedman_model):
@@ -514,10 +521,33 @@ def test_pd_brute_skips_zero_weight_rows(friedman_data, friedman_model):
         got, want = make(full), make(kept)
         assert _bits(got.values) == _bits(want.values) and _bits(got.points) == _bits(want.points)
         assert (got.center, got.eval_count) == (want.center, want.eval_count)
-    # the fast path's brute-force equivalent averages over the same rows
+    # the fast path centres over the same rows, and its brute-force
+    # equivalent averages over them
     eng = EffectEngine(friedman_model, full)
     eng.effect_at((3,), full.X[:7, [3]])
-    assert eng.brute_equiv == (7.0 + n) * kept.n
+    assert eng.brute_equiv == (7.0 + kept.n) * kept.n
+
+
+def test_fast_paths_skip_zero_weight_rows(friedman_data, friedman_model):
+    # an engine leaves weight-0 rows out of its rows, so a fast grid and a
+    # search count what they count on the positive-weight rows alone (with
+    # the weight-0 rows counted they read 403.5, 1,319.7 and 4,500 against
+    # 332.6, 1,085.2 and 3,600), and a search reports the same subsets and
+    # strengths to rounding
+    rng = np.random.default_rng(12)
+    n = 300
+    w = rng.uniform(0.5, 2.0, n) * (rng.random(n) < 0.8)
+    assert np.count_nonzero(w == 0.0) == 60
+    full = Dataset(friedman_data.variables, friedman_data.X[:n], friedman_data.y[:n], weight=w)
+    kept = ft.take_rows(full, np.flatnonzero(w > 0))
+    for make in (lambda d: pd_fast(friedman_model, (0, 1), None, d, 7),
+                 lambda d: pure_interaction(friedman_model, (0, 1), None, d, 7)):
+        assert make(full).eval_count == make(kept).eval_count
+    got, want = (ft.search_effects(friedman_model, d, max_order=2) for d in (full, kept))
+    assert (got.fast_evals, got.brute_equiv) == (want.fast_evals, want.brute_equiv)
+    assert [e.subset for e in got.entries] == [e.subset for e in want.entries]
+    np.testing.assert_allclose([e.strength for e in got.entries], [e.strength for e in want.entries],
+                               rtol=1e-12, atol=0)
 
 
 def test_resolve_points_forms(friedman_data):
